@@ -30,35 +30,6 @@ inline sat::SolverOptions modern_ema_sat_config() {
   return o;
 }
 
-/// Per-technique preprocessing ablations: the shipping defaults with
-/// exactly one preprocessing technique disabled, plus the whole tier
-/// off. The A/B matrix over these is what the CI gate consumes.
-inline sat::SolverOptions no_elim_sat_config() {
-  sat::SolverOptions o;
-  o.elim = false;
-  return o;
-}
-
-inline sat::SolverOptions no_scc_sat_config() {
-  sat::SolverOptions o;
-  o.scc = false;
-  return o;
-}
-
-inline sat::SolverOptions no_probe_sat_config() {
-  sat::SolverOptions o;
-  o.probe = false;
-  return o;
-}
-
-inline sat::SolverOptions no_preprocess_sat_config() {
-  sat::SolverOptions o;
-  o.elim = false;
-  o.scc = false;
-  o.probe = false;
-  return o;
-}
-
 /// The pre-modernization (PR-3) solver: Luby restarts and the old
 /// size-triggered activity-only halving; no tiers, no inprocessing, no
 /// rephasing.

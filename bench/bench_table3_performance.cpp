@@ -519,23 +519,17 @@ int main(int argc, char** argv) {
       sat::Solver::Stats stats;
       std::vector<std::array<int, 3>> answers;
     };
-    constexpr int kConfigs = 7;
+    constexpr int kConfigs = 3;
     // More repeats than the architecture A/B: the configs are closer in
     // wall time, so the min-statistic needs more samples to stabilize.
     constexpr int kSatRepeats = 5;
-    // "modern" is the full-preprocessing shipping default; the no_*
-    // entries ablate one technique each; "no_preprocess" turns the whole
-    // tier off (the conflict baseline the CI gate compares against);
-    // "legacy" is the PR-3 solver.
-    const sat::SolverOptions cfgs[kConfigs] = {
-        bench::modern_sat_config(),        bench::modern_ema_sat_config(),
-        bench::no_elim_sat_config(),       bench::no_scc_sat_config(),
-        bench::no_probe_sat_config(),      bench::no_preprocess_sat_config(),
-        bench::legacy_sat_config()};
-    const char* cfg_names[kConfigs] = {"modern",   "modern_ema",
-                                       "no_elim",  "no_scc",
-                                       "no_probe", "no_preprocess",
-                                       "legacy"};
+    // "modern" is the shipping default, "modern_ema" the same with EMA
+    // restarts, "legacy" the PR-3 solver (the baseline the CI gate
+    // compares against).
+    const sat::SolverOptions cfgs[kConfigs] = {bench::modern_sat_config(),
+                                               bench::modern_ema_sat_config(),
+                                               bench::legacy_sat_config()};
+    const char* cfg_names[kConfigs] = {"modern", "modern_ema", "legacy"};
     SatAb sab[kConfigs];
     std::printf("\n# SAT-configuration A/B (incremental optimum search,"
                 " whole suite, all QBF engines):\n");
@@ -657,11 +651,6 @@ int main(int argc, char** argv) {
       j.kv("subsumed_clauses", res.stats.subsumed_clauses);
       j.kv("strengthened_clauses", res.stats.strengthened_clauses);
       j.kv("vivified_clauses", res.stats.vivified_clauses);
-      j.kv("eliminated_vars", res.stats.eliminated_vars);
-      j.kv("substituted_lits", res.stats.substituted_lits);
-      j.kv("failed_literals", res.stats.failed_literals);
-      j.kv("hyper_binaries", res.stats.hyper_binaries);
-      j.kv("transitive_reductions", res.stats.transitive_reductions);
       // Solver-level outcome attribution (core/outcome.h taxonomy): how
       // many kUnknown stops each budget kind caused.
       j.kv("conflict_budget_stops", res.stats.conflict_budget_stops);

@@ -82,7 +82,6 @@ IncrementalCounter::IncrementalCounter(ClauseSink& sink,
                                            std::span<const sat::Lit> lits) {
   never_ = sat::mk_lit(sink.new_var());
   sink.add_unit(~never_);
-  sink.freeze(sat::var(never_));
 
   // Full-width sequential counter (Sinz-style, same prefix structure as
   // at_most_k but with register width n instead of k and no overflow
@@ -107,11 +106,6 @@ IncrementalCounter::IncrementalCounter(ClauseSink& sink,
     prev = row;
   }
   for (int j = 0; j < n; ++j) outputs_[j] = prev[j];
-  // The outputs are assumed only when a bound is later queried, so they
-  // must survive preprocessing; the counted literals feed user-visible
-  // models and may also be assumed by callers tightening bounds.
-  for (sat::Lit o : outputs_) sink.freeze(sat::var(o));
-  for (sat::Lit l : lits) sink.freeze(sat::var(l));
 }
 
 void IncrementalCounter::assume_at_most(int k, sat::LitVec& out) const {

@@ -17,9 +17,6 @@ class ClauseSink {
   virtual ~ClauseSink() = default;
   virtual sat::Var new_var() = 0;
   virtual void add_clause(std::span<const sat::Lit> lits) = 0;
-  /// Marks a variable as untouchable by preprocessing (it may appear in a
-  /// later assumption). No-op for sinks without a live solver behind them.
-  virtual void freeze(sat::Var) {}
 
   void add_unit(sat::Lit a) { add_clause(std::array{a}); }
   void add_binary(sat::Lit a, sat::Lit b) { add_clause(std::array{a, b}); }
@@ -39,7 +36,6 @@ class SolverSink final : public ClauseSink {
   void add_clause(std::span<const sat::Lit> lits) override {
     solver_.add_clause(lits, proof_tag_);
   }
-  void freeze(sat::Var v) override { solver_.set_frozen(v); }
 
  private:
   sat::Solver& solver_;

@@ -108,10 +108,6 @@ RelaxationSolver::RelaxationSolver(const RelaxationMatrix& m,
   mk(m_.xppp, nullptr);
   mk(m_.alpha, &alpha_vars_);
   mk(m_.beta, &beta_vars_);
-  // alpha/beta control variables are assumed per-partition on every solve;
-  // preprocessing must never eliminate or substitute them.
-  for (sat::Var v : alpha_vars_) solver_.set_frozen(v);
-  for (sat::Var v : beta_vars_) solver_.set_frozen(v);
 
   cnf::SolverSink sink(solver_);
   cnf::encode_cone_assert(m_.aig, m_.phi, input_sat, sink, /*value=*/true);

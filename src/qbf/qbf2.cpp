@@ -62,9 +62,6 @@ ExistsForallSolver::ExistsForallSolver(const aig::Aig& matrix, aig::Lit root,
   outer_vars_.reserve(outer_inputs_.size());
   for (std::size_t i = 0; i < outer_inputs_.size(); ++i) {
     outer_vars_.push_back(abstraction_.new_var());
-    // Candidate models are read back from these vars and callers may
-    // assume over them; keep them out of preprocessing's reach.
-    abstraction_.set_frozen(outer_vars_.back());
   }
 
   // Verification solver: assert ¬matrix over fresh vars for all inputs in
@@ -74,9 +71,6 @@ ExistsForallSolver::ExistsForallSolver(const aig::Aig& matrix, aig::Lit root,
   for (std::uint32_t i : aig::structural_support(matrix_, root_)) {
     ver_input_vars_[i] = verification_.new_var();
     input_sat[i] = sat::mk_lit(ver_input_vars_[i]);
-    // Outer-input vars carry the candidate assumptions on every
-    // verification call; inner-input vars are read back as countermodels.
-    verification_.set_frozen(ver_input_vars_[i]);
   }
   cnf::SolverSink sink(verification_);
   cnf::encode_cone_assert(matrix_, root_, input_sat, sink, /*value=*/false);

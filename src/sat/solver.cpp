@@ -5,10 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "sat/elimination.h"
-#include "sat/probing.h"
-#include "sat/scc.h"
-
 namespace step::sat {
 
 namespace {
@@ -54,11 +50,6 @@ Solver::Stats& Solver::Stats::operator+=(const Stats& o) {
   strengthened_clauses += o.strengthened_clauses;
   vivified_clauses += o.vivified_clauses;
   removed_lits += o.removed_lits;
-  eliminated_vars += o.eliminated_vars;
-  substituted_lits += o.substituted_lits;
-  failed_literals += o.failed_literals;
-  hyper_binaries += o.hyper_binaries;
-  transitive_reductions += o.transitive_reductions;
   conflict_budget_stops += o.conflict_budget_stops;
   deadline_stops += o.deadline_stops;
   return *this;
@@ -81,8 +72,6 @@ Var Solver::new_var() {
   present_.push_back(0);
   seen2_.push_back(0);
   level0_unit_id_.push_back(kProofIdUndef);
-  frozen_.push_back(0);
-  var_state_.push_back(0);
   watches_.emplace_back();
   watches_.emplace_back();
   bin_watches_.emplace_back();
@@ -211,10 +200,6 @@ bool Solver::add_clause(std::span<const Lit> lits_in, int proof_tag) {
     STEP_CHECK(var(lits.back()) < num_vars() && var(lits.back()) >= 0);
   }
   for (Lit l : lits) {
-    // A clause over an eliminated/substituted variable would be silently
-    // meaningless — the variable's defining clauses are gone. Callers must
-    // freeze any variable they keep constraining across solves.
-    STEP_CHECK(var_state_[var(l)] == 0);
     if (value(l) == Lbool::kTrue) return true;  // already satisfied forever
   }
 
@@ -265,7 +250,6 @@ bool Solver::add_clause(std::span<const Lit> lits_in, int proof_tag) {
   if (proof_on) arena_[cr].set_proof_id(pid);
   clauses_.push_back(cr);
   attach_clause(cr);
-  ++clauses_added_since_preprocess_;
   return true;
 }
 
@@ -366,9 +350,7 @@ void Solver::cancel_until(int lvl) {
 Lit Solver::pick_branch_lit() {
   while (!order_heap_.empty()) {
     const Var v = order_heap_.remove_max();
-    // Removed variables have no occurrences: deciding them would only pad
-    // the trail (their model values come from the reconstruction stack).
-    if (value(v) == Lbool::kUndef && var_state_[v] == 0) {
+    if (value(v) == Lbool::kUndef) {
       return mk_lit(v, polarity_[v] == 0);
     }
   }
@@ -858,16 +840,6 @@ Result Solver::solve_limited(std::span<const Lit> assumptions,
 
   ++solve_calls_;
 
-  // Assumption variables become frozen *before* any preprocessing of this
-  // call can run: a variable assumed once may be assumed again, and
-  // eliminating or substituting it would corrupt those later queries.
-  // Variables first assumed only in later solves must be frozen up front
-  // by the caller (set_frozen / cnf::ClauseSink::freeze) — assuming an
-  // already-removed variable trips the check below.
-  for (Lit a : assumptions) {
-    STEP_CHECK(var_state_[var(a)] == 0);
-    frozen_[var(a)] = 1;
-  }
   if (debug_models_) {
     std::string line = "s";
     for (Lit a : assumptions) {
@@ -878,20 +850,12 @@ Result Solver::solve_limited(std::span<const Lit> assumptions,
   }
 
   const bool can_simplify = opts_.inprocess && !opts_.proof_logging;
-  bool round_due =
+  const bool round_due =
       solve_calls_ - last_inprocess_solve_ >=
           static_cast<std::uint64_t>(std::max(1, opts_.inprocess_interval)) &&
       stats_.conflicts - last_inprocess_conflicts_ >=
           static_cast<std::uint64_t>(
               std::max<std::int64_t>(0, opts_.inprocess_min_conflicts));
-  // The preprocessing techniques want one round before the very first
-  // search — that is where shrinking a freshly encoded CNF pays for every
-  // subsequent incremental query. Tiny databases are exempt: search
-  // finishes faster than a tier round on them.
-  if ((opts_.elim || opts_.scc || opts_.probe) && solve_calls_ == 1 &&
-      clauses_.size() >= 64) {
-    round_due = true;
-  }
   if (can_simplify && round_due) {
     last_inprocess_solve_ = solve_calls_;
     last_inprocess_conflicts_ = stats_.conflicts;
@@ -938,11 +902,6 @@ Result Solver::solve_limited(std::span<const Lit> assumptions,
     }
   }
   cancel_until(0);
-  // Extend the model over eliminated/substituted variables so callers see
-  // values consistent with the *original* clauses.
-  if (status == Result::kSat && !reconstruction_.empty()) {
-    reconstruction_.extend(model_);
-  }
   if (debug_models_ && status == Result::kSat) {
     for (const LitVec& c : debug_clauses_) {
       bool sat_c = false, taut = false;
@@ -1268,98 +1227,37 @@ void Solver::inprocess() {
 
   // Phase 3 — make the solver consistent again, to fixpoint: settling
   // units falsifies literals inside surviving clauses, so sweep again
-  // until no new unit lands. Later phases rely on this: elimination in
-  // particular must never resolve over a clause carrying an assigned
-  // literal — a resolvent with a false literal gets *watched on it* by
-  // the wholesale rebuild and silently stops propagating (missed
-  // conflicts, and with them bogus models).
-  auto sweep_fixpoint = [&]() -> bool {
-    for (;;) {
-      // Units settled since the last emission are about to lose their
-      // reason clauses to the sweep; re-introduce them as addition lines
-      // (RUP while the reasons still exist) to keep the trace checkable.
-      if (opts_.drat_logging) {
-        for (std::size_t i = drat_units_emitted; i < trail_.size(); ++i) {
-          drat_.add(std::span<const Lit>(&trail_[i], 1));
-        }
+  // until no new unit lands.
+  for (;;) {
+    // Units settled since the last emission are about to lose their
+    // reason clauses to the sweep; re-introduce them as addition lines
+    // (RUP while the reasons still exist) to keep the trace checkable.
+    if (opts_.drat_logging) {
+      for (std::size_t i = drat_units_emitted; i < trail_.size(); ++i) {
+        drat_.add(std::span<const Lit>(&trail_[i], 1));
       }
-      drat_units_emitted = trail_.size();
-      const std::size_t trail_before = trail_.size();
-      sweep_list(clauses_, false);
-      sweep_list(learnts_, true);
-      compact_clause_lists();
-      rebuild_watches();
-      if (!settle_units(pending_units)) return false;
-      pending_units.clear();
-      if (trail_.size() == trail_before) return true;
     }
-  };
-  if (!sweep_fixpoint()) return;
-  std::size_t clean_trail = trail_.size();
-
-  // The preprocessing tier (SCC, probing, elimination) is far more
-  // expensive than the syntactic phases above, and re-running it on a
-  // database that barely changed finds next to nothing: gate repeat runs
-  // on substantial problem-clause growth since the last tier run.
-  const bool tier_due =
-      last_preprocess_clauses_ == 0 ||
-      clauses_added_since_preprocess_ >=
-          std::max<std::uint64_t>(200, last_preprocess_clauses_ / 5);
-  if (tier_due) {
-    clauses_added_since_preprocess_ = 0;
-  }
-
-  // Phase 4 — equivalent-literal substitution (syntactic: watches go stale
-  // and are rebuilt; runs on the settled level-0 assignment).
-  if (opts_.scc && tier_due) {
-    pending_units.clear();
-    EquivalenceReducer(*this).run(pending_units);
-    if (!ok_) return;
+    drat_units_emitted = trail_.size();
+    const std::size_t trail_before = trail_.size();
+    sweep_list(clauses_, false);
+    sweep_list(learnts_, true);
     compact_clause_lists();
     rebuild_watches();
     if (!settle_units(pending_units)) return;
-  }
-
-  // Phase 5 — failed-literal probing + hyper-binary resolution + bounded
-  // transitive reduction (propagation-based: keeps watches consistent).
-  if (opts_.probe && tier_due) {
-    Prober(*this).run();
-    if (!ok_) return;
-    compact_clause_lists();
-  }
-
-  // Phase 6 — bounded variable elimination (syntactic, occurrence-list
-  // driven; resolvents are appended unattached and wired up by the
-  // rebuild).
-  if (opts_.elim && tier_due) {
     pending_units.clear();
-    // SCC substitution and probing settle fresh level-0 units after the
-    // phase-3 sweep; re-sweep before resolving so no clause carries an
-    // assigned literal into a resolvent.
-    if (trail_.size() != clean_trail) {
-      if (!sweep_fixpoint()) return;
-      clean_trail = trail_.size();
-    }
-    Eliminator(*this).run(pending_units);
-    if (!ok_) return;
-    compact_clause_lists();
-    rebuild_watches();
-    if (!settle_units(pending_units)) return;
+    if (trail_.size() == trail_before) break;
   }
 
-  // Phase 7 — vivification (keeps watches consistent incrementally).
-  // Skipped on the pre-first-search round: with no learnts and no search
+  // Phase 4 — vivification (keeps watches consistent incrementally).
+  // Skipped on a pre-first-search round: with no learnts and no search
   // history yet, re-deriving fresh problem clauses one by one is the most
   // expensive phase and almost never shortens anything.
   if (solve_calls_ > 1) {
-    pending_units.clear();
     vivify_round(pending_units);
     if (!ok_) return;
     compact_clause_lists();
     if (!settle_units(pending_units)) return;
   }
-
-  if (tier_due) last_preprocess_clauses_ = clauses_.size();
 }
 
 }  // namespace step::sat

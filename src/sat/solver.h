@@ -10,7 +10,6 @@
 #include "sat/clause.h"
 #include "sat/heap.h"
 #include "sat/proof.h"
-#include "sat/reconstruction.h"
 #include "sat/types.h"
 
 namespace step::sat {
@@ -87,31 +86,6 @@ struct SolverOptions {
   /// Only clauses up to this many literals are vivified.
   int vivify_max_size = 16;
 
-  // ---- preprocessing (runs inside the inprocessing rounds, plus once
-  // ---- before the first search; see docs/SOLVER.md § Preprocessing) ----
-  /// Bounded variable elimination (SatELite-style clause distribution).
-  /// Eliminated variables are resolved away and their values recovered via
-  /// the reconstruction stack; frozen variables are never touched.
-  bool elim = true;
-  /// SCC-based equivalent-literal detection over the binary implication
-  /// graph with representative substitution. Frozen variables are never
-  /// substituted away (but may serve as representatives).
-  bool scc = true;
-  /// Failed-literal probing with lazy hyper-binary resolution and bounded
-  /// transitive reduction of the binary implication graph.
-  bool probe = true;
-  /// Elimination keeps a variable when it would add more than this many
-  /// resolvents beyond the clauses it deletes (0 = never grow the DB).
-  int elim_grow = 0;
-  /// Variables occurring more often than this in *both* polarities are
-  /// skipped by elimination (the resolvent cross-product explodes).
-  int elim_occ_limit = 16;
-  /// Resolution-literal budget of one elimination round.
-  std::int64_t elim_budget = 400000;
-  /// Propagation budget of one probing round (shared with the transitive-
-  /// reduction walk).
-  std::int64_t probe_budget = 30000;
-
   // ---- resource governance ----
   /// Per-solve conflict cap applied to *every* solve() of this solver
   /// (negative = unlimited). Callers that pass an explicit budget to
@@ -180,9 +154,7 @@ class Solver {
   /// Interrupt contract: a kUnknown return leaves the solver fully
   /// reusable — the next solve() on the same instance behaves as if the
   /// interrupted call never happened. Specifically: the trail is unwound
-  /// to level 0 before returning; assumptions are frozen before any
-  /// simplification, so an interrupted call never eliminates a variable a
-  /// later call may assume; and inprocessing runs only at solve entry
+  /// to level 0 before returning, and inprocessing runs only at solve entry
   /// (never polling the deadline mid-rewrite), with every phase restoring
   /// watch/trail consistency before it returns. This is what lets a
   /// portfolio racer cancel mid-solve without poisoning persistent
@@ -219,24 +191,6 @@ class Solver {
   /// encoder auxiliaries). The preference decays like any ordinary bump.
   void boost_var_activity(Var v, double factor = 1.0) { bump_var(v, factor); }
 
-  // ----- preprocessing safety ---------------------------------------------
-  /// Marks v untouchable by the preprocessing tier: never eliminated and
-  /// never substituted away. Freeze every variable that can ever appear in
-  /// an assumption, an interpolation partition label, or an incremental-
-  /// counter output. Assumption variables of each solve() are additionally
-  /// frozen automatically before any preprocessing runs, so one-shot
-  /// callers need no explicit calls; freeze up front whatever becomes an
-  /// assumption only in *later* solves.
-  void set_frozen(Var v) {
-    frozen_[v] = 1;
-    if (debug_models_) debug_trace_.push_back("f " + std::to_string(v));
-  }
-  bool is_frozen(Var v) const { return frozen_[v] != 0; }
-  /// True once v has been resolved away by bounded variable elimination.
-  bool is_eliminated(Var v) const { return var_state_[v] == 1; }
-  /// True once v has been replaced by an equivalent representative literal.
-  bool is_substituted(Var v) const { return var_state_[v] == 2; }
-
   struct Stats {
     std::uint64_t conflicts = 0;
     std::uint64_t decisions = 0;
@@ -257,12 +211,9 @@ class Solver {
     std::uint64_t strengthened_clauses = 0;
     std::uint64_t vivified_clauses = 0;
     std::uint64_t removed_lits = 0;  ///< via strengthening + vivification
-    // Preprocessing totals (BVE / equivalent literals / probing).
+    // Always 0: the solver has no preprocessing; kept for stats readers.
     std::uint64_t eliminated_vars = 0;
-    std::uint64_t substituted_lits = 0;  ///< literal occurrences rewritten
     std::uint64_t failed_literals = 0;
-    std::uint64_t hyper_binaries = 0;
-    std::uint64_t transitive_reductions = 0;  ///< redundant binaries deleted
     // Budgeted-stop causes: solve() calls that returned kUnknown because
     // the conflict cap ran out vs. because the deadline (wall budget,
     // memory trip, injected fault — see Deadline::Trip) fired.
@@ -274,13 +225,6 @@ class Solver {
   const Stats& stats() const { return stats_; }
 
  private:
-  // The preprocessing passes live in their own translation units
-  // (elimination.cpp, scc.cpp, probing.cpp) but operate directly on the
-  // solver's clause database and trail.
-  friend class Eliminator;
-  friend class EquivalenceReducer;
-  friend class Prober;
-
   struct Watcher {
     CRef cref;
     Lit blocker;
@@ -337,7 +281,7 @@ class Solver {
   void maybe_update_target_phase();
   void rephase();
 
-  // Inter-solve inprocessing + preprocessing.
+  // Inter-solve inprocessing.
   void inprocess();
   void compact_clause_lists();
   void rebuild_watches();
@@ -373,16 +317,12 @@ class Solver {
   int qhead_ = 0;
   bool ok_ = true;
 
-  // Preprocessing state.
-  std::vector<char> frozen_;     ///< never eliminated / substituted
-  std::vector<char> var_state_;  ///< 0 active, 1 eliminated, 2 substituted
-  ReconstructionStack reconstruction_;
   // STEP_DEBUG_MODELS=1: audit every SAT answer against a verbatim copy of
-  // all clauses ever added, catching reconstruction bugs at the boundary.
+  // all clauses ever added, catching clause-rewriting bugs at the boundary.
   bool debug_models_ = false;
   std::vector<LitVec> debug_clauses_;
-  // Interaction trace for replaying an audit failure: "v n", "f v",
-  // "c <lits>", "s <assumptions>" lines.
+  // Interaction trace for replaying an audit failure: "v", "c <lits>",
+  // "s <assumptions>" lines.
   std::vector<std::string> debug_trace_;
 
   // Decision heuristics.
@@ -424,10 +364,6 @@ class Solver {
   std::uint64_t solve_calls_ = 0;
   std::uint64_t last_inprocess_solve_ = 0;
   std::uint64_t last_inprocess_conflicts_ = 0;
-  // Preprocessing-tier scheduling: the tier re-runs only after the problem
-  // database grew substantially since its last run (see inprocess()).
-  std::uint64_t clauses_added_since_preprocess_ = 0;
-  std::size_t last_preprocess_clauses_ = 0;
 
   Stats stats_;
 };

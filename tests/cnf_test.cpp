@@ -26,9 +26,6 @@ using sat::Var;
 /// Counts models of the constraint over the n base variables by repeatedly
 /// solving + blocking the projection onto the base variables.
 int count_projected_models(Solver& s, const std::vector<Var>& base) {
-  // The blocking clauses re-mention the base variables after solves, so
-  // they must survive preprocessing.
-  for (Var v : base) s.set_frozen(v);
   int models = 0;
   while (s.solve() == Result::kSat) {
     ++models;

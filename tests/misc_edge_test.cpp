@@ -107,9 +107,6 @@ TEST(CardinalityEdge, DiffAtMostNegativeK) {
   sat::Solver s;
   sat::LitVec a{mk_lit(s.new_var()), mk_lit(s.new_var())};
   sat::LitVec b{mk_lit(s.new_var()), mk_lit(s.new_var())};
-  // a is assumed only on the second solve; freeze the counted variables.
-  for (sat::Lit l : a) s.set_frozen(sat::var(l));
-  for (sat::Lit l : b) s.set_frozen(sat::var(l));
   cnf::SolverSink sink(s);
   cnf::diff_at_most_k(sink, a, b, -1);
   ASSERT_EQ(s.solve(), sat::Result::kSat);

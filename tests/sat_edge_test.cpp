@@ -22,9 +22,6 @@ TEST(SatEdge, EmptyClauseMakesSolverUnusable) {
 TEST(SatEdge, AddClauseAfterSolveIsIncremental) {
   Solver s;
   const Var a = s.new_var(), b = s.new_var();
-  // Both variables reappear in clauses added after the first solve.
-  s.set_frozen(a);
-  s.set_frozen(b);
   s.add_clause({mk_lit(a), mk_lit(b)});
   ASSERT_EQ(s.solve(), Result::kSat);
   s.add_clause({~mk_lit(a)});
@@ -49,10 +46,6 @@ TEST(SatEdge, PolarityHintSteersFreeVariables) {
   Solver s;
   const Var a = s.new_var();
   const Var b = s.new_var();
-  // Polarity hints steer *decisions*; keep both vars in the search by
-  // freezing them, or elimination folds the clause away entirely.
-  s.set_frozen(a);
-  s.set_frozen(b);
   s.add_clause({mk_lit(a), mk_lit(b)});  // leaves both nearly free
   s.set_polarity_hint(a, true);
   s.set_polarity_hint(b, true);
@@ -63,11 +56,7 @@ TEST(SatEdge, PolarityHintSteersFreeVariables) {
 
 TEST(SatEdge, StatsAdvance) {
   Rng rng(1);
-  SolverOptions o;  // plain CDCL search: the counters under test are the
-  o.elim = false;   // search-time ones, so keep preprocessing from
-  o.scc = false;    // solving the instance outright
-  o.probe = false;
-  Solver s(o);
+  Solver s;
   for (int i = 0; i < 20; ++i) s.new_var();
   for (int c = 0; c < 90; ++c) {
     LitVec cl;
@@ -88,8 +77,7 @@ TEST(SatEdge, ManySolveCallsAreStable) {
   Rng rng(2);
   Solver s;
   const int nv = 12;
-  // Every variable is assumed in some later round.
-  for (int i = 0; i < nv; ++i) s.set_frozen(s.new_var());
+  for (int i = 0; i < nv; ++i) s.new_var();
   for (int c = 0; c < 30; ++c) {
     LitVec cl;
     for (int j = 0; j < 3; ++j) {
@@ -161,9 +149,6 @@ TEST(SatEdge, RestartBaseOneStillSolves) {
   SolverOptions o;
   o.restart_mode = RestartMode::kLuby;
   o.restart_base = 1;  // restart after every conflict
-  o.elim = false;      // the restart machinery only fires during search;
-  o.scc = false;       // keep preprocessing from refuting the instance
-  o.probe = false;     // before the first conflict
   Solver s(o);
   Var p[4][3];
   for (auto& row : p) {

@@ -112,9 +112,7 @@ TEST(SolverFuzz, ModernAgreesWithBaselineUnderAssumptions) {
     Solver modern(modern_config());
     Solver baseline(baseline_config());
     for (int i = 0; i < nv; ++i) {
-      // Any variable can be assumed or re-added in a later episode, so
-      // all of them must be frozen against preprocessing.
-      modern.set_frozen(modern.new_var());
+      modern.new_var();
       baseline.new_var();
     }
     std::vector<LitVec> clauses;
@@ -163,88 +161,86 @@ TEST(SolverFuzz, ModernAgreesWithBaselineUnderAssumptions) {
   EXPECT_GT(unsat_answers, 0u);
 }
 
-/// Modern defaults with one preprocessing technique toggled per config.
-SolverOptions prep_config(bool elim, bool scc, bool probe) {
-  SolverOptions o = modern_config();
-  o.elim = elim;
-  o.scc = scc;
-  o.probe = probe;
-  return o;
-}
-
-TEST(SolverFuzz, PreprocessingConfigsAgreeWithOracle) {
-  // Every technique individually off, everything on, everything off —
-  // each config must agree with the brute-force oracle, return models
-  // that satisfy the *original* clauses (reconstruction), and never
-  // touch a frozen variable.
+TEST(SolverFuzz, InprocessingConfigsAgreeWithOracle) {
+  // Inprocessing on (firing before every solve) and off: each config must
+  // agree with the brute-force oracle under random assumption subsets,
+  // return models that satisfy the original clauses, and cores made of
+  // assumed literals that are inconsistent on their own. Clauses have 2-4
+  // literals (units would settle most instances at level 0) and arrive
+  // in three batches, one before each solve, so rounds also run over
+  // learnt clauses and a database that grew since the last round.
   struct Config {
     const char* name;
-    bool elim, scc, probe;
+    SolverOptions opts;
   };
-  constexpr Config kConfigs[] = {
-      {"full", true, true, true},       {"no_elim", false, true, true},
-      {"no_scc", true, false, true},    {"no_probe", true, true, false},
-      {"none", false, false, false},
-  };
+  const Config kConfigs[] = {{"inprocess_on", modern_config()},
+                             {"inprocess_off", baseline_config()}};
   Rng rng(0x5e11a7e);
-  std::uint64_t sat_answers = 0, unsat_answers = 0;
+  std::uint64_t sat_answers = 0, unsat_answers = 0, rounds_run = 0;
 
-  for (int round = 0; round < 50; ++round) {
+  for (int round = 0; round < 60; ++round) {
     const int nv = rng.next_int(6, 13);
-    std::vector<LitVec> clauses;
-    for (int c = 0; c < nv * 3; ++c) clauses.push_back(random_clause(nv, rng));
-    // Assumptions are drawn from a small frozen prefix; everything else
-    // is fair game for elimination and substitution.
-    const int n_frozen = rng.next_int(1, 3);
+    std::vector<LitVec> batches[3];
+    for (auto& batch : batches) {
+      for (int c = 0; c < nv * 3 / 2; ++c) {
+        LitVec cl;
+        const int width = rng.next_int(2, 4);
+        for (int j = 0; j < width; ++j) {
+          cl.push_back(mk_lit(rng.next_int(0, nv - 1), rng.next_bool()));
+        }
+        batch.push_back(cl);
+      }
+    }
+    LitVec assumption_sets[3];
+    for (LitVec& assumptions : assumption_sets) {
+      for (Var v = 0; v < nv; ++v) {
+        if (rng.next_int(0, 3) == 0) {
+          assumptions.push_back(mk_lit(v, rng.next_bool()));
+        }
+      }
+    }
 
     for (const Config& cfg : kConfigs) {
       SCOPED_TRACE(cfg.name);
-      Solver s(prep_config(cfg.elim, cfg.scc, cfg.probe));
+      Solver s(cfg.opts);
       for (int i = 0; i < nv; ++i) s.new_var();
-      for (Var v = 0; v < n_frozen; ++v) s.set_frozen(v);
-      for (const LitVec& c : clauses) {
-        if (!s.add_clause(c)) break;
-      }
+      std::vector<LitVec> clauses;
       for (int solve = 0; solve < 3 && s.is_ok(); ++solve) {
-        LitVec assumptions;
-        for (Var v = 0; v < n_frozen; ++v) {
-          if (rng.next_bool()) assumptions.push_back(mk_lit(v, rng.next_bool()));
+        for (const LitVec& c : batches[solve]) {
+          clauses.push_back(c);
+          s.add_clause(c);
         }
+        const LitVec& assumptions = assumption_sets[solve];
         const Result r = s.solve(assumptions);
         ASSERT_EQ(r == Result::kSat, oracle_sat(nv, clauses, assumptions))
             << "round " << round << " solve " << solve
             << ": oracle disagrees";
         if (r == Result::kSat) {
           ++sat_answers;
-          check_model(s, clauses, assumptions);  // reconstruction correct
+          check_model(s, clauses, assumptions);
         } else {
           ++unsat_answers;
           check_core(s, assumptions);
-        }
-        for (Var v = 0; v < n_frozen; ++v) {
-          ASSERT_FALSE(s.is_eliminated(v)) << "frozen var eliminated";
-          ASSERT_FALSE(s.is_substituted(v)) << "frozen var substituted";
+          ASSERT_FALSE(oracle_sat(nv, clauses, s.conflict_core()));
         }
       }
+      rounds_run += s.stats().inprocess_rounds;
     }
   }
   EXPECT_GT(sat_answers, 0u);
   EXPECT_GT(unsat_answers, 0u);
+  EXPECT_GT(rounds_run, 0u) << "inprocessing never fired";
 }
 
-TEST(SolverFuzz, PreprocessingRegressionInstances) {
-  // Two shrunk field failures of the probe+elim interplay, pinned under
-  // every preprocessing configuration.
+TEST(SolverFuzz, ShrunkFieldInstancesUnderDefaults) {
+  // Two shrunk field failures, kept as answer regressions under the
+  // default options.
   //
-  // Instance 1 (UNSAT): probing derives failed-literal units after the
-  // inprocess sweep; elimination must not resolve over clauses still
-  // carrying the newly falsified literals — a resolvent watched on a
-  // false literal silently stops propagating.
+  // Instance 1 (UNSAT): units derived after the inprocessing sweep left
+  // clauses carrying newly falsified literals.
   //
-  // Instance 2 (SAT): elimination produces a *unit* resolvent on v, then
-  // eliminates v itself in the same round; the pending unit is a live
-  // clause on v that the occurrence lists cannot see, so v's resolvent
-  // set is incomplete and reconstruction returns a bogus model.
+  // Instance 2 (SAT): a unit resolvent on a variable went unseen by the
+  // clause rewriting of the same round and produced a bogus model.
   struct Instance {
     std::vector<std::vector<int>> dimacs;
     int nv;
@@ -261,11 +257,6 @@ TEST(SolverFuzz, PreprocessingRegressionInstances) {
        10,
        true},
   };
-  const bool kToggles[][3] = {{true, true, true},
-                              {false, true, true},
-                              {true, false, true},
-                              {true, true, false},
-                              {false, false, false}};
   for (const Instance& inst : kInstances) {
     std::vector<LitVec> clauses;
     for (const auto& c : inst.dimacs) {
@@ -273,16 +264,14 @@ TEST(SolverFuzz, PreprocessingRegressionInstances) {
       for (int d : c) lits.push_back(mk_lit(std::abs(d) - 1, d < 0));
       clauses.push_back(lits);
     }
-    for (const auto& t : kToggles) {
-      Solver s(prep_config(t[0], t[1], t[2]));
-      for (int i = 0; i < inst.nv; ++i) s.new_var();
-      for (const LitVec& c : clauses) {
-        if (!s.add_clause(c)) break;
-      }
-      const Result r = s.is_ok() ? s.solve() : Result::kUnsat;
-      ASSERT_EQ(r, inst.sat ? Result::kSat : Result::kUnsat);
-      if (r == Result::kSat) check_model(s, clauses, {});
+    Solver s;
+    for (int i = 0; i < inst.nv; ++i) s.new_var();
+    for (const LitVec& c : clauses) {
+      if (!s.add_clause(c)) break;
     }
+    const Result r = s.is_ok() ? s.solve() : Result::kUnsat;
+    ASSERT_EQ(r, inst.sat ? Result::kSat : Result::kUnsat);
+    if (r == Result::kSat) check_model(s, clauses, {});
   }
 }
 
@@ -297,7 +286,7 @@ TEST(SolverFuzz, InprocessingKeepsIncrementalAnswersStable) {
     Solver s(aggressive);
     Solver ref(baseline_config());
     for (int i = 0; i < nv; ++i) {
-      s.set_frozen(s.new_var());  // assumptions range over every variable
+      s.new_var();
       ref.new_var();
     }
     std::vector<LitVec> clauses;
@@ -338,7 +327,7 @@ TEST(SolverFuzz, ConflictBudgetsAndInjectedFaultsOnlyLoseAnswers) {
     SolverOptions capped = modern_config();
     capped.conflict_budget = rng.next_int(1, 40);
     Solver s(capped);
-    for (int i = 0; i < nv; ++i) s.set_frozen(s.new_var());
+    for (int i = 0; i < nv; ++i) s.new_var();
     for (const LitVec& c : clauses) {
       if (!s.add_clause(c)) break;
     }
@@ -394,7 +383,7 @@ TEST(SolverFuzz, CancelThenResolveLeavesSolverReusable) {
   for (int round = 0; round < 60; ++round) {
     const int nv = rng.next_int(6, 12);
     Solver s(modern_config());
-    for (int i = 0; i < nv; ++i) s.set_frozen(s.new_var());
+    for (int i = 0; i < nv; ++i) s.new_var();
     std::vector<LitVec> clauses;
     for (int episode = 0; episode < 4 && s.is_ok(); ++episode) {
       const int grow = rng.next_int(nv, nv * 2);
@@ -421,8 +410,8 @@ TEST(SolverFuzz, CancelThenResolveLeavesSolverReusable) {
         ++cancelled;
       }
 
-      // Same solver, uninterrupted: no stale trail, no half-applied
-      // rewrite, no lost assumption freeze may survive the interruption.
+      // Same solver, uninterrupted: no stale trail and no half-applied
+      // rewrite may survive the interruption.
       const Result r = s.solve(assumptions);
       ASSERT_NE(r, Result::kUnknown);
       ASSERT_EQ(r == Result::kSat, oracle_sat(nv, clauses, assumptions))

@@ -146,22 +146,8 @@ constexpr const char kHelpText[] =
     "  -lbd-tier2 <n>            LBD cut of the mid tier; above it clauses\n"
     "                            compete on activity (default 6)\n"
     "  --no-inprocess            disable inter-solve subsumption /\n"
-    "                            strengthening / vivification (also turns\n"
-    "                            the preprocessing tier off)\n"
+    "                            strengthening / vivification\n"
     "  --no-rephase              disable target-phase rephasing\n"
-    "  --no-elim                 disable bounded variable elimination\n"
-    "  --no-scc                  disable equivalent-literal substitution\n"
-    "  --no-probe                disable failed-literal probing /\n"
-    "                            hyper-binary resolution\n"
-    "  -elim-grow <n>            extra resolvents allowed per eliminated\n"
-    "                            variable (default 0)\n"
-    "  -elim-occ <n>             skip elimination candidates with more than\n"
-    "                            n occurrences of both polarities\n"
-    "                            (default 16)\n"
-    "  -elim-budget <n>          resolution-literal budget per elimination\n"
-    "                            round (default 400000)\n"
-    "  -probe-budget <n>         propagation budget per probing round\n"
-    "                            (default 30000)\n"
     "  -conflicts <n>            per-solve conflict budget; an exhausted\n"
     "                            budget is a typed `conf` outcome, never a\n"
     "                            wrong answer (default unlimited)\n"
@@ -337,24 +323,6 @@ CliOptions parse_args(int argc, char** argv) {
       cli.sat.inprocess = false;
     } else if (flag == "--no-rephase" || flag == "-no-rephase") {
       cli.sat.rephase_interval = 0;
-    } else if (flag == "--no-elim" || flag == "-no-elim") {
-      cli.sat.elim = false;
-    } else if (flag == "--no-scc" || flag == "-no-scc") {
-      cli.sat.scc = false;
-    } else if (flag == "--no-probe" || flag == "-no-probe") {
-      cli.sat.probe = false;
-    } else if (flag == "-elim-grow") {
-      cli.sat.elim_grow = std::atoi(value());
-    } else if (flag == "-elim-occ") {
-      cli.sat.elim_occ_limit = std::atoi(value());
-      if (cli.sat.elim_occ_limit < 1) {
-        std::fprintf(stderr, "step: -elim-occ expects a count >= 1\n");
-        usage();
-      }
-    } else if (flag == "-elim-budget") {
-      cli.sat.elim_budget = std::atoll(value());
-    } else if (flag == "-probe-budget") {
-      cli.sat.probe_budget = std::atoll(value());
     } else if (flag == "-conflicts") {
       cli.sat.conflict_budget = std::atoll(value());
       if (cli.sat.conflict_budget < 0) {
@@ -568,12 +536,6 @@ int cmd_decompose(const CliOptions& cli, const io::Network& net,
                 u(ss.inprocess_rounds), u(ss.subsumed_clauses),
                 u(ss.strengthened_clauses), u(ss.vivified_clauses),
                 u(ss.removed_lits));
-    std::printf("# stats: preprocess eliminated=%llu substituted=%llu"
-                " failed_lits=%llu hyper_binaries=%llu"
-                " transitive_reductions=%llu\n",
-                u(ss.eliminated_vars), u(ss.substituted_lits),
-                u(ss.failed_literals), u(ss.hyper_binaries),
-                u(ss.transitive_reductions));
   }
   if (g_interrupted.load(std::memory_order_relaxed)) {
     std::printf("# interrupted: partial report above (unfinished POs are"
