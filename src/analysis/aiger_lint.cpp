@@ -1,316 +1,84 @@
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "aig/aig.h"
+#include "analysis/finding_buffer.h"
 #include "analysis/lint.h"
+#include "io/aiger.h"
 
 namespace step::analysis {
 
 namespace {
 
-// ---------------------------------------------------------------- findings
+/// AIGER contents as decoded: only entries that passed the decoder's
+/// per-entry checks, so every definition is unique and every literal is
+/// within M. Every defect becomes an error finding. The global checks run
+/// on this, so ASCII and binary inputs get the identical finding set for
+/// the same structure.
+struct RawAig final : io::AigerSink {
+  explicit RawAig(FindingBuffer& findings) : fb(findings) {}
 
-/// Appends findings with a per-code cap so a pathological million-gate
-/// netlist (say, half its ANDs dangling) reports a representative sample
-/// plus one summary line instead of flooding the JSON artifact.
-class FindingBuffer {
- public:
-  static constexpr int kPerCodeCap = 20;
-
-  explicit FindingBuffer(LintReport& report) : report_(report) {}
-
-  void add(const char* code, Severity severity, std::string object,
-           std::string message, long line = 0) {
-    const int n = ++counts_[code];
-    if (n > kPerCodeCap) return;
-    report_.findings.push_back(
-        Finding{code, severity, std::move(object), std::move(message), line});
-  }
-
-  bool seen(const char* code) const { return counts_.count(code) != 0; }
-
-  /// Emits one summary finding per capped code; call exactly once.
-  void flush_caps() {
-    for (const auto& [code, n] : counts_) {
-      if (n <= kPerCodeCap) continue;
-      report_.findings.push_back(Finding{
-          "LINT-CAPPED", Severity::kInfo, code,
-          std::to_string(n - kPerCodeCap) + " further " + code +
-              " findings suppressed (" + std::to_string(n) + " total)",
-          0});
-    }
-  }
-
- private:
-  LintReport& report_;
-  std::map<std::string, int> counts_;
-};
-
-// ---------------------------------------------------------- raw structure
-
-/// AIGER contents as scanned, before any well-formedness assumption. Both
-/// format parsers fill this; every semantic check runs on it, so ASCII and
-/// binary inputs get the identical finding set for the same structure.
-struct RawAig {
-  std::uint64_t max_var = 0;  // header M
-  std::uint64_t n_inputs = 0, n_latches = 0, n_outputs = 0, n_ands = 0;
-
-  struct Input {
-    std::uint64_t lit;
-    long line;
-  };
   struct Latch {
-    std::uint64_t lhs, next;
-    std::uint64_t init;
-    bool has_init;
+    std::uint32_t lhs, next;
     long line;
   };
   struct Output {
-    std::uint64_t lit;
+    std::uint32_t lit;
     long line;
   };
   struct And {
-    std::uint64_t lhs, rhs0, rhs1;
+    std::uint32_t lhs, rhs0, rhs1;
     long line;
   };
 
-  std::vector<Input> inputs;
+  void header(const io::AigerHeader& h) override { hdr = h; }
+  void input(std::uint32_t lit) override { inputs.push_back(lit); }
+  void latch(std::uint32_t lit, std::uint32_t next, long line) override {
+    latches.push_back({lit, next, line});
+  }
+  void output(std::uint32_t lit, long line) override {
+    outputs.push_back({lit, line});
+  }
+  void and_gate(std::uint32_t lhs, std::uint32_t rhs0, std::uint32_t rhs1,
+                long line) override {
+    ands.push_back({lhs, rhs0, rhs1, line});
+  }
+  void defect(const char* code, std::string object, std::string message,
+              long line) override {
+    fb.add(code, Severity::kError, std::move(object), std::move(message),
+           line);
+  }
+
+  FindingBuffer& fb;
+  io::AigerHeader hdr;
+  std::vector<std::uint32_t> inputs;
   std::vector<Latch> latches;
   std::vector<Output> outputs;
   std::vector<And> ands;
 };
 
-enum class Def : std::uint8_t { kUndef, kConst, kInput, kLatch, kAnd };
+constexpr std::uint32_t var_of(std::uint32_t lit) { return lit >> 1; }
 
-constexpr std::uint64_t var_of(std::uint64_t lit) { return lit >> 1; }
-
-std::string lit_str(std::uint64_t lit) {
+std::string lit_str(std::uint32_t lit) {
   return "lit " + std::to_string(lit) + " (var " + std::to_string(lit >> 1) +
          ")";
 }
 
-// ------------------------------------------------------------ ascii scan
-
-/// Line-oriented cursor over the input bytes, tracking 1-based line
-/// numbers for finding locations.
-struct LineScanner {
-  std::string_view text;
-  std::size_t pos = 0;
-  long line = 0;
-
-  bool next_line(std::string_view& out) {
-    if (pos >= text.size()) return false;
-    const std::size_t eol = text.find('\n', pos);
-    const std::size_t end = eol == std::string_view::npos ? text.size() : eol;
-    out = text.substr(pos, end - pos);
-    if (!out.empty() && out.back() == '\r') out.remove_suffix(1);
-    pos = end + 1;
-    ++line;
-    return true;
-  }
-};
-
-/// Splits a line into unsigned decimal fields. Returns false on any
-/// non-numeric token or overflow.
-bool parse_fields(std::string_view s, std::vector<std::uint64_t>& out) {
-  out.clear();
-  std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\t')) ++i;
-    if (i >= s.size()) break;
-    std::uint64_t v = 0;
-    bool any = false;
-    while (i < s.size() && s[i] >= '0' && s[i] <= '9') {
-      const std::uint64_t d = static_cast<std::uint64_t>(s[i] - '0');
-      if (v > (UINT64_MAX - d) / 10) return false;
-      v = v * 10 + d;
-      any = true;
-      ++i;
-    }
-    if (!any) return false;  // non-digit where a number was expected
-    if (i < s.size() && s[i] != ' ' && s[i] != '\t') return false;
-    out.push_back(v);
-  }
-  return !out.empty();
-}
-
-/// Parses the 5-field header shared by both formats; `magic` is "aag" or
-/// "aig". Returns false (with a finding) when the header is unusable.
-bool parse_header(std::string_view line, const char* magic, RawAig& raw,
-                  std::size_t file_bytes, FindingBuffer& fb) {
-  const std::string prefix = std::string(magic) + " ";
-  if (line.rfind(prefix, 0) != 0) {
-    fb.add("AIG-PARSE", Severity::kError, "header",
-           "expected '" + std::string(magic) + " M I L O A' header", 1);
-    return false;
-  }
-  std::vector<std::uint64_t> f;
-  if (!parse_fields(line.substr(prefix.size()), f) || f.size() != 5) {
-    fb.add("AIG-PARSE", Severity::kError, "header",
-           "header must carry exactly the five counts M I L O A", 1);
-    return false;
-  }
-  raw.max_var = f[0];
-  raw.n_inputs = f[1];
-  raw.n_latches = f[2];
-  raw.n_outputs = f[3];
-  raw.n_ands = f[4];
-  // Plausibility guard mirroring the production reader: every declared
-  // variable needs bytes in the file, so a hostile header cannot make the
-  // linter allocate unbounded definition tables.
-  if (raw.max_var > 8 * static_cast<std::uint64_t>(file_bytes) + 1024) {
-    fb.add("AIG-HEADER", Severity::kError, "header",
-           "declares " + std::to_string(raw.max_var) +
-               " variables, implausible for a " + std::to_string(file_bytes) +
-               "-byte file",
-           1);
-    return false;
-  }
-  return true;
-}
-
-/// Scans ASCII AIGER into `raw`. Returns false when scanning had to stop
-/// early (truncation / malformed line); collected entries stay valid.
-bool scan_ascii(std::string_view text, RawAig& raw, FindingBuffer& fb) {
-  LineScanner sc{text};
-  std::string_view line;
-  if (!sc.next_line(line)) {
-    fb.add("AIG-PARSE", Severity::kError, "header", "empty file", 1);
-    return false;
-  }
-  if (!parse_header(line, "aag", raw, text.size(), fb)) return false;
-
-  std::vector<std::uint64_t> f;
-  auto section_line = [&](const char* what, std::size_t want_min,
-                          std::size_t want_max) -> bool {
-    if (!sc.next_line(line)) {
-      fb.add("AIG-PARSE", Severity::kError, what,
-             std::string("truncated: missing ") + what + " line", sc.line);
-      return false;
-    }
-    if (!parse_fields(line, f) || f.size() < want_min || f.size() > want_max) {
-      fb.add("AIG-PARSE", Severity::kError, what,
-             std::string("malformed ") + what + " line", sc.line);
-      return false;
-    }
-    return true;
-  };
-
-  for (std::uint64_t i = 0; i < raw.n_inputs; ++i) {
-    if (!section_line("input", 1, 1)) return false;
-    raw.inputs.push_back({f[0], sc.line});
-  }
-  for (std::uint64_t i = 0; i < raw.n_latches; ++i) {
-    if (!section_line("latch", 2, 3)) return false;
-    raw.latches.push_back(
-        {f[0], f[1], f.size() == 3 ? f[2] : 0, f.size() == 3, sc.line});
-  }
-  for (std::uint64_t i = 0; i < raw.n_outputs; ++i) {
-    if (!section_line("output", 1, 1)) return false;
-    raw.outputs.push_back({f[0], sc.line});
-  }
-  for (std::uint64_t i = 0; i < raw.n_ands; ++i) {
-    if (!section_line("and", 3, 3)) return false;
-    raw.ands.push_back({f[0], f[1], f[2], sc.line});
-  }
-  // Symbol table / comments follow; they carry no structure to check.
-  return true;
-}
-
-// ----------------------------------------------------------- binary scan
-
-bool scan_binary(std::string_view bytes, RawAig& raw, FindingBuffer& fb) {
-  LineScanner sc{bytes};
-  std::string_view line;
-  if (!sc.next_line(line)) {
-    fb.add("AIG-PARSE", Severity::kError, "header", "empty file", 1);
-    return false;
-  }
-  if (!parse_header(line, "aig", raw, bytes.size(), fb)) return false;
-
-  // Inputs are implicit: variables 1..I in order.
-  for (std::uint64_t i = 0; i < raw.n_inputs; ++i) {
-    raw.inputs.push_back({2 * (i + 1), 0});
-  }
-
-  std::vector<std::uint64_t> f;
-  for (std::uint64_t i = 0; i < raw.n_latches; ++i) {
-    if (!sc.next_line(line) || !parse_fields(line, f) || f.empty() ||
-        f.size() > 2) {
-      fb.add("AIG-PARSE", Severity::kError, "latch",
-             "truncated or malformed latch line", sc.line);
-      return false;
-    }
-    // Binary latch lhs is implicit: variable I+1+i.
-    raw.latches.push_back({2 * (raw.n_inputs + 1 + i), f[0],
-                           f.size() == 2 ? f[1] : 0, f.size() == 2, sc.line});
-  }
-  for (std::uint64_t i = 0; i < raw.n_outputs; ++i) {
-    if (!sc.next_line(line) || !parse_fields(line, f) || f.size() != 1) {
-      fb.add("AIG-PARSE", Severity::kError, "output",
-             "truncated or malformed output line", sc.line);
-      return false;
-    }
-    raw.outputs.push_back({f[0], sc.line});
-  }
-
-  // Delta-coded AND section: two varints per gate, lhs implicit.
-  std::size_t pos = sc.pos;
-  auto read_delta = [&](std::uint64_t& out) -> bool {
-    out = 0;
-    int shift = 0;
-    while (pos < bytes.size()) {
-      const std::uint8_t b = static_cast<std::uint8_t>(bytes[pos++]);
-      // At shift 63 only bit 63 is left; past 63 the shift itself would be
-      // UB, so reject over-long varints even when their payload bits are 0.
-      if (shift > 63 || (shift == 63 && (b & 0x7f) > 1)) return false;
-      out |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) return true;
-      shift += 7;
-    }
-    return false;  // truncated varint
-  };
-  for (std::uint64_t i = 0; i < raw.n_ands; ++i) {
-    const std::uint64_t lhs = 2 * (raw.n_inputs + raw.n_latches + 1 + i);
-    std::uint64_t d0 = 0, d1 = 0;
-    if (!read_delta(d0) || !read_delta(d1)) {
-      fb.add("AIG-PARSE", Severity::kError, "and " + std::to_string(lhs >> 1),
-             "truncated or overflowing delta in the binary AND section", 0);
-      return false;
-    }
-    if (d0 > lhs || d1 > lhs - d0) {
-      // The format requires lhs > rhs0 >= rhs1; a larger delta would
-      // decode to a negative literal.
-      fb.add("AIG-PARSE", Severity::kError, "and " + std::to_string(lhs >> 1),
-             "non-monotone delta encoding (rhs would be negative)", 0);
-      return false;
-    }
-    raw.ands.push_back({lhs, lhs - d0, lhs - d0 - d1, 0});
-  }
-  return true;
-}
-
 // ------------------------------------------------------- semantic checks
 
-/// All structural checks over the scanned tables. `complete` is false when
-/// the scan stopped early — the definition-dependent checks (undefined
-/// references, reachability) are skipped then, because a truncated file
-/// would drown the report in cascading UNDEF findings.
-void semantic_checks(const RawAig& raw, bool complete, FindingBuffer& fb) {
-  const std::uint64_t m = raw.max_var;
+/// The global checks over a completely decoded file: references to
+/// undefined variables, cycles, reachability and strash discipline. A
+/// truncated file skips them, because it would drown the report in
+/// cascading UNDEF findings.
+void global_checks(const RawAig& raw) {
+  FindingBuffer& fb = raw.fb;
+  const std::uint32_t m = raw.hdr.m;
   const std::uint64_t defined =
-      raw.n_inputs + raw.n_latches + raw.n_ands;
-  if (m < defined) {
-    fb.add("AIG-HEADER", Severity::kError, "header",
-           "M = " + std::to_string(m) + " but I+L+A = " +
-               std::to_string(defined) + " variables are defined",
-           1);
-  } else if (m > defined && complete) {
+      std::uint64_t{raw.hdr.i} + raw.hdr.l + raw.hdr.a;
+  if (m > defined) {
     fb.add("AIG-HEADER", Severity::kWarning, "header",
            "M = " + std::to_string(m) + " declares " +
                std::to_string(m - defined) +
@@ -318,121 +86,46 @@ void semantic_checks(const RawAig& raw, bool complete, FindingBuffer& fb) {
            1);
   }
 
-  // Definition table. Guarded by the header plausibility check, m is
-  // bounded by the file size.
-  std::vector<Def> def(static_cast<std::size_t>(m) + 1, Def::kUndef);
-  def[0] = Def::kConst;
-  // AND index by variable, for the cycle/reachability walks.
-  std::unordered_map<std::uint64_t, const RawAig::And*> and_of;
-
-  auto define = [&](std::uint64_t lit, Def as, const char* what,
-                    std::string object, long line) {
-    if ((lit & 1) != 0) {
-      fb.add("AIG-ODD-LHS", Severity::kError, object,
-             std::string(what) + " defined by complemented " + lit_str(lit),
-             line);
-      return;
-    }
-    const std::uint64_t v = var_of(lit);
-    if (v > m) {
-      fb.add("AIG-LIT-RANGE", Severity::kError, object,
-             lit_str(lit) + " exceeds the declared maximum variable " +
-                 std::to_string(m),
-             line);
-      return;
-    }
-    if (def[v] != Def::kUndef) {
-      fb.add("AIG-REDEF", Severity::kError, object,
-             v == 0 ? "attempts to redefine the constant (variable 0)"
-                    : "variable " + std::to_string(v) + " is defined twice",
-             line);
-      return;
-    }
-    def[v] = as;
-  };
-
-  for (std::size_t i = 0; i < raw.inputs.size(); ++i) {
-    define(raw.inputs[i].lit, Def::kInput, "input",
-           "input " + std::to_string(i), raw.inputs[i].line);
-  }
-  for (std::size_t i = 0; i < raw.latches.size(); ++i) {
-    const RawAig::Latch& l = raw.latches[i];
-    define(l.lhs, Def::kLatch, "latch", "latch " + std::to_string(i), l.line);
-    if (l.has_init && l.init != 0 && l.init != 1 && l.init != l.lhs) {
-      fb.add("AIG-LATCH", Severity::kError, "latch " + std::to_string(i),
-             "reset value " + std::to_string(l.init) +
-                 " is neither 0, 1 nor the latch literal itself",
-             l.line);
-    }
-  }
+  // Tables by variable; the decoder's plausibility rule bounds M by the
+  // input size. and_of indexes ANDs for the cycle/reachability walks.
+  std::vector<bool> def(std::size_t{m} + 1, false);
+  std::vector<const RawAig::And*> and_of(std::size_t{m} + 1, nullptr);
+  def[0] = true;
+  for (const std::uint32_t lit : raw.inputs) def[var_of(lit)] = true;
+  for (const RawAig::Latch& l : raw.latches) def[var_of(l.lhs)] = true;
   for (const RawAig::And& a : raw.ands) {
-    define(a.lhs, Def::kAnd, "AND", "and " + std::to_string(a.lhs >> 1),
-           a.line);
-    // Only index ANDs whose lhs `define()` actually accepted: an odd or
-    // out-of-range lhs returns early above, so def[] must not be read for
-    // it (v > m would be past the end of the table).
-    const std::uint64_t v = var_of(a.lhs);
-    if ((a.lhs & 1) == 0 && v <= m && def[v] == Def::kAnd) and_of[v] = &a;
-    for (const std::uint64_t rhs : {a.rhs0, a.rhs1}) {
-      if (var_of(rhs) > m) {
-        fb.add("AIG-LIT-RANGE", Severity::kError,
-               "and " + std::to_string(a.lhs >> 1),
-               "fanin " + lit_str(rhs) +
-                   " exceeds the declared maximum variable " +
-                   std::to_string(m),
-               a.line);
-      }
-    }
+    def[var_of(a.lhs)] = true;
+    and_of[var_of(a.lhs)] = &a;
   }
-
-  if (!complete) return;
 
   // --- references to undefined variables --------------------------------
-  auto check_ref = [&](std::uint64_t lit, const char* code, Severity sev,
-                       std::string object, const std::string& role,
-                       long line) -> bool {
-    const std::uint64_t v = var_of(lit);
-    if (v > m) return false;  // range error already reported
-    if (def[v] == Def::kUndef) {
-      fb.add(code, sev, std::move(object),
-             role + " references undefined variable " + std::to_string(v),
+  auto check_ref = [&](std::uint32_t lit, std::string object,
+                       const std::string& role, long line) {
+    if (!def[var_of(lit)]) {
+      fb.add("AIG-UNDEF-FANIN", Severity::kError, std::move(object),
+             role + " references undefined variable " +
+                 std::to_string(var_of(lit)),
              line);
-      return false;
     }
-    return true;
   };
-
   for (const RawAig::And& a : raw.ands) {
-    const std::string obj = "and " + std::to_string(a.lhs >> 1);
-    check_ref(a.rhs0, "AIG-UNDEF-FANIN", Severity::kError, obj, "fanin",
-              a.line);
-    check_ref(a.rhs1, "AIG-UNDEF-FANIN", Severity::kError, obj, "fanin",
-              a.line);
+    const std::string obj = "and " + std::to_string(var_of(a.lhs));
+    check_ref(a.rhs0, obj, "fanin", a.line);
+    check_ref(a.rhs1, obj, "fanin", a.line);
   }
   for (std::size_t i = 0; i < raw.latches.size(); ++i) {
-    check_ref(raw.latches[i].next, "AIG-UNDEF-FANIN", Severity::kError,
-              "latch " + std::to_string(i), "next-state function",
-              raw.latches[i].line);
+    check_ref(raw.latches[i].next, "latch " + std::to_string(i),
+              "next-state function", raw.latches[i].line);
   }
   for (std::size_t i = 0; i < raw.outputs.size(); ++i) {
     const RawAig::Output& o = raw.outputs[i];
-    if (var_of(o.lit) > m) {
-      fb.add("AIG-LIT-RANGE", Severity::kError,
-             "output " + std::to_string(i),
-             lit_str(o.lit) + " exceeds the declared maximum variable " +
-                 std::to_string(m),
-             o.line);
-      continue;
-    }
     if (o.lit <= 1) {
       fb.add("AIG-CONST-PO", Severity::kWarning,
              "output " + std::to_string(i),
              std::string("output is the constant ") +
                  (o.lit == 1 ? "true" : "false"),
              o.line);
-      continue;
-    }
-    if (def[var_of(o.lit)] == Def::kUndef) {
+    } else if (!def[var_of(o.lit)]) {
       fb.add("AIG-UNDRIVEN-PO", Severity::kError,
              "output " + std::to_string(i),
              "output " + lit_str(o.lit) + " is driven by no input, latch or"
@@ -446,13 +139,13 @@ void semantic_checks(const RawAig& raw, bool complete, FindingBuffer& fb) {
   // terminate paths: a latch breaks its loop by construction).
   {
     enum : std::uint8_t { kWhite, kGrey, kBlack };
-    std::unordered_map<std::uint64_t, std::uint8_t> color;
-    std::unordered_set<std::uint64_t> cycle_reported;
+    std::vector<std::uint8_t> color(std::size_t{m} + 1, kWhite);
+    std::vector<bool> cycle_reported(std::size_t{m} + 1, false);
     std::vector<std::pair<const RawAig::And*, int>> stack;
-    for (const auto& [root, _] : and_of) {
-      if (color[root] != kWhite) continue;
-      stack.push_back({and_of[root], 0});
-      color[root] = kGrey;
+    for (const RawAig::And& root : raw.ands) {
+      if (color[var_of(root.lhs)] != kWhite) continue;
+      stack.push_back({&root, 0});
+      color[var_of(root.lhs)] = kGrey;
       while (!stack.empty()) {
         auto& [a, next_fanin] = stack.back();
         if (next_fanin >= 2) {
@@ -460,24 +153,22 @@ void semantic_checks(const RawAig& raw, bool complete, FindingBuffer& fb) {
           stack.pop_back();
           continue;
         }
-        const std::uint64_t child =
+        const std::uint32_t child =
             var_of(next_fanin == 0 ? a->rhs0 : a->rhs1);
         ++next_fanin;
-        const auto it = and_of.find(child);
-        if (it == and_of.end()) continue;  // input/latch/const: terminal
-        std::uint8_t& c = color[child];
-        if (c == kGrey) {
-          if (!cycle_reported.insert(child).second) continue;
+        const RawAig::And* c = and_of[child];
+        if (c == nullptr) continue;  // input/latch/const: terminal
+        if (color[child] == kGrey) {
+          if (cycle_reported[child]) continue;
+          cycle_reported[child] = true;
           fb.add("AIG-CYCLE", Severity::kError,
                  "and " + std::to_string(child),
                  "combinational cycle: the AND's fanin cone reaches the AND"
                  " itself",
-                 it->second->line);
-          continue;
-        }
-        if (c == kWhite) {
-          c = kGrey;
-          stack.push_back({it->second, 0});
+                 c->line);
+        } else if (color[child] == kWhite) {
+          color[child] = kGrey;
+          stack.push_back({c, 0});
         }
       }
     }
@@ -485,11 +176,11 @@ void semantic_checks(const RawAig& raw, bool complete, FindingBuffer& fb) {
 
   // --- reachability: dangling ANDs --------------------------------------
   {
-    std::unordered_map<std::uint64_t, bool> reach;
-    std::vector<std::uint64_t> todo;
-    auto seed = [&](std::uint64_t lit) {
-      const std::uint64_t v = var_of(lit);
-      if (and_of.count(v) != 0 && !reach[v]) {
+    std::vector<bool> reach(std::size_t{m} + 1, false);
+    std::vector<std::uint32_t> todo;
+    auto seed = [&](std::uint32_t lit) {
+      const std::uint32_t v = var_of(lit);
+      if (and_of[v] != nullptr && !reach[v]) {
         reach[v] = true;
         todo.push_back(v);
       }
@@ -503,9 +194,9 @@ void semantic_checks(const RawAig& raw, bool complete, FindingBuffer& fb) {
       seed(a->rhs1);
     }
     for (const RawAig::And& a : raw.ands) {
-      const std::uint64_t v = var_of(a.lhs);
-      if (and_of.count(v) != 0 && !reach[v]) {
-        fb.add("AIG-DANGLING", Severity::kWarning, "and " + std::to_string(v),
+      if (!reach[var_of(a.lhs)]) {
+        fb.add("AIG-DANGLING", Severity::kWarning,
+               "and " + std::to_string(var_of(a.lhs)),
                "AND is reachable from no output or latch next-state",
                a.line);
       }
@@ -518,7 +209,6 @@ void semantic_checks(const RawAig& raw, bool complete, FindingBuffer& fb) {
     for (const RawAig::And& a : raw.ands) {
       const std::uint64_t lo = std::min(a.rhs0, a.rhs1);
       const std::uint64_t hi = std::max(a.rhs0, a.rhs1);
-      if (hi > 0xffffffffULL || lo > 0xffffffffULL) continue;  // range error
       if (lo <= 1 || var_of(a.rhs0) == var_of(a.rhs1)) {
         fb.add("AIG-TRIV-AND", Severity::kInfo,
                "and " + std::to_string(a.lhs >> 1),
@@ -545,15 +235,10 @@ void semantic_checks(const RawAig& raw, bool complete, FindingBuffer& fb) {
 LintReport lint_aiger(std::string_view bytes) {
   LintReport report;
   report.path = "<memory>";
-  const bool binary = bytes.rfind("aig ", 0) == 0;
-  report.kind = binary ? "aiger-binary" : "aiger-ascii";
+  report.kind = bytes.rfind("aig ", 0) == 0 ? "aiger-binary" : "aiger-ascii";
   FindingBuffer fb(report);
-  RawAig raw;
-  const bool complete =
-      binary ? scan_binary(bytes, raw, fb) : scan_ascii(bytes, raw, fb);
-  if (!fb.seen("AIG-HEADER") || complete) {
-    semantic_checks(raw, complete, fb);
-  }
+  RawAig raw(fb);
+  if (io::decode_aiger(bytes, raw)) global_checks(raw);
   fb.flush_caps();
   return report;
 }

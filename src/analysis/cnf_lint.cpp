@@ -1,147 +1,109 @@
 #include <algorithm>
-#include <cerrno>
-#include <climits>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <set>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
+#include "analysis/finding_buffer.h"
 #include "analysis/lint.h"
+#include "sat/dimacs.h"
 
 namespace step::analysis {
 
 namespace {
 
-constexpr int kPerCodeCap = 20;
-
-/// Same per-code capping discipline as the AIGER linter (duplicated
-/// locally to keep the two translation units free-standing).
-class Buffer {
+/// Per-clause and whole-formula checks over the decoded literal stream;
+/// decoder defects become findings.
+class CnfLintSink final : public sat::DimacsSink {
  public:
-  explicit Buffer(LintReport& report) : report_(report) {}
+  explicit CnfLintSink(FindingBuffer& fb) : fb_(fb) {}
 
-  void add(const char* code, Severity severity, std::string object,
-           std::string message, long line = 0) {
-    const int n = ++counts_[code];
-    if (n > kPerCodeCap) return;
-    report_.findings.push_back(
-        Finding{code, severity, std::move(object), std::move(message), line});
+  void problem(long long vars, long long clauses) override {
+    declared_vars = vars;
+    declared_clauses = clauses;
   }
 
-  void flush_caps() {
-    for (const auto& [code, n] : counts_) {
-      if (n <= kPerCodeCap) continue;
-      report_.findings.push_back(Finding{
-          "LINT-CAPPED", Severity::kInfo, code,
-          std::to_string(n - kPerCodeCap) + " further " + code +
-              " findings suppressed (" + std::to_string(n) + " total)",
-          0});
+  void literal(long long lit, bool plausible, long line) override {
+    if (!open_clause_) {
+      open_clause_ = true;
+      clause_line_ = line;
     }
+    // An implausible literal stays in the clause for the per-clause checks
+    // (per-token memory is bounded by the file size) but out of the
+    // polarity table and the summary sweep bound.
+    if (plausible) {
+      const long long var = lit > 0 ? lit : -lit;
+      max_var = std::max(max_var, var);
+      // The decoder's plausibility cap bounds this resize by the file size.
+      const auto v = static_cast<std::size_t>(var);
+      if (polarity.size() <= v) polarity.resize(v + 1, 0);
+      polarity[v] |= lit < 0 ? 2 : 1;
+    }
+    clause_.push_back(lit);
+    clause_lits_.insert(lit);
   }
+
+  void clause_end(long line) override {
+    finish_clause(line);
+    clause_.clear();
+    clause_lits_.clear();
+    open_clause_ = false;
+  }
+
+  void defect(const char* code, bool error, std::string object,
+              std::string message, long line) override {
+    fb_.add(code, error ? Severity::kError : Severity::kWarning,
+            std::move(object), std::move(message), line);
+  }
+
+  long long declared_vars = -1, declared_clauses = -1;
+  long long n_clauses = 0;
+  long long max_var = 0;
+  std::vector<std::uint8_t> polarity;  // bit0: seen positive, bit1: negative
 
  private:
-  LintReport& report_;
-  std::map<std::string, int> counts_;
-};
-
-struct Token {
-  enum Kind { kNum, kBad, kEof } kind;
-  long long value = 0;
-  long line = 1;
-};
-
-/// Whitespace-separated token stream over the DIMACS body, tracking line
-/// numbers and skipping `c` comment lines.
-class TokenStream {
- public:
-  explicit TokenStream(std::string_view text) : text_(text) {}
-
-  Token next() {
-    for (;;) {
-      skip_space();
-      if (pos_ >= text_.size()) return {Token::kEof, 0, line_};
-      if (text_[pos_] == 'c' && at_line_start_token()) {
-        skip_line();
-        continue;
-      }
-      break;
+  void finish_clause(long end_line) {
+    ++n_clauses;
+    const std::string obj = "clause " + std::to_string(n_clauses);
+    if (clause_.empty()) {
+      fb_.add("CNF-EMPTY-CLAUSE", Severity::kError, obj,
+              "empty clause: the formula is trivially unsatisfiable",
+              end_line);
+      return;
     }
-    const long tok_line = line_;
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() && !is_space(text_[pos_])) ++pos_;
-    const std::string tok(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(tok.c_str(), &end, 10);
-    // ERANGE catches silent clamping to LLONG_MAX/LLONG_MIN; an exact
-    // LLONG_MIN parses cleanly but cannot be negated, so reject it too.
-    if (end == tok.c_str() || *end != '\0' || errno == ERANGE ||
-        v == LLONG_MIN) {
-      return {Token::kBad, 0, tok_line};
+    bool taut = false;
+    for (const long long lit : clause_lits_) {
+      if (lit > 0 && clause_lits_.count(-lit) != 0) taut = true;
     }
-    return {Token::kNum, v, tok_line};
-  }
-
-  /// Peeks whether the next token starts a `p` problem line; consumes the
-  /// whole line and returns its fields when it does.
-  bool problem_line(std::string& fmt, long long& vars, long long& clauses,
-                    long& line) {
-    skip_space();
-    while (pos_ < text_.size() && text_[pos_] == 'c' && at_line_start_token()) {
-      skip_line();
-      skip_space();
+    if (taut) {
+      fb_.add("CNF-TAUT", Severity::kWarning, obj,
+              "tautological clause (contains a literal and its negation)",
+              clause_line_);
     }
-    if (pos_ >= text_.size() || text_[pos_] != 'p') return false;
-    line = line_;
-    const std::size_t eol = text_.find('\n', pos_);
-    const std::string_view l =
-        text_.substr(pos_, eol == std::string_view::npos ? std::string_view::npos
-                                                         : eol - pos_);
-    pos_ = eol == std::string_view::npos ? text_.size() : eol + 1;
-    ++line_;
-    // "p cnf <vars> <clauses>"
-    char f[16] = {0};
-    long long v = -1, c = -1;
-    const std::string owned(l);
-    if (std::sscanf(owned.c_str(), "p %15s %lld %lld", f, &v, &c) < 1) {
-      fmt.clear();
-      return true;  // a 'p' line existed, but was unusable
+    if (clause_lits_.size() != clause_.size()) {
+      fb_.add("CNF-DUP-LIT", Severity::kInfo, obj, "clause repeats a literal",
+              clause_line_);
     }
-    fmt = f;
-    vars = v;
-    clauses = c;
-    return true;
-  }
-
- private:
-  static bool is_space(char c) {
-    return c == ' ' || c == '\t' || c == '\r' || c == '\n';
-  }
-  bool at_line_start_token() const {
-    // A comment marker only counts at the start of a line (DIMACS defines
-    // comments as whole lines).
-    return pos_ == 0 || text_[pos_ - 1] == '\n' ||
-           (pos_ >= 2 && text_[pos_ - 1] == '\r' && text_[pos_ - 2] == '\n');
-  }
-  void skip_space() {
-    while (pos_ < text_.size() && is_space(text_[pos_])) {
-      if (text_[pos_] == '\n') ++line_;
-      ++pos_;
+    // Canonical key: sorted, deduplicated literal set.
+    std::string key;
+    for (const long long lit : clause_lits_) {
+      key += std::to_string(lit);
+      key += ' ';
+    }
+    if (!clause_set_.insert(key).second) {
+      fb_.add("CNF-DUP-CLAUSE", Severity::kWarning, obj,
+              "duplicate of an earlier clause (same literal set)",
+              clause_line_);
     }
   }
-  void skip_line() {
-    const std::size_t eol = text_.find('\n', pos_);
-    pos_ = eol == std::string_view::npos ? text_.size() : eol + 1;
-    ++line_;
-  }
 
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  long line_ = 1;
+  FindingBuffer& fb_;
+  std::unordered_set<std::string> clause_set_;
+  std::vector<long long> clause_;
+  std::set<long long> clause_lits_;
+  bool open_clause_ = false;
+  long clause_line_ = 1;
 };
 
 }  // namespace
@@ -150,158 +112,15 @@ LintReport lint_cnf(std::string_view text) {
   LintReport report;
   report.path = "<memory>";
   report.kind = "cnf";
-  Buffer fb(report);
+  FindingBuffer fb(report);
+  CnfLintSink cnf(fb);
+  sat::decode_dimacs(text, cnf);
 
-  // Plausibility guard mirroring the AIGER linter: every variable needs
-  // bytes in the file to occur, so a hostile header or literal must not
-  // drive the summary sweep or the polarity table to unbounded sizes.
-  const unsigned long long plaus =
-      8ULL * static_cast<unsigned long long>(text.size()) + 1024ULL;
-  const long long var_cap =
-      plaus > static_cast<unsigned long long>(LLONG_MAX)
-          ? LLONG_MAX
-          : static_cast<long long>(plaus);
-
-  TokenStream ts(text);
-  long long declared_vars = -1, declared_clauses = -1;
-  {
-    std::string fmt;
-    long long v = 0, c = 0;
-    long pline = 0;
-    if (ts.problem_line(fmt, v, c, pline)) {
-      if (fmt != "cnf" || v < 0 || c < 0) {
-        fb.add("CNF-HEADER", Severity::kWarning, "header",
-               "problem line is not a well-formed 'p cnf <vars> <clauses>'",
-               pline);
-      } else if (v > var_cap) {
-        fb.add("CNF-HEADER", Severity::kError, "header",
-               "declares " + std::to_string(v) +
-                   " variables, implausible for a " +
-                   std::to_string(text.size()) + "-byte file",
-               pline);
-      } else {
-        declared_vars = v;
-        declared_clauses = c;
-      }
-    } else {
-      fb.add("CNF-HEADER", Severity::kWarning, "header",
-             "no 'p cnf' problem line (tolerated, but declared bounds "
-             "cannot be checked)",
-             1);
-    }
-  }
-
-  // Clause scan. Statistics for the whole-formula summary findings.
-  long long n_clauses = 0;
-  long long max_var = 0;
-  std::vector<std::uint8_t> polarity;  // bit0: seen positive, bit1: negative
-  auto touch = [&](long long var, bool neg) {
-    // Callers check var <= var_cap first, so this resize is bounded by the
-    // file size.
-    const auto v = static_cast<std::size_t>(var);
-    if (polarity.size() <= v) polarity.resize(v + 1, 0);
-    polarity[v] |= neg ? 2 : 1;
-  };
-
-  std::unordered_set<std::string> clause_set;
-  std::vector<long long> clause;
-  std::set<long long> clause_lits;
-  bool open_clause = false;
-  long clause_line = 1;
-
-  auto finish_clause = [&](long end_line) {
-    ++n_clauses;
-    const std::string obj = "clause " + std::to_string(n_clauses);
-    if (clause.empty()) {
-      fb.add("CNF-EMPTY-CLAUSE", Severity::kError, obj,
-             "empty clause: the formula is trivially unsatisfiable",
-             end_line);
-      return;
-    }
-    bool taut = false, dup_lit = false;
-    for (const long long lit : clause_lits) {
-      if (lit > 0 && clause_lits.count(-lit) != 0) taut = true;
-    }
-    if (clause_lits.size() != clause.size()) dup_lit = true;
-    if (taut) {
-      fb.add("CNF-TAUT", Severity::kWarning, obj,
-             "tautological clause (contains a literal and its negation)",
-             clause_line);
-    }
-    if (dup_lit) {
-      fb.add("CNF-DUP-LIT", Severity::kInfo, obj,
-             "clause repeats a literal", clause_line);
-    }
-    // Canonical key: sorted, deduplicated literal set.
-    std::string key;
-    for (const long long lit : clause_lits) {
-      key += std::to_string(lit);
-      key += ' ';
-    }
-    if (!clause_set.insert(key).second) {
-      fb.add("CNF-DUP-CLAUSE", Severity::kWarning, obj,
-             "duplicate of an earlier clause (same literal set)",
-             clause_line);
-    }
-  };
-
-  for (;;) {
-    const Token t = ts.next();
-    if (t.kind == Token::kEof) break;
-    if (t.kind == Token::kBad) {
-      fb.add("CNF-PARSE", Severity::kError, "token",
-             "non-numeric or out-of-range token in the clause section",
-             t.line);
-      continue;
-    }
-    if (t.value == 0) {
-      finish_clause(t.line);
-      clause.clear();
-      clause_lits.clear();
-      open_clause = false;
-      continue;
-    }
-    if (!open_clause) {
-      open_clause = true;
-      clause_line = t.line;
-    }
-    const long long var = t.value > 0 ? t.value : -t.value;
-    if (var > var_cap) {
-      // Keep the literal for the per-clause checks (per-token memory is
-      // bounded by the file size) but keep it out of the polarity table
-      // and the summary sweep bound.
-      fb.add("CNF-RANGE", Severity::kError,
-             "clause " + std::to_string(n_clauses + 1),
-             "literal " + std::to_string(t.value) +
-                 " has an implausible magnitude for a " +
-                 std::to_string(text.size()) + "-byte file",
-             t.line);
-    } else {
-      max_var = std::max(max_var, var);
-      if (declared_vars >= 0 && var > declared_vars) {
-        fb.add("CNF-RANGE", Severity::kError,
-               "clause " + std::to_string(n_clauses + 1),
-               "literal " + std::to_string(t.value) +
-                   " exceeds the declared variable count " +
-                   std::to_string(declared_vars),
-               t.line);
-      }
-      touch(var, t.value < 0);
-    }
-    clause.push_back(t.value);
-    clause_lits.insert(t.value);
-  }
-  if (open_clause) {
-    fb.add("CNF-PARSE", Severity::kError,
-           "clause " + std::to_string(n_clauses + 1),
-           "file ends inside a clause (missing terminating 0)", 0);
-    finish_clause(0);
-  }
-
-  if (declared_clauses >= 0 && n_clauses != declared_clauses) {
+  if (cnf.declared_clauses >= 0 && cnf.n_clauses != cnf.declared_clauses) {
     fb.add("CNF-HEADER", Severity::kWarning, "header",
-           "header declares " + std::to_string(declared_clauses) +
-               " clause(s) but the body holds " + std::to_string(n_clauses),
+           "header declares " + std::to_string(cnf.declared_clauses) +
+               " clause(s) but the body holds " +
+               std::to_string(cnf.n_clauses),
            0);
   }
 
@@ -309,16 +128,16 @@ LintReport lint_cnf(std::string_view text) {
   // properties of the complete formula, so each yields one finding with
   // representatives rather than one finding per variable.
   {
-    // `bound` is capped by the plausibility guard above, so this sweep is
+    // `bound` is capped by the decoder's plausibility rule, so this sweep is
     // linear in the file size. Only an 8-element sample is kept per
     // summary; counting avoids materializing every gap variable.
-    const long long bound =
-        declared_vars >= 0 ? std::max(declared_vars, max_var) : max_var;
+    const long long bound = std::max(cnf.declared_vars, cnf.max_var);
     long long n_gaps = 0, n_pures = 0;
     std::vector<long long> gap_sample, pure_sample;
     for (long long v = 1; v <= bound; ++v) {
       const auto idx = static_cast<std::size_t>(v);
-      const std::uint8_t pol = idx < polarity.size() ? polarity[idx] : 0;
+      const std::uint8_t pol =
+          idx < cnf.polarity.size() ? cnf.polarity[idx] : 0;
       if (pol == 0) {
         if (++n_gaps <= 8) gap_sample.push_back(v);
       } else if (pol != 3) {

@@ -12,11 +12,13 @@ namespace step::analysis {
 
 /// Static artifact analysis ("step lint"): structural well-formedness
 /// checks on the netlists and CNF the solvers consume, run *before* any
-/// solver does. The linters parse raw AIGER (ASCII and binary) and DIMACS
-/// themselves, deliberately more tolerant than the production readers in
-/// io/ and sat/ — a malformed file yields error *findings*, not an
-/// exception, so one run reports every defect it can still reach. Only an
-/// unreadable file (missing, permission) throws io::IoError.
+/// solver does. There is one decoder per format — io::decode_aiger()
+/// (ASCII and binary) and sat::decode_dimacs() — shared with the
+/// production readers: the reader stops at the first defect, the linter
+/// records every defect as a finding and adds its global checks, so one
+/// run reports every defect it can still reach. The AIGER reader rejects
+/// exactly the files that get an error finding. Only an unreadable file
+/// (missing, permission) throws io::IoError.
 ///
 /// Every finding carries a stable machine-readable code (the contract the
 /// tests and CI gates pin), a severity, and a location. The full code

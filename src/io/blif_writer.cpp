@@ -13,7 +13,7 @@ namespace {
 
 std::string node_net(const aig::Aig& a, std::uint32_t node) {
   if (a.is_input(node)) return a.input_name(a.input_index(node));
-  return "n" + std::to_string(node);
+  return std::string("n").append(std::to_string(node));
 }
 
 }  // namespace

@@ -79,7 +79,7 @@ std::string write_verilog(const aig::Aig& a, const std::string& module_name) {
   auto net_of = [&](std::uint32_t node) -> std::string {
     if (a.is_const(node)) return "1'b0";
     if (a.is_input(node)) return in_names[a.input_index(node)];
-    return "g" + std::to_string(node);
+    return std::string("g").append(std::to_string(node));
   };
   auto edge = [&](aig::Lit l) {
     const std::string n = net_of(aig::node_of(l));

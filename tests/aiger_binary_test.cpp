@@ -164,10 +164,11 @@ TEST(AigerBinary, RejectsNonMonotoneAndOverflowingDeltas) {
 TEST(AigerBinary, CraftedCorpusFilesAreRejected) {
   for (const char* name :
        {"nonmonotone_delta.aig", "nonmonotone_rhs1.aig", "overflow_delta.aig",
-        "truncated_ands.aig", "bad_header_counts.aig"}) {
+        "truncated_ands.aig", "bad_header_counts.aig",
+        "negative_outputs.aig", "huge_inputs.aig"}) {
     const std::string bytes =
         slurp_binary(std::string(STEP_TEST_DATA_DIR) + "/corpus/" + name);
-    EXPECT_THROW(parse_aiger_binary(bytes), std::runtime_error) << name;
+    EXPECT_THROW(parse_aiger_binary(bytes), IoError) << name;
   }
   // The valid crafted file parses and means x & true = x.
   const aig::Aig a = parse_aiger_binary(

@@ -3,6 +3,7 @@
 #include "aig/simulate.h"
 #include "benchgen/generators.h"
 #include "io/aiger.h"
+#include "io/io_error.h"
 #include "io/pla_reader.h"
 
 namespace step::io {
@@ -134,6 +135,17 @@ TEST(Aiger, RejectsBadInput) {
   EXPECT_THROW(parse_aiger("aag 2 1 0 1 0\n2\n9\n"), std::runtime_error);  // range
   EXPECT_THROW(parse_aiger("aag 2 1 0 1 1\n2\n4\n4 4 2\n"),
                std::runtime_error);  // cyclic/self
+}
+
+TEST(Aiger, DanglingAndsAreCheckedButNotBuilt) {
+  // AND 4 reaches no output: well-formed, it is left out of the AIG...
+  const aig::Aig a = parse_aiger("aag 4 2 0 1 2\n2\n4\n6\n6 2 4\n8 2 5\n");
+  EXPECT_EQ(a.num_ands(), 1u);
+  // ...but an undefined fanin or a cycle there still rejects the file.
+  EXPECT_THROW(parse_aiger("aag 5 2 0 1 2\n2\n4\n6\n6 2 4\n8 2 10\n"),
+               IoError);
+  EXPECT_THROW(parse_aiger("aag 4 2 0 1 2\n2\n4\n6\n6 2 4\n8 8 2\n"),
+               IoError);
 }
 
 TEST(Aiger, OutOfOrderAndsResolve) {

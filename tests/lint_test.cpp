@@ -1,10 +1,12 @@
 // Tests for the static artifact analyzer (src/analysis): the finding-code
 // contract on a crafted defect corpus (tests/data/lint), the exit/ok
-// semantics, JSON rendering, the in-memory AIG linter, and the benchgen
-// invariant that every generator output is lint-clean.
+// semantics, JSON rendering, the in-memory AIG linter, the benchgen
+// invariant that every generator output is lint-clean, and the agreement
+// between the AIGER reader and the linter that share one decoder.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -12,6 +14,7 @@
 #include "analysis/lint.h"
 #include "benchgen/epfl.h"
 #include "benchgen/suite.h"
+#include "common/rng.h"
 #include "io/aiger.h"
 #include "io/io_error.h"
 
@@ -220,6 +223,83 @@ TEST(LintAig, InMemoryLinterFlagsDanglingNode) {
   a.add_output(g1, "f");
   const LintReport r = lint_aig(a);
   EXPECT_TRUE(r.has("AIG-DANGLING"));
+}
+
+// ------------------------------------------- reader <-> linter agreement
+
+/// The reader (dispatching on the magic, as read_aiger_file does) throws
+/// IoError exactly when the linter reports an error finding. Any other
+/// exception escapes and fails the test.
+void expect_reader_agrees(const std::string& bytes, const std::string& what) {
+  bool rejected = false;
+  try {
+    if (bytes.rfind("aig ", 0) == 0) {
+      io::parse_aiger_binary(bytes);
+    } else {
+      io::parse_aiger(bytes);
+    }
+  } catch (const io::IoError&) {
+    rejected = true;
+  }
+  const LintReport r = lint_aiger(bytes);
+  EXPECT_EQ(rejected, r.errors() > 0) << what << "\n" << to_json(r);
+}
+
+TEST(LintAgreement, CommittedAigerFiles) {
+  namespace fs = std::filesystem;
+  int seen = 0;
+  for (const char* dir : {"/corpus", "/lint"}) {
+    for (const fs::directory_entry& e :
+         fs::directory_iterator(std::string(STEP_TEST_DATA_DIR) + dir)) {
+      const std::string ext = e.path().extension().string();
+      if (ext != ".aag" && ext != ".aig") continue;
+      std::ifstream in(e.path(), std::ios::binary);
+      std::ostringstream ss;
+      ss << in.rdbuf();
+      expect_reader_agrees(ss.str(), e.path().string());
+      ++seen;
+    }
+  }
+  EXPECT_GE(seen, 20);
+}
+
+TEST(LintAgreement, CraftedDefects) {
+  for (const char* bytes : {
+           "aag 2 1 1 1 0\n2\n2 3\n2\n",           // latch redefines input
+           "aag 3 1 0 1 1\n2\n2\n6 2 4\n",         // dangling undefined fanin
+           "aag 3 1 0 1 2\n2\n2\n4 6 2\n6 4 2\n",  // dangling cycle
+           "aag 3 2 0 1 1\n2 4\n6\n6 2 4\n",       // two entries on a line
+           "aag 2 1 1 1 0\n2\n4 2 7\n4\n",         // bad latch reset value
+           "aag 2 1 1 1 0\n2\n4 9\n4\n",           // latch next out of range
+           "aig 1 1 0 1 0\n2 3\n",                   // extra output field
+           "aig 3 1 0 1 1\n6\n\x02\x01",            // binary M != I+L+A
+       }) {
+    expect_reader_agrees(bytes, bytes);
+    EXPECT_FALSE(lint_aiger(bytes).ok()) << bytes;
+  }
+}
+
+TEST(LintAgreement, ByteMutationsOfBothFormats) {
+  const aig::Aig a = benchgen::epfl_adder(3);
+  Rng rng(0x15);
+  for (const std::string& valid : {io::write_aiger(a),
+                                   io::write_aiger_binary(a)}) {
+    expect_reader_agrees(valid, "unmutated");
+    for (int round = 0; round < 2000; ++round) {
+      std::string m = valid;
+      const int edits = rng.next_int(1, 3);
+      for (int e = 0; e < edits && !m.empty(); ++e) {
+        const std::size_t pos = rng.next_below(m.size());
+        switch (rng.next_int(0, 3)) {
+          case 0: m[pos] = static_cast<char>('0' + rng.next_int(0, 9)); break;
+          case 1: m[pos] = static_cast<char>(rng.next_below(256)); break;
+          case 2: m.erase(pos, rng.next_int(1, 4)); break;
+          default: m.insert(pos, m.substr(pos, rng.next_int(1, 6)));
+        }
+      }
+      expect_reader_agrees(m, "mutation " + std::to_string(round));
+    }
+  }
 }
 
 // --------------------------------------------------------------- rendering

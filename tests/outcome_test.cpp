@@ -500,6 +500,16 @@ TEST(CliExitCodes, TruncatedInputExitsWith3) {
   EXPECT_EQ(run_cli("decompose " + corpus("truncated_mid_cube.blif")), 3);
 }
 
+TEST(CliExitCodes, HostileAigerHeaderExitsWith3) {
+  // A few-byte header promising billions of objects is malformed input
+  // (exit 3), rejected before anything is sized from it, not an
+  // allocation failure (exit 1).
+  for (const char* name :
+       {"huge_outputs.aag", "negative_outputs.aig", "huge_inputs.aig"}) {
+    EXPECT_EQ(run_cli("decompose " + corpus(name)), 3) << name;
+  }
+}
+
 TEST(CliExitCodes, MissingInputExitsWith3) {
   EXPECT_EQ(run_cli("decompose /nonexistent/definitely_missing.blif"), 3);
 }

@@ -17,6 +17,7 @@
 #include "io/aiger.h"
 #include "io/blif_reader.h"
 #include "io/blif_writer.h"
+#include "io/io_error.h"
 #include "io/pla_reader.h"
 #include "sat/dimacs.h"
 
@@ -142,9 +143,9 @@ TEST(RobustnessCorpus, MalformedAigerFilesAreRejected) {
   for (const char* name :
        {"huge_header.aag", "truncated.aag", "truncated_mid_and.aag",
         "cyclic.aag", "odd_and_lhs.aag", "redefined_input.aag",
-        "out_of_range.aag"}) {
+        "out_of_range.aag", "huge_outputs.aag"}) {
     const std::string text = slurp(corpus_path(name));
-    EXPECT_THROW(io::parse_aiger(text), std::runtime_error) << name;
+    EXPECT_THROW(io::parse_aiger(text), io::IoError) << name;
   }
 }
 

@@ -423,6 +423,13 @@ TEST(Dimacs, RejectsUnterminatedClause) {
   EXPECT_THROW(parse_dimacs("p cnf 2 1\n1 2\n"), std::runtime_error);
 }
 
+TEST(Dimacs, RejectsOutOfRangeLiteral) {
+  // Neither may wrap: 2^32 + 1 onto variable 1, 2^31 onto a negative
+  // literal index.
+  EXPECT_THROW(parse_dimacs("p cnf 2 1\n4294967297 0\n"), std::runtime_error);
+  EXPECT_THROW(parse_dimacs("p cnf 2 1\n2147483648 0\n"), std::runtime_error);
+}
+
 TEST(Dimacs, ClauseAcrossLines) {
   const auto f = parse_dimacs("1 2\n-3 0\n");
   ASSERT_EQ(f.clauses.size(), 1u);

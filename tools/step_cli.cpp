@@ -86,7 +86,8 @@ constexpr const char kHelpText[] =
     "              running any solver\n"
     "\n"
     "input formats (picked by extension): .blif, .aag (ASCII AIGER) and\n"
-    ".aig (binary AIGER, streamed — suitable for million-gate netlists);\n"
+    ".aig (binary AIGER, built in one pass — suitable for million-gate\n"
+    "netlists);\n"
     "latches are cut combinationally in all three.\n"
     "\n"
     "decomposition options:\n"
@@ -754,7 +755,7 @@ int main(int argc, char** argv) try {
     throw io::IoError("injected I/O fault (fault plan enables kind 'i')",
                       cli.input);
   }
-  // Input dispatch by extension: AIGER (.aag ASCII, .aig binary streamed)
+  // Input dispatch by extension: AIGER (.aag ASCII, .aig binary)
   // arrives as an already-combinational AIG (latches cut by the reader);
   // everything else goes through the BLIF elaborator.
   io::Network net;
