@@ -1,11 +1,17 @@
 // Micro-benchmarks (google-benchmark) for the substrate solvers: SAT
 // solving, 2QBF CEGAR, group-MUS, interpolation and AIG manipulation.
 // Not part of the paper's tables; tracks the health of the engines that
-// power them.
+// power them. The global operator new counts heap allocations so that
+// set-up benchmarks can report allocations per iteration.
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "bench_common.h"
+#include "benchgen/epfl.h"
 #include "benchgen/generators.h"
 #include "cnf/cnf.h"
 #include "cnf/tseitin.h"
@@ -16,6 +22,25 @@
 #include "mus/group_mus.h"
 #include "qbf/qbf2.h"
 #include "sat/solver.h"
+
+namespace {
+
+std::atomic<long> g_allocations{0};
+
+void* counted_alloc(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -168,6 +193,46 @@ void bm_tseitin_encode(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_tseitin_encode)->Arg(4)->Arg(8);
+
+/// The fixed per-cone cost of decoder-cones: the fresh one-shot solvers of
+/// one 15-input epfl_decoder(14) AND cone. Arg 0 builds the relaxation
+/// solver (Tseitin-encoded Φ), arg 1 extracts fA/fB (two interpolation
+/// solvers), arg 2 runs the verification miter. `allocs` is heap
+/// allocations per iteration.
+void bm_fresh_cone_solvers(benchmark::State& state) {
+  const int stage = static_cast<int>(state.range(0));
+  const aig::Aig dec = benchgen::epfl_decoder(14);
+  const core::Cone cone = core::extract_po_cone(dec, 0);
+  const core::RelaxationMatrix m =
+      core::build_relaxation_matrix(cone, core::GateOp::kAnd);
+  core::Partition p;  // {x0 | x1..x14}: valid for an AND of literals
+  p.cls.assign(static_cast<std::size_t>(cone.n()), core::VarClass::kB);
+  p.cls[0] = core::VarClass::kA;
+  const core::ExtractedFunctions fns =
+      core::extract_functions(cone, core::GateOp::kAnd, p);
+  const long before = g_allocations.load();
+  for (auto _ : state) {
+    switch (stage) {
+      case 0: {
+        core::RelaxationSolver rs(m);
+        benchmark::DoNotOptimize(rs.solver().num_vars());
+        break;
+      }
+      case 1:
+        benchmark::DoNotOptimize(
+            core::extract_functions(cone, core::GateOp::kAnd, p));
+        break;
+      default:
+        benchmark::DoNotOptimize(core::verify_decomposition(cone, fns));
+        break;
+    }
+  }
+  state.counters["allocs"] =
+      benchmark::Counter(static_cast<double>(g_allocations.load() - before),
+                         benchmark::Counter::kAvgIterations);
+  state.SetLabel(stage == 0 ? "relaxation" : stage == 1 ? "extract" : "verify");
+}
+BENCHMARK(bm_fresh_cone_solvers)->Arg(0)->Arg(1)->Arg(2);
 
 }  // namespace
 

@@ -121,26 +121,37 @@ Lit Aig::land(Lit a, Lit b) {
   return strash_lookup_or_insert(a, b);
 }
 
-Lit Aig::land_many(const std::vector<Lit>& ls) {
-  // Balanced tree keeps depth logarithmic.
-  if (ls.empty()) return kLitTrue;
-  std::vector<Lit> cur = ls;
-  while (cur.size() > 1) {
-    std::vector<Lit> next;
-    next.reserve((cur.size() + 1) / 2);
-    for (std::size_t i = 0; i + 1 < cur.size(); i += 2) {
-      next.push_back(land(cur[i], cur[i + 1]));
+namespace {
+
+/// Balanced AND tree over `cur[0, n)`, reduced in place pairwise level by
+/// level (depth stays logarithmic). Gates are created in the same order as
+/// a level-by-level copy would create them.
+Lit land_tree_in_place(Aig& a, std::vector<Lit>& cur) {
+  if (cur.empty()) return kLitTrue;
+  std::size_t n = cur.size();
+  while (n > 1) {
+    std::size_t k = 0;
+    for (std::size_t i = 0; i + 1 < n; i += 2) {
+      cur[k++] = a.land(cur[i], cur[i + 1]);
     }
-    if (cur.size() % 2 != 0) next.push_back(cur.back());
-    cur = std::move(next);
+    if (n % 2 != 0) cur[k++] = cur[n - 1];
+    n = k;
   }
   return cur[0];
 }
 
+}  // namespace
+
+Lit Aig::land_many(const std::vector<Lit>& ls) {
+  std::vector<Lit> cur = ls;
+  return land_tree_in_place(*this, cur);
+}
+
 Lit Aig::lor_many(const std::vector<Lit>& ls) {
+  if (ls.size() == 1) return ls[0];
   std::vector<Lit> neg(ls.size());
   std::transform(ls.begin(), ls.end(), neg.begin(), lnot);
-  return lnot(land_many(neg));
+  return lnot(land_tree_in_place(*this, neg));
 }
 
 Lit Aig::lxor_many(const std::vector<Lit>& ls) {

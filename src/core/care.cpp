@@ -116,12 +116,22 @@ std::optional<bool> constant_on_care(const Cone& cone, const CareSet& care) {
 
 bool cones_equivalent_on_care(const Cone& a, const Cone& b,
                               const CareSet* care) {
+  return roots_equivalent_on_care(a.aig, a.root, b.aig, b.root, care);
+}
+
+bool roots_equivalent_on_care(const aig::Aig& a, aig::Lit root_a,
+                              const aig::Aig& b, aig::Lit root_b,
+                              const CareSet* care) {
   sat::Solver solver;
-  std::vector<sat::Lit> svars(a.n());
+  // Callers pass cone-sized AIGs, so their sizes bound the encoding.
+  solver.reserve_vars(static_cast<int>(
+      a.num_inputs() + a.num_ands() + b.num_ands() +
+      (care_is_trivial(care) ? 0 : care->aig.num_ands()) + 3));
+  std::vector<sat::Lit> svars(a.num_inputs());
   for (auto& l : svars) l = sat::mk_lit(solver.new_var());
   cnf::SolverSink sink(solver);
-  const sat::Lit la = cnf::encode_cone(a.aig, a.root, svars, sink);
-  const sat::Lit lb = cnf::encode_cone(b.aig, b.root, svars, sink);
+  const sat::Lit la = cnf::encode_cone(a, root_a, svars, sink);
+  const sat::Lit lb = cnf::encode_cone(b, root_b, svars, sink);
   if (!care_is_trivial(care)) {
     const sat::Lit lc = cnf::encode_cone(care->aig, care->root, svars, sink);
     solver.add_clause({lc});

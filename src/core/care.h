@@ -71,4 +71,11 @@ std::optional<bool> constant_on_care(const Cone& cone, const CareSet& care);
 bool cones_equivalent_on_care(const Cone& a, const Cone& b,
                               const CareSet* care);
 
+/// The same miter over two roots, so callers need not copy an AIG into a
+/// Cone. `a` fixes the input count. Like Cones, the AIGs should hold
+/// little beyond the roots' logic: their sizes size the solver.
+bool roots_equivalent_on_care(const aig::Aig& a, aig::Lit root_a,
+                              const aig::Aig& b, aig::Lit root_b,
+                              const CareSet* care);
+
 }  // namespace step::core

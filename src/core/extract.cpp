@@ -1,6 +1,5 @@
 #include "core/extract.h"
 
-#include <memory>
 #include <utility>
 
 #include "aig/ops.h"
@@ -15,28 +14,38 @@ namespace {
 
 /// One interpolation query: encodes the three labelled cone copies,
 /// refutes, and replays the proof into `dst` over `dst_inputs`.
+/// `vars_hint` bounds the variables the query will create.
 struct ItpQuery {
-  explicit ItpQuery(int n) : n_vars(n) {
-    sat::SolverOptions o;
-    o.proof_logging = true;
-    solver = std::make_unique<sat::Solver>(o);
+  explicit ItpQuery(int vars_hint) : solver(proof_options()) {
+    solver.reserve_vars(vars_hint);
   }
 
-  std::unique_ptr<sat::Solver> solver;
-  int n_vars;
+  static sat::SolverOptions proof_options() {
+    sat::SolverOptions o;
+    o.proof_logging = true;
+    return o;
+  }
+
+  sat::Solver solver;
 
   std::vector<sat::Lit> fresh_vars(int count) {
     std::vector<sat::Lit> v(count);
-    for (int i = 0; i < count; ++i) v[i] = sat::mk_lit(solver->new_var());
+    for (int i = 0; i < count; ++i) v[i] = sat::mk_lit(solver.new_var());
     return v;
   }
 
   void assert_cone(const aig::Aig& a, aig::Lit root,
                    const std::vector<sat::Lit>& map, bool value, int tag) {
-    cnf::SolverSink sink(*solver, tag);
+    cnf::SolverSink sink(solver, tag);
     cnf::encode_cone_assert(a, root, map, sink, value);
   }
 };
+
+/// Variables of one Tseitin copy of an AIG's logic (one per AND, plus a
+/// constant), as a reserve_vars() hint.
+int encoding_vars(const aig::Aig& a) {
+  return static_cast<int>(a.num_ands()) + 1;
+}
 
 /// OR extraction of `root` (within cone.aig) under partition p, writing
 /// fa and fb into `dst` whose inputs are already created. With a
@@ -54,15 +63,17 @@ std::pair<aig::Lit, aig::Lit> or_extract(
     if (care != nullptr) q.assert_cone(care->aig, care->root, map, true, tag);
   };
 
+  const int care_copy_vars = care != nullptr ? encoding_vars(care->aig) : 0;
+
   // ---- Query 1: fA over XA ∪ XC ------------------------------------------
   aig::Lit fa;
   {
-    ItpQuery q(n);
+    ItpQuery q(3 * n + 3 * (encoding_vars(cone.aig) + care_copy_vars));
     const std::vector<sat::Lit> v1 = q.fresh_vars(n);
     std::vector<sat::Lit> map2(v1), map3(v1);
     for (int i = 0; i < n; ++i) {
-      if (in_class(i, VarClass::kA)) map2[i] = sat::mk_lit(q.solver->new_var());
-      if (in_class(i, VarClass::kB)) map3[i] = sat::mk_lit(q.solver->new_var());
+      if (in_class(i, VarClass::kA)) map2[i] = sat::mk_lit(q.solver.new_var());
+      if (in_class(i, VarClass::kB)) map3[i] = sat::mk_lit(q.solver.new_var());
     }
     // A-part: care(X) ∧ f(X) ∧ care(X') ∧ ¬f(XA', XB, XC);
     // B-part: care(X'') ∧ ¬f(XA, XB', XC).
@@ -72,40 +83,46 @@ std::pair<aig::Lit, aig::Lit> or_extract(
     assert_care(q, map2, itp::kTagA);
     q.assert_cone(cone.aig, root, map3, false, itp::kTagB);
     assert_care(q, map3, itp::kTagB);
-    const sat::Result r = q.solver->solve();
+    const sat::Result r = q.solver.solve();
     STEP_CHECK(r == sat::Result::kUnsat);  // partition must be valid (on care)
 
-    std::vector<aig::Lit> shared_map(q.solver->num_vars(), aig::kLitInvalid);
+    std::vector<aig::Lit> shared_map(q.solver.num_vars(), aig::kLitInvalid);
     for (int i = 0; i < n; ++i) {
-      if (!in_class(i, VarClass::kB)) shared_map[sat::var(v1[i])] = dst_inputs[i];
+      if (!in_class(i, VarClass::kB)) {
+        shared_map[sat::var(v1[i])] = dst_inputs[i];
+      }
     }
-    fa = itp::build_interpolant(*q.solver, dst, shared_map);
+    fa = itp::build_interpolant(q.solver, dst, shared_map);
   }
 
   // ---- Query 2: fB over XB ∪ XC ------------------------------------------
   aig::Lit fb;
   {
-    ItpQuery q(n);
+    ItpQuery q(2 * n + 2 * (encoding_vars(cone.aig) + care_copy_vars) +
+               encoding_vars(dst));
     const std::vector<sat::Lit> w1 = q.fresh_vars(n);
     std::vector<sat::Lit> map2(w1);
     for (int i = 0; i < n; ++i) {
-      if (in_class(i, VarClass::kA)) map2[i] = sat::mk_lit(q.solver->new_var());
+      if (in_class(i, VarClass::kA)) map2[i] = sat::mk_lit(q.solver.new_var());
     }
     // A-part: care(X) ∧ f(X) ∧ ¬fA(XA, XC);
     // B-part: care(X') ∧ ¬f(XA', XB, XC).
     q.assert_cone(cone.aig, root, w1, true, itp::kTagA);
-    q.assert_cone(dst, fa, w1, false, itp::kTagA);  // fa depends on XA ∪ XC only
+    // fa depends on XA ∪ XC only.
+    q.assert_cone(dst, fa, w1, false, itp::kTagA);
     assert_care(q, w1, itp::kTagA);
     q.assert_cone(cone.aig, root, map2, false, itp::kTagB);
     assert_care(q, map2, itp::kTagB);
-    const sat::Result r = q.solver->solve();
+    const sat::Result r = q.solver.solve();
     STEP_CHECK(r == sat::Result::kUnsat);
 
-    std::vector<aig::Lit> shared_map(q.solver->num_vars(), aig::kLitInvalid);
+    std::vector<aig::Lit> shared_map(q.solver.num_vars(), aig::kLitInvalid);
     for (int i = 0; i < n; ++i) {
-      if (!in_class(i, VarClass::kA)) shared_map[sat::var(w1[i])] = dst_inputs[i];
+      if (!in_class(i, VarClass::kA)) {
+        shared_map[sat::var(w1[i])] = dst_inputs[i];
+      }
     }
-    fb = itp::build_interpolant(*q.solver, dst, shared_map);
+    fb = itp::build_interpolant(q.solver, dst, shared_map);
   }
   return {fa, fb};
 }
@@ -167,21 +184,12 @@ ExtractedFunctions extract_functions(const Cone& cone, GateOp op,
 
 bool verify_decomposition(const Cone& cone, const ExtractedFunctions& fns,
                           const CareSet* care) {
-  return cones_equivalent_on_care(cone, Cone{fns.aig, fns.combined}, care);
+  return roots_equivalent_on_care(cone.aig, cone.root, fns.aig, fns.combined,
+                                  care);
 }
 
 bool cones_equivalent(const Cone& a, const Cone& b) {
-  sat::Solver solver;
-  std::vector<sat::Lit> svars(a.n());
-  for (int i = 0; i < a.n(); ++i) svars[i] = sat::mk_lit(solver.new_var());
-
-  cnf::SolverSink sink(solver);
-  const sat::Lit la = cnf::encode_cone(a.aig, a.root, svars, sink);
-  const sat::Lit lb = cnf::encode_cone(b.aig, b.root, svars, sink);
-  // Assert inequality; UNSAT proves equivalence.
-  sink.add_binary(la, lb);
-  sink.add_binary(~la, ~lb);
-  return solver.solve() == sat::Result::kUnsat;
+  return cones_equivalent_on_care(a, b, nullptr);
 }
 
 }  // namespace step::core

@@ -93,6 +93,9 @@ RelaxationMatrix build_relaxation_matrix(const Cone& cone, GateOp op,
 RelaxationSolver::RelaxationSolver(const RelaxationMatrix& m,
                                    const sat::SolverOptions& sat_opts)
     : m_(m), solver_(sat_opts) {
+  // One variable per input and per AND of Φ (plus a constant).
+  solver_.reserve_vars(
+      static_cast<int>(m_.aig.num_inputs() + m_.aig.num_ands()) + 1);
   std::vector<sat::Lit> input_sat(m_.aig.num_inputs(), sat::kLitUndef);
   auto mk = [&](const std::vector<std::uint32_t>& idx,
                 std::vector<sat::Var>* save) {

@@ -17,7 +17,7 @@ aig::Lit build_interpolant(const sat::Solver& solver, aig::Aig& dst,
   for (sat::ProofId i = 0; i < proof.size(); ++i) {
     const sat::ProofNode& n = proof.node(i);
     if (!n.is_leaf() || n.tag != kTagB) continue;
-    for (sat::Lit l : n.base_lits) in_b[sat::var(l)] = 1;
+    for (sat::Lit l : proof.leaf_lits(i)) in_b[sat::var(l)] = 1;
   }
 
   // Mark the sub-DAG feeding the empty clause.
@@ -28,11 +28,12 @@ aig::Lit build_interpolant(const sat::Solver& solver, aig::Aig& dst,
     const sat::ProofNode& n = proof.node(i);
     if (n.is_leaf()) continue;
     needed[n.start] = 1;
-    for (const sat::ProofStep& s : n.steps) needed[s.antecedent] = 1;
+    for (const sat::ProofStep& s : proof.steps(i)) needed[s.antecedent] = 1;
   }
 
   // Forward replay with the McMillan rules.
   std::vector<aig::Lit> itp(empty_id + 1, aig::kLitInvalid);
+  std::vector<aig::Lit> global;
   for (sat::ProofId i = 0; i <= empty_id; ++i) {
     if (!needed[i]) continue;
     const sat::ProofNode& n = proof.node(i);
@@ -41,8 +42,8 @@ aig::Lit build_interpolant(const sat::Solver& solver, aig::Aig& dst,
         itp[i] = aig::kLitTrue;
       } else {
         STEP_CHECK(n.tag == kTagA);
-        std::vector<aig::Lit> global;
-        for (sat::Lit l : n.base_lits) {
+        global.clear();
+        for (sat::Lit l : proof.leaf_lits(i)) {
           const sat::Var v = sat::var(l);
           if (!in_b[v]) continue;
           STEP_CHECK(v < static_cast<sat::Var>(shared_map.size()));
@@ -55,7 +56,7 @@ aig::Lit build_interpolant(const sat::Solver& solver, aig::Aig& dst,
     } else {
       aig::Lit cur = itp[n.start];
       STEP_CHECK(cur != aig::kLitInvalid);
-      for (const sat::ProofStep& s : n.steps) {
+      for (const sat::ProofStep& s : proof.steps(i)) {
         const aig::Lit other = itp[s.antecedent];
         STEP_CHECK(other != aig::kLitInvalid);
         cur = in_b[s.pivot] ? dst.land(cur, other) : dst.lor(cur, other);

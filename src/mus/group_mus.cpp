@@ -9,10 +9,20 @@ namespace step::mus {
 GroupMusExtractor::GroupMusExtractor(sat::Solver& solver,
                                      std::vector<sat::Lit> enable,
                                      GroupMusOptions opts)
-    : solver_(solver), enable_(std::move(enable)), opts_(opts) {}
+    : solver_(solver), enable_(std::move(enable)), opts_(opts) {
+  const int n = static_cast<int>(enable_.size());
+  group_next_.assign(n, -1);
+  // Push groups in reverse so each chain lists its groups in index order.
+  for (int g = n - 1; g >= 0; --g) {
+    const auto li = static_cast<std::size_t>(sat::index(enable_[g]));
+    if (li >= group_head_.size()) group_head_.resize(li + 1, -1);
+    group_next_[g] = group_head_[li];
+    group_head_[li] = g;
+  }
+}
 
-GroupMusResult GroupMusExtractor::extract(const Deadline* deadline,
-                                          const std::vector<char>* initially_removed) {
+GroupMusResult GroupMusExtractor::extract(
+    const Deadline* deadline, const std::vector<char>* initially_removed) {
   GroupMusResult result;
   const int n = static_cast<int>(enable_.size());
 
@@ -25,9 +35,10 @@ GroupMusResult GroupMusExtractor::extract(const Deadline* deadline,
     }
   }
 
+  sat::LitVec assumptions;
+  assumptions.reserve(n);
   auto solve_with = [&](int excluded) -> sat::Result {
-    sat::LitVec assumptions;
-    assumptions.reserve(n);
+    assumptions.clear();
     for (int g = 0; g < n; ++g) {
       const bool active = state[g] != 0 && g != excluded;
       assumptions.push_back(active ? enable_[g] : ~enable_[g]);
@@ -36,14 +47,15 @@ GroupMusResult GroupMusExtractor::extract(const Deadline* deadline,
     return solver_.solve_limited(assumptions, opts_.conflict_budget, deadline);
   };
 
+  std::vector<char> in_core(n, 0);
   auto refine_from_core = [&](int excluded) {
     if (!opts_.core_refinement) return;
     // Keep only groups whose enable literal appears in the final conflict.
-    std::vector<char> in_core(n, 0);
+    std::fill(in_core.begin(), in_core.end(), 0);
     for (sat::Lit l : solver_.conflict_core()) {
-      for (int g = 0; g < n; ++g) {
-        if (enable_[g] == l) in_core[g] = 1;
-      }
+      const auto li = static_cast<std::size_t>(sat::index(l));
+      if (li >= group_head_.size()) continue;
+      for (int g = group_head_[li]; g >= 0; g = group_next_[g]) in_core[g] = 1;
     }
     for (int g = 0; g < n; ++g) {
       if (state[g] == 1 && g != excluded && !in_core[g]) state[g] = 0;

@@ -51,6 +51,12 @@ class GroupMusExtractor {
   sat::Solver& solver_;
   std::vector<sat::Lit> enable_;
   GroupMusOptions opts_;
+  /// Groups by enable literal, built once: group_head_[index(l)] is the
+  /// first group whose enable literal is l (-1 if none), group_next_[g]
+  /// the next group sharing g's literal. Core refinement maps each core
+  /// literal to its groups through this instead of scanning all groups.
+  std::vector<int> group_head_;
+  std::vector<int> group_next_;
 };
 
 }  // namespace step::mus

@@ -18,7 +18,11 @@ class VarOrderHeap {
     return v < static_cast<Var>(pos_.size()) && pos_[v] != -1;
   }
 
-  void reserve(Var n_vars) { pos_.resize(n_vars, -1); }
+  /// Capacity for `n_vars` variables; contents are unchanged.
+  void reserve(Var n_vars) {
+    pos_.reserve(static_cast<std::size_t>(n_vars));
+    heap_.reserve(static_cast<std::size_t>(n_vars));
+  }
 
   void insert(Var v) {
     if (contains(v)) return;

@@ -16,7 +16,7 @@ void normalize(LitVec& lits) {
 }
 
 /// Resolve `cur` with `other` on `pivot`, in place.
-void resolve(LitVec& cur, const LitVec& other, Var pivot) {
+void resolve(LitVec& cur, std::span<const Lit> other, Var pivot) {
   const Lit pos = mk_lit(pivot, false);
   const Lit neg = mk_lit(pivot, true);
   cur.erase(std::remove_if(cur.begin(), cur.end(),
@@ -154,7 +154,7 @@ LitVec Proof::replay_clause(ProofId id) const {
     if (n.is_leaf()) continue;
     STEP_CHECK(n.start < i);
     needed[n.start] = 1;
-    for (const ProofStep& s : n.steps) {
+    for (const ProofStep& s : steps(i)) {
       STEP_CHECK(s.antecedent < i);
       needed[s.antecedent] = 1;
     }
@@ -165,11 +165,12 @@ LitVec Proof::replay_clause(ProofId id) const {
     if (!needed[i]) continue;
     const ProofNode& n = nodes_[i];
     if (n.is_leaf()) {
-      memo[i] = n.base_lits;
+      const std::span<const Lit> lits = leaf_lits(i);
+      memo[i].assign(lits.begin(), lits.end());
       normalize(memo[i]);
     } else {
       LitVec cur = memo[n.start];
-      for (const ProofStep& s : n.steps) {
+      for (const ProofStep& s : steps(i)) {
         resolve(cur, memo[s.antecedent], s.pivot);
       }
       memo[i] = std::move(cur);

@@ -26,14 +26,14 @@ struct ProofStep {
 /// partition `tag` (the interpolation system uses tag 0 for the A-part and
 /// tag 1 for the B-part). Derived nodes are trivial resolution chains:
 /// start from node `start` and resolve with each step's antecedent in order.
+/// The literals of a leaf and the steps of a derived node live in two
+/// pooled arrays of the owning Proof; [begin, end) is the node's range in
+/// the pool of its kind (Proof::leaf_lits / Proof::steps).
 struct ProofNode {
-  // Leaf fields.
   int tag = -1;  ///< >= 0 for leaves; -1 for derived nodes.
-  LitVec base_lits;
-
-  // Derived fields.
-  ProofId start = kProofIdUndef;
-  std::vector<ProofStep> steps;
+  ProofId start = kProofIdUndef;  ///< derived nodes only
+  std::uint32_t begin = 0;
+  std::uint32_t end = 0;
 
   bool is_leaf() const { return tag >= 0; }
 };
@@ -42,28 +42,45 @@ struct ProofNode {
 ///
 /// The trace is append-only; node ids are dense and topologically ordered
 /// (every antecedent id is smaller than the derived node's id), which lets
-/// consumers replay the proof with a single forward sweep.
+/// consumers replay the proof with a single forward sweep. Nodes own no
+/// heap memory: adding a node appends to three pooled vectors, so a proof
+/// grows by amortized doubling instead of two allocations per node.
 class Proof {
  public:
   ProofId add_leaf(std::span<const Lit> lits, int tag) {
     ProofNode n;
     n.tag = tag;
-    n.base_lits.assign(lits.begin(), lits.end());
-    nodes_.push_back(std::move(n));
+    n.begin = static_cast<std::uint32_t>(lits_.size());
+    lits_.insert(lits_.end(), lits.begin(), lits.end());
+    n.end = static_cast<std::uint32_t>(lits_.size());
+    nodes_.push_back(n);
     return static_cast<ProofId>(nodes_.size() - 1);
   }
 
-  ProofId add_derived(ProofId start, std::vector<ProofStep> steps) {
+  ProofId add_derived(ProofId start, std::span<const ProofStep> steps) {
     ProofNode n;
     n.start = start;
-    n.steps = std::move(steps);
-    nodes_.push_back(std::move(n));
+    n.begin = static_cast<std::uint32_t>(steps_.size());
+    steps_.insert(steps_.end(), steps.begin(), steps.end());
+    n.end = static_cast<std::uint32_t>(steps_.size());
+    nodes_.push_back(n);
     return static_cast<ProofId>(nodes_.size() - 1);
   }
 
   const ProofNode& node(ProofId id) const { return nodes_[id]; }
   std::size_t size() const { return nodes_.size(); }
   bool empty() const { return nodes_.empty(); }
+
+  /// Literals of leaf `id`, as supplied to add_leaf().
+  std::span<const Lit> leaf_lits(ProofId id) const {
+    const ProofNode& n = nodes_[id];
+    return {lits_.data() + n.begin, n.end - n.begin};
+  }
+  /// Resolution steps of derived node `id`, in order.
+  std::span<const ProofStep> steps(ProofId id) const {
+    const ProofNode& n = nodes_[id];
+    return {steps_.data() + n.begin, n.end - n.begin};
+  }
 
   /// Id of the derived empty clause; kProofIdUndef until the solver proves
   /// unsatisfiability without assumptions.
@@ -77,6 +94,8 @@ class Proof {
 
  private:
   std::vector<ProofNode> nodes_;
+  LitVec lits_;                  ///< leaf literals, node ranges back to back
+  std::vector<ProofStep> steps_;  ///< derived steps, node ranges back to back
   ProofId empty_clause_ = kProofIdUndef;
 };
 

@@ -30,6 +30,13 @@ constexpr double kEmaFastAlpha = 1.0 / 32.0;
 constexpr double kEmaSlowAlpha = 1.0 / 16384.0;
 constexpr double kTrailEmaAlpha = 1.0 / 4096.0;
 
+/// STEP_DEBUG_MODELS, read once per process: a decomposed cone constructs
+/// four solvers, and getenv walks the whole environment each time.
+bool debug_models_requested() {
+  static const bool on = std::getenv("STEP_DEBUG_MODELS") != nullptr;
+  return on;
+}
+
 }  // namespace
 
 Solver::Stats& Solver::Stats::operator+=(const Stats& o) {
@@ -56,7 +63,7 @@ Solver::Stats& Solver::Stats::operator+=(const Stats& o) {
 }
 
 Solver::Solver(SolverOptions opts) : opts_(opts) {
-  debug_models_ = std::getenv("STEP_DEBUG_MODELS") != nullptr;
+  debug_models_ = debug_models_requested();
   if (opts_.mem != nullptr) arena_.set_mem_tracker(opts_.mem);
 }
 
@@ -72,25 +79,42 @@ Var Solver::new_var() {
   present_.push_back(0);
   seen2_.push_back(0);
   level0_unit_id_.push_back(kProofIdUndef);
-  watches_.emplace_back();
-  watches_.emplace_back();
-  bin_watches_.emplace_back();
-  bin_watches_.emplace_back();
+  for (int k = 0; k < 2; ++k) {
+    watches_.emplace_back(WatchAllocator<Watcher>(&watch_pool_));
+    bin_watches_.emplace_back(WatchAllocator<BinWatcher>(&watch_pool_));
+  }
   order_heap_.insert(v);
   if (debug_models_) debug_trace_.push_back("v");
   return v;
+}
+
+void Solver::reserve_vars(int n) {
+  const auto nv = static_cast<std::size_t>(std::max(n, 0));
+  assigns_.reserve(nv);
+  level_.reserve(nv);
+  reason_.reserve(nv);
+  activity_.reserve(nv);
+  polarity_.reserve(nv);
+  target_phase_.reserve(nv);
+  seen_.reserve(nv);
+  present_.reserve(nv);
+  seen2_.reserve(nv);
+  level0_unit_id_.reserve(nv);
+  watches_.reserve(2 * nv);
+  bin_watches_.reserve(2 * nv);
+  order_heap_.reserve(static_cast<Var>(nv));
 }
 
 void Solver::attach_clause(CRef cr) {
   const Clause& c = arena_[cr];
   STEP_CHECK(c.size() >= 2);
   if (c.size() == 2) {
-    bin_watches_[index(~c[0])].push_back({c[1], cr});
-    bin_watches_[index(~c[1])].push_back({c[0], cr});
+    push_watch(bin_watches_[index(~c[0])], BinWatcher{c[1], cr});
+    push_watch(bin_watches_[index(~c[1])], BinWatcher{c[0], cr});
     return;
   }
-  watches_[index(~c[0])].push_back({cr, c[1]});
-  watches_[index(~c[1])].push_back({cr, c[0]});
+  push_watch(watches_[index(~c[0])], Watcher{cr, c[1]});
+  push_watch(watches_[index(~c[1])], Watcher{cr, c[0]});
 }
 
 void Solver::detach_clause(CRef cr) {
@@ -189,7 +213,11 @@ bool Solver::add_clause(std::span<const Lit> lits_in, int proof_tag) {
     }
     debug_trace_.push_back(std::move(line));
   }
-  LitVec lits(lits_in.begin(), lits_in.end());
+  // Sort, dedupe and split into member scratch vectors: a fresh solver's
+  // set-up is thousands of add_clause calls, which then allocate only to
+  // grow the arena and the watch lists.
+  LitVec& lits = add_lits_;
+  lits.assign(lits_in.begin(), lits_in.end());
   std::sort(lits.begin(), lits.end());
   lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
   for (std::size_t i = 0; i + 1 < lits.size(); ++i) {
@@ -208,14 +236,17 @@ bool Solver::add_clause(std::span<const Lit> lits_in, int proof_tag) {
   if (proof_on) pid = proof_.add_leaf(lits, proof_tag);
 
   // Strip literals that are false at level 0, logging the resolutions.
-  LitVec falses, kept;
+  LitVec& falses = add_falses_;
+  LitVec& kept = add_kept_;
+  falses.clear();
+  kept.clear();
   for (Lit l : lits) {
     (value(l) == Lbool::kFalse ? falses : kept).push_back(l);
   }
   if (proof_on && !falses.empty()) {
-    std::vector<ProofStep> steps;
-    resolve_level0(falses, steps);
-    pid = proof_.add_derived(pid, std::move(steps));
+    add_steps_.clear();
+    resolve_level0(falses, add_steps_);
+    pid = proof_.add_derived(pid, add_steps_);
   }
   // The stored clause is a strict strengthening of the input clause; the
   // DRAT trace must introduce it (it is RUP from the level-0 units).
@@ -233,11 +264,10 @@ bool Solver::add_clause(std::span<const Lit> lits_in, int proof_tag) {
     if (confl != kCRefUndef) {
       if (proof_on) {
         const Clause& c = arena_[confl];
-        LitVec cl(c.lits().begin(), c.lits().end());
-        std::vector<ProofStep> steps;
-        resolve_level0(cl, steps);
-        proof_.set_empty_clause(
-            proof_.add_derived(c.proof_id(), std::move(steps)));
+        falses.assign(c.lits().begin(), c.lits().end());
+        add_steps_.clear();
+        resolve_level0(falses, add_steps_);
+        proof_.set_empty_clause(proof_.add_derived(c.proof_id(), add_steps_));
       }
       if (opts_.drat_logging) drat_.add({});
       ok_ = false;
@@ -308,7 +338,7 @@ CRef Solver::propagate() {
         if (value(c[k]) != Lbool::kFalse) {
           c[1] = c[k];
           c[k] = false_lit;
-          watches_[index(~c[1])].push_back({cr, first});
+          push_watch(watches_[index(~c[1])], Watcher{cr, first});
           found = true;
           break;
         }
@@ -705,8 +735,7 @@ Result Solver::search(std::int64_t nof_conflicts, const Deadline* deadline) {
           LitVec cl(c.lits().begin(), c.lits().end());
           std::vector<ProofStep> fsteps;
           resolve_level0(cl, fsteps);
-          proof_.set_empty_clause(
-              proof_.add_derived(c.proof_id(), std::move(fsteps)));
+          proof_.set_empty_clause(proof_.add_derived(c.proof_id(), fsteps));
         }
         if (opts_.drat_logging) drat_.add({});
         ok_ = false;

@@ -11,6 +11,7 @@
 #include "sat/heap.h"
 #include "sat/proof.h"
 #include "sat/types.h"
+#include "sat/watch_pool.h"
 
 namespace step::sat {
 
@@ -128,9 +129,17 @@ struct SolverOptions {
 class Solver {
  public:
   explicit Solver(SolverOptions opts = {});
+  // The decision heap and the watch lists refer into the solver itself.
+  Solver(const Solver&) = delete;
+  Solver& operator=(const Solver&) = delete;
 
   // ----- problem construction --------------------------------------------
   Var new_var();
+  /// Capacity hint: sizes every per-variable array for `n` variables at
+  /// once. A caller that knows roughly how many variables its encoding
+  /// makes (a fresh one-shot solver) saves growing each array one
+  /// doubling at a time. Changes nothing else; exceeding the hint is fine.
+  void reserve_vars(int n);
   int num_vars() const { return static_cast<int>(assigns_.size()); }
 
   /// Adds a clause. `proof_tag` labels the proof leaf (interpolation uses
@@ -245,6 +254,19 @@ class Solver {
 
   void attach_clause(CRef cr);
   void detach_clause(CRef cr);
+  /// Appends to a watch or binary-watch list, sizing an empty list once
+  /// to kInitialWatchCapacity (one smallest WatchPool block) instead of
+  /// growing it 1 -> 2 -> 4: a fresh one-shot solver attaches a few
+  /// watchers to nearly every literal. Order is unchanged.
+  template <typename W, typename A>
+  static void push_watch(std::vector<W, A>& ws, const W& w) {
+    if (ws.capacity() == 0) ws.reserve(kInitialWatchCapacity);
+    ws.push_back(w);
+  }
+  static constexpr std::size_t kInitialWatchCapacity = 4;
+  static_assert(kInitialWatchCapacity * sizeof(Watcher) ==
+                    WatchPool::kMinBlock &&
+                sizeof(BinWatcher) == sizeof(Watcher));
   void enqueue(Lit p, CRef from);
   CRef propagate();
   void cancel_until(int lvl);
@@ -304,8 +326,13 @@ class Solver {
   ClauseArena arena_;
   std::vector<CRef> clauses_;  ///< problem clauses
   std::vector<CRef> learnts_;
-  std::vector<std::vector<Watcher>> watches_;       ///< indexed by literal
-  std::vector<std::vector<BinWatcher>> bin_watches_;  ///< indexed by literal
+  /// Backing store of the short watch lists (see WatchPool). Declared
+  /// before the lists, which must be destroyed first.
+  WatchPool watch_pool_;
+  template <typename W>
+  using WatchList = std::vector<W, WatchAllocator<W>>;
+  std::vector<WatchList<Watcher>> watches_;          ///< indexed by literal
+  std::vector<WatchList<BinWatcher>> bin_watches_;  ///< indexed by literal
 
   // Assignment.
   std::vector<Lbool> assigns_;
@@ -333,6 +360,11 @@ class Solver {
   std::vector<char> polarity_;
   std::vector<char> target_phase_;
   std::size_t best_trail_size_ = 0;
+
+  // add_clause scratch (sorted input, level-0-false and kept literals,
+  // level-0 resolution steps), reused across calls.
+  LitVec add_lits_, add_falses_, add_kept_;
+  std::vector<ProofStep> add_steps_;
 
   // Learning temporaries.
   std::vector<char> seen_;

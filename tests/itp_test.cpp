@@ -15,12 +15,14 @@ using sat::Result;
 using sat::Solver;
 using sat::SolverOptions;
 
-Solver make_proof_solver(int num_vars) {
+SolverOptions proof_options() {
   SolverOptions o;
   o.proof_logging = true;
-  Solver s(o);
+  return o;
+}
+
+void add_vars(Solver& s, int num_vars) {
   for (int i = 0; i < num_vars; ++i) s.new_var();
-  return s;
 }
 
 bool clause_satisfied(const LitVec& c, std::uint64_t m) {
@@ -41,7 +43,8 @@ bool all_satisfied(const std::vector<LitVec>& cs, std::uint64_t m) {
 ///   every model of A satisfies I;  no model of B satisfies I.
 void check_interpolant(int num_vars, const std::vector<LitVec>& a_clauses,
                        const std::vector<LitVec>& b_clauses) {
-  Solver s = make_proof_solver(num_vars);
+  Solver s(proof_options());
+  add_vars(s, num_vars);
   for (const LitVec& c : a_clauses) s.add_clause(c, kTagA);
   for (const LitVec& c : b_clauses) s.add_clause(c, kTagB);
   ASSERT_EQ(s.solve(), Result::kUnsat);
@@ -89,7 +92,8 @@ TEST(Interpolant, SingleSharedVariable) {
 }
 
 TEST(Interpolant, AAloneUnsatGivesFalse) {
-  Solver s = make_proof_solver(1);
+  Solver s(proof_options());
+  add_vars(s, 1);
   s.add_clause({mk_lit(0)}, kTagA);
   s.add_clause({~mk_lit(0)}, kTagA);
   ASSERT_EQ(s.solve(), Result::kUnsat);
@@ -100,7 +104,8 @@ TEST(Interpolant, AAloneUnsatGivesFalse) {
 }
 
 TEST(Interpolant, BAloneUnsatGivesTrue) {
-  Solver s = make_proof_solver(1);
+  Solver s(proof_options());
+  add_vars(s, 1);
   s.add_clause({mk_lit(0)}, kTagB);
   s.add_clause({~mk_lit(0)}, kTagB);
   ASSERT_EQ(s.solve(), Result::kUnsat);
@@ -147,7 +152,9 @@ TEST_P(InterpolantRandom, CraigPropertiesHoldOnRandomRefutations) {
     // Keep only UNSAT instances.
     bool sat_somewhere = false;
     for (std::uint64_t m = 0; m < (1ULL << nv) && !sat_somewhere; ++m) {
-      if (all_satisfied(a_cl, m) && all_satisfied(b_cl, m)) sat_somewhere = true;
+      if (all_satisfied(a_cl, m) && all_satisfied(b_cl, m)) {
+        sat_somewhere = true;
+      }
     }
     if (sat_somewhere) continue;
     ++checked;

@@ -48,14 +48,17 @@ std::vector<LitVec> random_cnf(int num_vars, int num_clauses, int width,
   return clauses;
 }
 
-Solver make_solver(int num_vars, const std::vector<LitVec>& clauses,
-                   bool proof = false) {
+SolverOptions solver_options(bool proof = false) {
   SolverOptions opts;
   opts.proof_logging = proof;
-  Solver s(opts);
+  return opts;
+}
+
+/// Solvers are not movable (they point into themselves), so tests build
+/// them in place and load the formula here.
+void load(Solver& s, int num_vars, const std::vector<LitVec>& clauses) {
   for (int i = 0; i < num_vars; ++i) s.new_var();
   for (const LitVec& c : clauses) s.add_clause(c);
-  return s;
 }
 
 bool model_satisfies(const Solver& s, const std::vector<LitVec>& clauses) {
@@ -69,7 +72,7 @@ bool model_satisfies(const Solver& s, const std::vector<LitVec>& clauses) {
   return true;
 }
 
-// ---------- basic behaviour ---------------------------------------------------
+// ---------- basic behaviour --------------------------------------------------
 
 TEST(SatBasic, EmptyFormulaIsSat) {
   Solver s;
@@ -140,7 +143,7 @@ TEST(SatBasic, DuplicateLiteralsCollapse) {
   ASSERT_EQ(s.solve(), Result::kSat);
 }
 
-// ---------- assumptions -------------------------------------------------------
+// ---------- assumptions ------------------------------------------------------
 
 TEST(SatAssumptions, AssumptionForcesPolarity) {
   Solver s;
@@ -237,7 +240,8 @@ TEST(SatBudget, ExpiredDeadlineReturnsUnknown) {
     for (Var& x : row) x = s.new_var();
   }
   for (auto& row : p) {
-    s.add_clause({mk_lit(row[0]), mk_lit(row[1]), mk_lit(row[2]), mk_lit(row[3])});
+    s.add_clause(
+        {mk_lit(row[0]), mk_lit(row[1]), mk_lit(row[2]), mk_lit(row[3])});
   }
   for (int h = 0; h < 4; ++h) {
     for (int i = 0; i < 5; ++i) {
@@ -303,7 +307,8 @@ TEST_P(SatRandom, AgreesWithBruteForce3Cnf) {
     const int nv = rng.next_int(3, 10);
     const int nc = rng.next_int(2, 45);
     const auto clauses = random_cnf(nv, nc, 3, rng);
-    Solver s = make_solver(nv, clauses);
+    Solver s(solver_options());
+    load(s, nv, clauses);
     const Result got = s.solve();
     const bool expect_sat = brute_force_sat(nv, clauses);
     ASSERT_EQ(got, expect_sat ? Result::kSat : Result::kUnsat)
@@ -328,7 +333,8 @@ TEST_P(SatRandom, AgreesWithBruteForceMixedWidth) {
       }
       clauses.push_back(c);
     }
-    Solver s = make_solver(nv, clauses);
+    Solver s(solver_options());
+    load(s, nv, clauses);
     const bool expect_sat = brute_force_sat(nv, clauses);
     ASSERT_EQ(s.solve(), expect_sat ? Result::kSat : Result::kUnsat);
   }
@@ -339,7 +345,8 @@ TEST_P(SatRandom, AssumptionCoresAreSound) {
   for (int iter = 0; iter < 20; ++iter) {
     const int nv = rng.next_int(4, 9);
     const auto clauses = random_cnf(nv, rng.next_int(5, 30), 3, rng);
-    Solver s = make_solver(nv, clauses);
+    Solver s(solver_options());
+    load(s, nv, clauses);
     LitVec assumptions;
     for (int v = 0; v < nv; ++v) {
       if (rng.next_bool()) assumptions.push_back(mk_lit(v, rng.next_bool()));
@@ -356,7 +363,7 @@ TEST_P(SatRandom, AssumptionCoresAreSound) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SatRandom, ::testing::Range(0, 8));
 
-// ---------- proof logging -----------------------------------------------------
+// ---------- proof logging ----------------------------------------------------
 
 TEST(SatProof, EmptyClauseReplaysEmpty) {
   SolverOptions opts;
@@ -381,7 +388,8 @@ TEST_P(SatProofRandom, RefutationsReplayToEmptyClause) {
     const int nv = rng.next_int(3, 9);
     const auto clauses = random_cnf(nv, rng.next_int(12, 50), 3, rng);
     if (brute_force_sat(nv, clauses)) continue;
-    Solver s = make_solver(nv, clauses, /*proof=*/true);
+    Solver s(solver_options(/*proof=*/true));
+    load(s, nv, clauses);
     ASSERT_EQ(s.solve(), Result::kUnsat);
     ASSERT_NE(s.proof().empty_clause(), kProofIdUndef);
     const LitVec replay = s.proof().replay_clause(s.proof().empty_clause());
@@ -394,7 +402,7 @@ TEST_P(SatProofRandom, RefutationsReplayToEmptyClause) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SatProofRandom, ::testing::Range(0, 6));
 
-// ---------- dimacs ------------------------------------------------------------
+// ---------- dimacs -----------------------------------------------------------
 
 TEST(Dimacs, ParsesSimpleFormula) {
   const auto f = parse_dimacs("c comment\np cnf 3 2\n1 -2 0\n2 3 0\n");
