@@ -65,12 +65,14 @@ class IncrementalCounter {
 
   int size() const { return static_cast<int>(outputs_.size()); }
 
-  /// Output literal o_j, 1-indexed in [1, size()]: forced true whenever at
-  /// least j inputs are true; assuming ~o_j enforces "at most j−1".
-  sat::Lit output(int j) const { return outputs_[j - 1]; }
+  /// Output literal o_j for j in [0, size()]: forced true whenever at
+  /// least j inputs are true; assuming ~o_j enforces "at most j−1". o_0 is
+  /// the unit-true literal ("at least 0"), so ~o_0 is the assumption that
+  /// backs k < 0 and an UNSAT core names it like any other output.
+  sat::Lit output(int j) const { return j == 0 ? ~never_ : outputs_[j - 1]; }
 
   /// Appends assumption literals enforcing "at most k inputs true".
-  /// k >= size() appends nothing; k < 0 appends a permanently-false
+  /// k >= size() appends nothing; k < 0 appends ~o_0, a permanently-false
   /// literal (the constraint is unsatisfiable).
   void assume_at_most(int k, sat::LitVec& out) const;
 

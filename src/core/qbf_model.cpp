@@ -59,8 +59,9 @@ QbfPartitionFinder::QbfPartitionFinder(const RelaxationMatrix& m,
   STEP_CHECK(fn_sink.num_vars() == 2 * n);  // fN allocates no aux vars
   fn_clauses_ = fn_sink.clauses();
 
-  // Shared-variable indicators t_i ⇔ (¬α_i ∧ ¬β_i), used by QD and QDB;
-  // the t vars land at [2n, 3n) when replayed right after fN.
+  // Shared-variable indicators t_i ⇔ (¬α_i ∧ ¬β_i), used by QD and by the
+  // scratch path's eq. (8) QDB; the t vars land at [2n, 3n) when replayed
+  // right after fN.
   cnf::VecSink t_sink(static_cast<sat::Var>(2 * n));
   shared_lits_.resize(n);
   for (int i = 0; i < n; ++i) {
@@ -144,21 +145,23 @@ QbfPartitionFinder::IncState& QbfPartitionFinder::state_for(QbfModel model) {
 
   const bool sym = opts_.symmetry_breaking;
   const sat::LitVec t =
-      install_side_constraints(*st.solver, model != QbfModel::kQB);
+      install_side_constraints(*st.solver, model == QbfModel::kQD);
   cnf::SolverSink sink(st.solver->abstraction());
 
   // fT is *not* encoded per bound. Each inequality of the target becomes
   // one counter over its mixed-polarity literal list; a concrete bound k
   // is later enforced by assuming the counter's output suffix above
-  // k + offset (offset = the |neg| shift of the difference form). The
-  // bound-independent |XA| >= |XB| symmetry break goes in as hard clauses,
-  // in the same position of the scratch path's clause order.
-  auto add_bound = [&](const sat::LitVec& pos, const sat::LitVec& neg) {
+  // BoundCounter::counter_bound(k) (offset = the |neg| shift of the
+  // difference form). The bound-independent |XA| >= |XB| symmetry break
+  // goes in as hard clauses, in the same position of the scratch path's
+  // clause order.
+  auto add_bound = [&](const sat::LitVec& pos, const sat::LitVec& neg,
+                       bool halved = false) {
     sat::LitVec lits(pos);
     for (const sat::Lit l : neg) lits.push_back(~l);
     st.bounds.push_back(
         {std::make_unique<cnf::IncrementalCounter>(sink, lits),
-         static_cast<int>(neg.size())});
+         static_cast<int>(neg.size()), halved});
   };
   switch (model) {
     case QbfModel::kQD:
@@ -170,18 +173,16 @@ QbfPartitionFinder::IncState& QbfPartitionFinder::state_for(QbfModel model) {
       add_bound(alpha_, beta_);
       if (!sym) add_bound(beta_, alpha_);
       break;
-    case QbfModel::kQDB: {
+    case QbfModel::kQDB:
+      // Under |XA| >= |XB| the classes sum to n, so the eq. (8) cost is
+      // ||XC|| + ||XA|| − ||XB|| = n − 2·||XB|| and cost <= k ⇔
+      // #¬β <= ⌊(n + k)/2⌋: one counter over n literals instead of 3n, and
+      // the cost's parity is built into the bound. Unbroken, the cost is
+      // n − 2·min(||XA||, ||XB||), so both blocks are bounded.
       if (sym) cnf::diff_non_negative(sink, alpha_, beta_);
-      sat::LitVec pos_a(t);
-      pos_a.insert(pos_a.end(), alpha_.begin(), alpha_.end());
-      add_bound(pos_a, beta_);
-      if (!sym) {
-        sat::LitVec pos_b(t);
-        pos_b.insert(pos_b.end(), beta_.begin(), beta_.end());
-        add_bound(pos_b, alpha_);
-      }
+      add_bound({}, beta_, /*halved=*/true);
+      if (!sym) add_bound({}, alpha_, /*halved=*/true);
       break;
-    }
   }
 
   // Carry everything already learned about this matrix into the new pair.
@@ -200,7 +201,7 @@ QbfFindResult QbfPartitionFinder::find_incremental(QbfModel model, int k,
 
   sat::LitVec assumps;
   for (const BoundCounter& bt : st.bounds) {
-    bt.counter->assume_at_most(k + bt.offset, assumps);
+    bt.counter->assume_at_most(bt.counter_bound(k), assumps);
   }
   // Candidate steering, re-applied per query because phase saving and
   // VSIDS decay drift the persistent solver away from the fresh-solver
@@ -237,18 +238,20 @@ QbfFindResult QbfPartitionFinder::find_incremental(QbfModel model, int k,
     // The final conflict's assumption core certifies how much of the bound
     // was actually needed. A core whose smallest counter output is o_m
     // proves the tracked sum is forced to at least m in *every* candidate,
-    // refuting every bound below m − offset; an assumption-free core means
-    // fN plus the refinements alone are inconsistent — no bound helps.
+    // refuting every bound below refuted_below(m) (for QDB 2m − n: the
+    // smaller block has at most n − m variables); an assumption-free core
+    // means fN plus the refinements alone are inconsistent — no bound
+    // helps.
     const sat::LitVec& core = solver.abstraction_core();
     auto in_core = [&](sat::Lit l) {
       return std::find(core.begin(), core.end(), l) != core.end();
     };
     int refuted = m_.n;  // no core hit: refuted at every feasible bound
     for (const BoundCounter& bt : st.bounds) {
-      const int first = std::max(k + bt.offset + 1, 1);
+      const int first = std::max(bt.counter_bound(k) + 1, 0);
       for (int j = first; j <= bt.counter->size(); ++j) {
         if (in_core(~bt.counter->output(j))) {
-          refuted = std::min(refuted, j - bt.offset);
+          refuted = std::min(refuted, bt.refuted_below(j));
           break;
         }
       }
@@ -285,7 +288,9 @@ QbfFindResult QbfPartitionFinder::find_scratch(QbfModel model, int k,
     }
     case QbfModel::kQDB: {
       // 0 <= #XC + #XA − #XB <= k with |XA| >= |XB| (eq. (8)); the
-      // unbroken variant bounds #XC + |#XA − #XB| <= k.
+      // unbroken variant bounds #XC + |#XA − #XB| <= k. Kept literal, over
+      // the t indicators, as the reference for the incremental path's
+      // smaller-block counter.
       if (sym) cnf::diff_non_negative(sink, alpha_, beta_);
       sat::LitVec pos_a(t);
       pos_a.insert(pos_a.end(), alpha_.begin(), alpha_.end());

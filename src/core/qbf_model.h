@@ -153,11 +153,27 @@ class QbfPartitionFinder {
   long shared_imported() const { return shared_imported_; }
 
  private:
-  /// A counter enforcing one fT inequality: the bound-k assumption set
-  /// is "at most k + offset of the tracked literals are true".
+  /// A counter enforcing one fT inequality. The cost bound k becomes "at
+  /// most counter_bound(k) of the tracked literals are true": k + offset
+  /// for a difference form, ⌊(k + offset)/2⌋ when `halved` (QDB counts the
+  /// smaller block; its cost n − 2·||XB|| moves in steps of 2). The assumed
+  /// and the read-back side of the map live here together so they cannot
+  /// drift apart.
   struct BoundCounter {
     std::unique_ptr<cnf::IncrementalCounter> counter;
     int offset = 0;
+    bool halved = false;
+
+    int counter_bound(int k) const {
+      const int s = k + offset;
+      if (!halved) return s;
+      return s < 0 ? -1 : s / 2;
+    }
+    /// Inverse for the UNSAT-core read-back: the least cost bound k with
+    /// counter_bound(k) >= j. A core naming ~o_j refutes every bound below.
+    int refuted_below(int j) const {
+      return halved ? 2 * j - offset : j - offset;
+    }
   };
   /// Persistent incremental solver state for one QBF model.
   struct IncState {
@@ -187,7 +203,8 @@ class QbfPartitionFinder {
   // Hoisted per-matrix construction (identical for every call): quantifier
   // prefix vectors, the α/β literal layout of the abstraction (outer vars
   // occupy [0, 2n) in construction order), and the clause templates for fN
-  // and the shared-variable indicators t_i ⇔ (¬α_i ∧ ¬β_i).
+  // and the shared-variable indicators t_i ⇔ (¬α_i ∧ ¬β_i) (QD, and the
+  // scratch path's literal QDB).
   std::vector<std::uint32_t> outer_, inner_;
   sat::LitVec alpha_, beta_;
   std::vector<sat::LitVec> fn_clauses_;

@@ -187,35 +187,52 @@ struct ModelOpSeed {
   QbfModel model;
   GateOp op;
   int seed;
+  bool symmetry_breaking = true;
+  int min_n = 2;  ///< random cones draw their support from [min_n, max_n]
+  int max_n = 8;
 };
 
 class QbfBound : public ::testing::TestWithParam<ModelOpSeed> {};
 
 TEST_P(QbfBound, MatchesBruteForceAtEveryBound) {
-  const auto [model, op, seed] = GetParam();
-  const MetricKind kind = metric_of(model);
-  Rng rng(seed * 523 + 7);
+  const ModelOpSeed p = GetParam();
+  const MetricKind kind = metric_of(p.model);
+  QbfFinderOptions fo;
+  fo.symmetry_breaking = p.symmetry_breaking;
+  Rng rng(p.seed * 523 + 7);
   for (int iter = 0; iter < 8; ++iter) {
-    const int n = rng.next_int(2, 5);
-    const Cone cone = testutil::random_cone(n, rng.next_int(4, 18), rng.next());
-    const RelaxationMatrix m = build_relaxation_matrix(cone, op);
-    QbfPartitionFinder finder(m);
-    const BruteForceResult oracle = brute_force_optimum(cone, op, kind);
+    const int n = rng.next_int(p.min_n, p.max_n);
+    const Cone cone =
+        testutil::random_cone(n, rng.next_int(4, 3 * n + 4), rng.next());
+    const RelaxationMatrix m = build_relaxation_matrix(cone, p.op);
+    QbfPartitionFinder finder(m, fo);
+    const BruteForceResult oracle = brute_force_optimum(cone, p.op, kind);
 
-    for (int k = 0; k <= n - 2; ++k) {
-      const QbfFindResult r = finder.find_with_bound(model, k);
+    // Negative k and k > n − 2 lie outside the optimum search's range;
+    // the bound map (including its k < −n clamp) and the core read-back
+    // must stay sound there too.
+    for (int k = -n - 1; k <= n; ++k) {
+      const QbfFindResult r = finder.find_with_bound(p.model, k);
       const bool oracle_possible = oracle.decomposable && oracle.best_cost <= k;
       if (r.status == qbf::Qbf2Status::kTrue) {
         EXPECT_TRUE(oracle_possible)
-            << to_string(model) << " " << to_string(op) << " k=" << k;
+            << to_string(p.model) << " " << to_string(p.op) << " k=" << k;
         EXPECT_TRUE(r.partition.non_trivial());
-        EXPECT_TRUE(check_partition_exhaustive(cone, op, r.partition));
+        EXPECT_TRUE(check_partition_exhaustive(cone, p.op, r.partition));
         EXPECT_LE(metric_cost(Metrics::of(r.partition), kind), k);
       } else {
         ASSERT_EQ(r.status, qbf::Qbf2Status::kFalse);
         EXPECT_FALSE(oracle_possible)
-            << to_string(model) << " " << to_string(op) << " k=" << k
+            << to_string(p.model) << " " << to_string(p.op) << " k=" << k
             << " oracle found " << oracle.best.to_string();
+        // refuted_below claims every bound below it is refuted: it must
+        // never pass the true optimum, or proven_optimal would be unsound.
+        EXPECT_GE(r.refuted_below, k + 1);
+        if (oracle.decomposable) {
+          EXPECT_LE(r.refuted_below, oracle.best_cost)
+              << to_string(p.model) << " " << to_string(p.op) << " n=" << n
+              << " k=" << k;
+        }
       }
     }
   }
@@ -230,25 +247,33 @@ INSTANTIATE_TEST_SUITE_P(
                       ModelOpSeed{QbfModel::kQB, GateOp::kOr, 0},
                       ModelOpSeed{QbfModel::kQB, GateOp::kAnd, 0},
                       ModelOpSeed{QbfModel::kQB, GateOp::kXor, 0},
+                      ModelOpSeed{QbfModel::kQB, GateOp::kOr, 2, false},
                       ModelOpSeed{QbfModel::kQDB, GateOp::kOr, 0},
                       ModelOpSeed{QbfModel::kQDB, GateOp::kAnd, 0},
-                      ModelOpSeed{QbfModel::kQDB, GateOp::kXor, 0}));
+                      ModelOpSeed{QbfModel::kQDB, GateOp::kXor, 0},
+                      ModelOpSeed{QbfModel::kQDB, GateOp::kOr, 2, false},
+                      ModelOpSeed{QbfModel::kQDB, GateOp::kXor, 2, false}));
 
 // ---------- optimum search --------------------------------------------------------
 
 class OptimumRandom : public ::testing::TestWithParam<ModelOpSeed> {};
 
 TEST_P(OptimumRandom, FindsTheBruteForceOptimum) {
-  const auto [model, op, seed] = GetParam();
+  const ModelOpSeed p = GetParam();
+  const QbfModel model = p.model;
+  const GateOp op = p.op;
   const MetricKind kind = metric_of(model);
-  Rng rng(seed * 1009 + 23);
+  QbfFinderOptions fo;
+  fo.symmetry_breaking = p.symmetry_breaking;
+  Rng rng(p.seed * 1009 + 23);
   for (int iter = 0; iter < 10; ++iter) {
-    const int n = rng.next_int(2, 6);
-    const Cone cone = testutil::random_cone(n, rng.next_int(4, 20), rng.next());
+    const int n = rng.next_int(p.min_n, p.max_n);
+    const Cone cone =
+        testutil::random_cone(n, rng.next_int(4, 3 * n + 4), rng.next());
     const RelaxationMatrix m = build_relaxation_matrix(cone, op);
     const BruteForceResult oracle = brute_force_optimum(cone, op, kind);
 
-    QbfPartitionFinder finder(m);
+    QbfPartitionFinder finder(m, fo);
     OptimumSearch search(finder, model);
     const OptimumResult r = search.run(std::nullopt);
 
@@ -277,7 +302,12 @@ INSTANTIATE_TEST_SUITE_P(
                       ModelOpSeed{QbfModel::kQDB, GateOp::kOr, 0},
                       ModelOpSeed{QbfModel::kQDB, GateOp::kOr, 1},
                       ModelOpSeed{QbfModel::kQDB, GateOp::kAnd, 0},
-                      ModelOpSeed{QbfModel::kQDB, GateOp::kXor, 0}));
+                      ModelOpSeed{QbfModel::kQDB, GateOp::kXor, 0},
+                      ModelOpSeed{QbfModel::kQB, GateOp::kOr, 2, false},
+                      ModelOpSeed{QbfModel::kQDB, GateOp::kOr, 2, true, 7},
+                      ModelOpSeed{QbfModel::kQDB, GateOp::kAnd, 2, true, 7},
+                      ModelOpSeed{QbfModel::kQDB, GateOp::kXor, 2, true, 7},
+                      ModelOpSeed{QbfModel::kQDB, GateOp::kOr, 3, false, 7}));
 
 TEST(Optimum, BootstrapNeverWorsensResult) {
   Rng rng(5555);

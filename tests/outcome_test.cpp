@@ -528,6 +528,12 @@ TEST(CliExitCodes, UsageErrorExitsWith2) {
   EXPECT_EQ(run_cli("decompose"), 2);
   EXPECT_EQ(run_cli("frobnicate x.blif"), 2);
   EXPECT_EQ(run_cli("decompose x.blif -faults not-a-plan"), 2);
+  // Engine and op names are exact: a typo must not silently run another
+  // engine (formerly STEP-QD) or another gate (formerly OR).
+  EXPECT_EQ(run_cli("decompose x.blif -engine qdbb"), 2);
+  EXPECT_EQ(run_cli("decompose x.blif -engine QDB"), 2);
+  EXPECT_EQ(run_cli("decompose x.blif -op nand"), 2);
+  EXPECT_EQ(run_cli("decompose x.blif -op XOR"), 2);
 }
 
 TEST(CliExitCodes, MemCappedRunCompletesSuccessfully) {

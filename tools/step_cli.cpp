@@ -235,15 +235,35 @@ CliOptions parse_args(int argc, char** argv) {
     };
     if (flag == "-op") {
       const std::string v = value();
-      cli.op = v == "and" ? core::GateOp::kAnd
-                          : v == "xor" ? core::GateOp::kXor : core::GateOp::kOr;
+      if (v == "or") {
+        cli.op = core::GateOp::kOr;
+      } else if (v == "and") {
+        cli.op = core::GateOp::kAnd;
+      } else if (v == "xor") {
+        cli.op = core::GateOp::kXor;
+      } else {
+        std::fprintf(stderr, "step: -op expects or, and or xor, got %s\n",
+                     v.c_str());
+        usage();
+      }
     } else if (flag == "-engine") {
       const std::string v = value();
-      if (v == "ljh") cli.engine = core::Engine::kLjh;
-      else if (v == "mg") cli.engine = core::Engine::kMg;
-      else if (v == "qb") cli.engine = core::Engine::kQbfBalanced;
-      else if (v == "qdb") cli.engine = core::Engine::kQbfCombined;
-      else cli.engine = core::Engine::kQbfDisjoint;
+      if (v == "ljh") {
+        cli.engine = core::Engine::kLjh;
+      } else if (v == "mg") {
+        cli.engine = core::Engine::kMg;
+      } else if (v == "qd") {
+        cli.engine = core::Engine::kQbfDisjoint;
+      } else if (v == "qb") {
+        cli.engine = core::Engine::kQbfBalanced;
+      } else if (v == "qdb") {
+        cli.engine = core::Engine::kQbfCombined;
+      } else {
+        std::fprintf(stderr,
+                     "step: -engine expects ljh, mg, qd, qb or qdb, got %s\n",
+                     v.c_str());
+        usage();
+      }
     } else if (flag == "-timeout") {
       cli.timeout_s = std::atof(value());
     } else if (flag == "-qbf-timeout") {
