@@ -11,12 +11,14 @@
 #include <new>
 
 #include "bench_common.h"
+#include "aig/support.h"
 #include "benchgen/epfl.h"
 #include "benchgen/generators.h"
 #include "cnf/cnf.h"
 #include "cnf/tseitin.h"
 #include "common/rng.h"
 #include "core/decomposer.h"
+#include "core/npn.h"
 #include "core/relaxation.h"
 #include "itp/interpolant.h"
 #include "mus/group_mus.h"
@@ -233,6 +235,37 @@ void bm_fresh_cone_solvers(benchmark::State& state) {
   state.SetLabel(stage == 0 ? "relaxation" : stage == 1 ? "extract" : "verify");
 }
 BENCHMARK(bm_fresh_cone_solvers)->Arg(0)->Arg(1)->Arg(2);
+
+/// The truth-table tier for small cones. Arg 0 NPN-canonicalizes one
+/// 6-input table (the DecCache key), arg 1 runs aig::functional_support on
+/// the 16-input parity_tree(16) cone (support reduction), arg 2 decides
+/// MG's seed-pair exhaustion on the same cone under OR, where no pair is
+/// valid, so every pair is scanned.
+void bm_small_cone_kernels(benchmark::State& state) {
+  const int kernel = static_cast<int>(state.range(0));
+  const aig::Aig par = benchgen::parity_tree(16);
+  const core::Cone cone = core::extract_po_cone(par, 0);
+  const core::RelaxationMatrix m =
+      core::build_relaxation_matrix(cone, core::GateOp::kOr);
+  const core::TruthTable tt6{0x6996e81717e86996ULL};
+  for (auto _ : state) {
+    switch (kernel) {
+      case 0:
+        benchmark::DoNotOptimize(core::npn_canonicalize(tt6, 6));
+        break;
+      case 1:
+        benchmark::DoNotOptimize(aig::functional_support(cone.aig, cone.root));
+        break;
+      default:
+        benchmark::DoNotOptimize(core::SeedPairTable(m).any_valid());
+        break;
+    }
+  }
+  state.SetLabel(kernel == 0   ? "npn_canonicalize n=6"
+                 : kernel == 1 ? "functional_support n=16"
+                               : "seed_pair_exhaustion parity16 OR");
+}
+BENCHMARK(bm_small_cone_kernels)->Arg(0)->Arg(1)->Arg(2);
 
 }  // namespace
 

@@ -181,12 +181,6 @@ std::vector<std::uint64_t> truth_table(const Aig& a, Lit root,
   const std::size_t rows = std::size_t{1} << n;
   const std::size_t words = tt_words(n);
 
-  // The first six support variables follow the canonical word patterns;
-  // the remaining ones alternate per word block.
-  static constexpr std::uint64_t kPattern[6] = {
-      0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
-      0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL};
-
   // One cone-restricted simulator serves every word block: the cost per
   // block is O(cone), independent of how large the enclosing AIG is.
   ConeSimulator sim(a, root);
@@ -210,8 +204,10 @@ std::vector<std::uint64_t> truth_table(const Aig& a, Lit root,
     for (std::size_t i = 0; i < cone_sup.size(); ++i) {
       const int j = word_of[i];
       if (j < 0) continue;
+      // The first six support variables follow the in-word masks; the
+      // remaining ones alternate per word block.
       if (j < 6) {
-        sup_words[i] = kPattern[j];
+        sup_words[i] = kTtVarMask[j];
       } else {
         sup_words[i] = ((w >> (j - 6)) & 1U) ? ~0ULL : 0ULL;
       }

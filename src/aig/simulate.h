@@ -86,4 +86,27 @@ inline bool tt_bit(const std::vector<std::uint64_t>& tt, std::size_t row) {
   return ((tt[row >> 6] >> (row & 63)) & 1ULL) != 0;
 }
 
+/// Widest support the truth-table tier handles: support reduction, MG's
+/// seed-pair exhaustion and the exhaustive partition oracle enumerate
+/// tables of at most 2^16 rows (1024 words); wider cones stay on SAT.
+constexpr int kTtMaxSupport = 16;
+
+/// In-word variable masks: bit r of kTtVarMask[j] is bit j of r. These
+/// are the stimulus words of the first six truth-table variables.
+inline constexpr std::uint64_t kTtVarMask[6] = {
+    0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
+    0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL};
+
+/// Word `w` of the table of f(x ^ e_j), i.e. of `tt` with variable j
+/// negated. Variables below 6 swap bit pairs within the word by mask and
+/// shift; higher variables read the partner word. A table masked to its
+/// 2^n rows stays masked for every j < n.
+inline std::uint64_t tt_flip_word(const std::uint64_t* tt, std::size_t w,
+                                  int j) {
+  if (j >= 6) return tt[w ^ (std::size_t{1} << (j - 6))];
+  const int s = 1 << j;
+  const std::uint64_t m = kTtVarMask[j];
+  return ((tt[w] & m) >> s) | ((tt[w] << s) & m);
+}
+
 }  // namespace step::aig

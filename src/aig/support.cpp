@@ -33,18 +33,18 @@ std::vector<std::uint32_t> functional_support(const Aig& a, Lit root) {
   const std::vector<std::uint32_t> structural = structural_support(a, root);
   STEP_CHECK(structural.size() <= 20);
   const std::vector<std::uint64_t> tt = truth_table(a, root, structural);
-  const std::size_t n = structural.size();
-  const std::size_t rows = std::size_t{1} << n;
+  const int n = static_cast<int>(structural.size());
 
+  // Input j belongs iff the table differs from its j-flipped copy: the
+  // two cofactors are compared a word at a time.
   std::vector<std::uint32_t> result;
-  for (std::size_t j = 0; j < n; ++j) {
-    bool depends = false;
-    const std::size_t stride = std::size_t{1} << j;
-    for (std::size_t row = 0; row < rows && !depends; ++row) {
-      if ((row & stride) != 0) continue;  // visit each cofactor pair once
-      if (tt_bit(tt, row) != tt_bit(tt, row | stride)) depends = true;
+  for (int j = 0; j < n; ++j) {
+    for (std::size_t w = 0; w < tt.size(); ++w) {
+      if (tt[w] != tt_flip_word(tt.data(), w, j)) {
+        result.push_back(structural[j]);
+        break;
+      }
     }
-    if (depends) result.push_back(structural[j]);
   }
   return result;
 }

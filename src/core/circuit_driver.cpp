@@ -494,6 +494,9 @@ CircuitResynthResult run_circuit_resynth(const aig::Aig& circuit,
   // is spliced over the verbatim cut logic at assembly time.
   std::vector<std::unique_ptr<aig::Window>> job_windows(n_pos);
 
+  // Input levels are swept once here; the workers only read them.
+  const std::vector<int> level_before = node_levels(circuit);
+
   // Tree construction fans out; workers share only the read-only circuit,
   // the deadline, and the (thread-safe) cache. Expiry degrades quality —
   // sub-cones fall back to verbatim leaves — never completeness.
@@ -503,7 +506,7 @@ CircuitResynthResult run_circuit_resynth(const aig::Aig& circuit,
     out.po_index = static_cast<int>(po);
     const Cone cone = extract_po_cone(circuit, po, &job_inputs[po]);
     out.support = cone.n();
-    out.depth_before = cone_depth(circuit, circuit.output(po));
+    out.depth_before = level_before[aig::node_of(circuit.output(po))];
     job_stats[po].pos_processed = 1;
 
     // Per-cone governance: deterministic fault stream keyed by PO index
@@ -673,14 +676,9 @@ CircuitResynthResult run_circuit_resynth(const aig::Aig& circuit,
     if (verify && !result.pos[po].verified) result.all_verified = false;
   }
   // One level sweep over the finished network covers every PO's
-  // depth_after (per-PO cone_depth calls here would be quadratic).
+  // depth_after.
   {
-    std::vector<int> level(dst.num_nodes(), 0);
-    for (std::uint32_t n = 1; n < dst.num_nodes(); ++n) {
-      if (!dst.is_and(n)) continue;
-      level[n] = 1 + std::max(level[aig::node_of(dst.fanin0(n))],
-                              level[aig::node_of(dst.fanin1(n))]);
-    }
+    const std::vector<int> level = node_levels(dst);
     for (std::uint32_t po = 0; po < n_pos; ++po) {
       result.pos[po].depth_after = level[aig::node_of(dst.output(po))];
       result.stats.depth_after =

@@ -3,22 +3,11 @@
 #include <algorithm>
 
 #include "aig/ops.h"
+#include "core/synthesis.h"
 
 namespace step::core {
 
 namespace {
-
-/// Longest AND-gate path from any input to `root` (local helper; the
-/// public cone_depth lives in core/synthesis.h).
-int aig_depth(const aig::Aig& a, aig::Lit root) {
-  std::vector<int> level(a.num_nodes(), 0);
-  for (std::uint32_t n = 1; n < a.num_nodes(); ++n) {
-    if (!a.is_and(n)) continue;
-    level[n] = 1 + std::max(level[aig::node_of(a.fanin0(n))],
-                            level[aig::node_of(a.fanin1(n))]);
-  }
-  return level[aig::node_of(root)];
-}
 
 /// Accumulates stats over node `idx`; returns the node's depth.
 int stats_walk(const DecTree& t, int idx, DecTreeStats& s) {
@@ -39,7 +28,7 @@ int stats_walk(const DecTree& t, int idx, DecTreeStats& s) {
     case DecTreeNode::Kind::kCone:
       ++s.cone_leaves;
       s.cone_ands += node.cone_aig.cone_size(node.cone_root);
-      return aig_depth(node.cone_aig, node.cone_root);
+      return cone_depth(node.cone_aig, node.cone_root);
     case DecTreeNode::Kind::kShared: {
       DecTreeStats sub = node.shared->stats();
       s.gates += sub.gates;

@@ -1,5 +1,6 @@
 #include "core/mg.h"
 
+#include "aig/simulate.h"
 #include "mus/group_mus.h"
 
 namespace step::core {
@@ -22,6 +23,10 @@ PartitionSearchResult MgDecomposer::find_partition(const Deadline* deadline) {
   for (int i = 0; i < n; ++i) enable.push_back(~sat::mk_lit(rs_.alpha_var(i)));
   for (int i = 0; i < n; ++i) enable.push_back(~sat::mk_lit(rs_.beta_var(i)));
 
+  // Small cones whose every pair fits the attempt budget can have the
+  // whole scan decided from one truth table (SeedPairTable).
+  const bool tt_exhaustion = n <= aig::kTtMaxSupport &&
+                             n * (n - 1) / 2 <= opts_.max_seed_attempts;
   Partition seed;
   int attempts = 0;
   bool all_pairs_tried = true;
@@ -49,6 +54,15 @@ PartitionSearchResult MgDecomposer::find_partition(const Deadline* deadline) {
       if (status == sat::Result::kUnknown) {
         all_pairs_tried = false;
         result.timed_out = true;
+        j = n;
+        break;
+      }
+      // The first seed is invalid: when no pair is valid, the table proves
+      // the scan exhausted with no further SAT call. When some pair is
+      // valid the SAT scan goes on unchanged, since the learnt state it
+      // leaves behind steers the group MUS below.
+      if (attempts == 1 && tt_exhaustion &&
+          !SeedPairTable(rs_.matrix()).any_valid()) {
         j = n;
         break;
       }

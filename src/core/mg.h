@@ -16,7 +16,10 @@ namespace step::core {
 /// frees the corresponding copy variable and moves x into XA (α-group
 /// dropped) or XB (β-group dropped). Seeding forces one variable into each
 /// of XA and XB so the partition is non-trivial; the first valid seed is
-/// used (MG is the paper's "fastest mode").
+/// used (MG is the paper's "fastest mode"). When the first seed is invalid
+/// and the cone has at most aig::kTtMaxSupport inputs, a truth table
+/// (SeedPairTable) decides whether any pair is valid; if none is, the cone
+/// is reported undecomposable after that single SAT call.
 struct MgOptions {
   /// Seed pairs tested before giving up (covers all pairs by default).
   int max_seed_attempts = 4096;

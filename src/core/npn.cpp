@@ -1,6 +1,7 @@
 #include "core/npn.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "common/check.h"
@@ -52,33 +53,45 @@ NpnCanonical npn_canonicalize(const TruthTable& f, int n) {
   NpnCanonical best;
   NpnTransform t = npn_identity(n);
   const std::uint32_t neg_limit = 1U << n;
-  std::vector<std::uint32_t> perm_row(rows);
+  const std::uint64_t fw = f[0];
+  // x_row[y]: concrete row of canonical row y under the current
+  // permutation; cand[neg]: the candidate word of input negation `neg`
+  // before any output negation.
+  std::size_t x_row[1U << kNpnMaxSupport];
+  std::uint64_t cand[1U << kNpnMaxSupport];
+  x_row[0] = 0;
+  bool found = false;
+  std::uint64_t best_word = 0;
   do {
-    // Since x_{perm[j]} = y_j XOR neg_j, the concrete row is the pure
-    // permutation image of (y XOR neg): one row map per perm covers all
-    // 2^n input negations.
-    for (std::size_t r = 0; r < rows; ++r) {
-      std::uint32_t x = 0;
-      for (int j = 0; j < n; ++j) {
-        if ((r >> j) & 1U) x |= 1U << t.perm[j];
-      }
-      perm_row[r] = x;
+    // Since x_{perm[j]} = y_j XOR neg_j, candidate row y reads the
+    // permuted table at y XOR neg: build the permuted table once (each row
+    // one bit away from a smaller one), then each negation is one in-word
+    // flip away from a smaller one.
+    std::uint64_t permuted = fw & 1ULL;
+    for (std::size_t y = 1; y < rows; ++y) {
+      x_row[y] = x_row[y & (y - 1)] |
+                 std::size_t{1} << t.perm[std::countr_zero(y)];
+      permuted |= ((fw >> x_row[y]) & 1ULL) << y;
     }
-    for (t.input_neg = 0; t.input_neg < neg_limit; ++t.input_neg) {
-      std::uint64_t word = 0;
-      for (std::size_t y = 0; y < rows; ++y) {
-        if (aig::tt_bit(f, perm_row[y ^ t.input_neg])) word |= 1ULL << y;
-      }
+    cand[0] = permuted;
+    for (std::uint32_t neg = 1; neg < neg_limit; ++neg) {
+      cand[neg] = aig::tt_flip_word(&cand[neg & (neg - 1)], 0,
+                                    std::countr_zero(neg));
+    }
+    for (std::uint32_t neg = 0; neg < neg_limit; ++neg) {
       for (int o = 0; o <= 1; ++o) {
-        t.output_neg = o != 0;
-        const std::uint64_t cand = t.output_neg ? ~word & mask : word;
-        if (best.tt.empty() || cand < best.tt[0]) {
-          best.tt.assign(1, cand);
-          best.transform = t;
+        const std::uint64_t c = o != 0 ? ~cand[neg] & mask : cand[neg];
+        if (!found || c < best_word) {
+          found = true;
+          best_word = c;
+          best.transform.perm = t.perm;
+          best.transform.input_neg = neg;
+          best.transform.output_neg = o != 0;
         }
       }
     }
   } while (std::next_permutation(t.perm.begin(), t.perm.end()));
+  best.tt.assign(1, best_word);
   return best;
 }
 

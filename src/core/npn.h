@@ -16,8 +16,12 @@ namespace step::core {
 ///
 /// Exact canonicalization enumerates all n!·2^n·2 transforms and keeps the
 /// lexicographically smallest table, which is practical for the small
-/// supports where truth tables are cheap (kNpnMaxSupport). Wider functions
-/// are keyed by a semantic simulation signature instead (see dec_cache).
+/// supports where truth tables are cheap (kNpnMaxSupport). The cost is one
+/// row-by-row permuted table per permutation (n! · 2^n row lookups); each
+/// of the 2^n input negations is then a single in-word flip
+/// (aig::tt_flip_word) of a previously built candidate, so at n = 6 a call
+/// is ~46k row lookups plus ~46k word flips. Wider functions are keyed by
+/// a semantic simulation signature instead (see dec_cache).
 
 /// Largest support for which exact NPN canonicalization is enumerated
 /// (6! · 2^6 · 2 = 92160 candidate transforms, one 64-bit word each).

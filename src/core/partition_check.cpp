@@ -102,7 +102,7 @@ bool xor_valid(const TtView& v, const std::vector<int>& a_pos,
 bool check_partition_exhaustive(const Cone& cone, GateOp op, const Partition& p,
                                 const CareSet* care) {
   STEP_CHECK(p.size() == cone.n());
-  STEP_CHECK(cone.n() <= 16);
+  STEP_CHECK(cone.n() <= aig::kTtMaxSupport);
   if (op == GateOp::kXor) care = nullptr;  // mirror the SAT path's semantics
   const TtView v = make_view(cone, care);
   std::vector<int> a_pos, b_pos;

@@ -14,7 +14,7 @@ namespace step::core {
 bool check_partition(const Cone& cone, GateOp op, const Partition& p,
                      const CareSet* care = nullptr);
 
-/// Truth-table validity oracle (exhaustive; support <= 16). Used by the
+/// Truth-table validity oracle (exhaustive; support <= aig::kTtMaxSupport). Used by the
 /// property tests and the brute-force optimum below, and as an independent
 /// cross-check of the SAT formulation — including its don't-care variant:
 /// `care` follows the same OR/AND-only semantics as the SAT path.

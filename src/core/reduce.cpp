@@ -1,6 +1,8 @@
 #include "core/reduce.h"
 
 #include "aig/ops.h"
+#include "aig/simulate.h"
+#include "aig/support.h"
 #include "cnf/cnf.h"
 #include "cnf/tseitin.h"
 #include "sat/solver.h"
@@ -40,8 +42,12 @@ bool depends_on(const Cone& cone, std::uint32_t i) {
 
 Cone reduce_cone(const Cone& cone, std::vector<std::uint32_t>* kept) {
   std::vector<std::uint32_t> keep;
-  for (std::uint32_t i = 0; i < cone.aig.num_inputs(); ++i) {
-    if (depends_on(cone, i)) keep.push_back(i);
+  if (cone.n() <= aig::kTtMaxSupport) {
+    keep = aig::functional_support(cone.aig, cone.root);
+  } else {
+    for (std::uint32_t i = 0; i < cone.aig.num_inputs(); ++i) {
+      if (depends_on(cone, i)) keep.push_back(i);
+    }
   }
   if (kept != nullptr) *kept = keep;
   if (keep.size() == cone.aig.num_inputs()) return cone;  // already tight

@@ -9,8 +9,11 @@ namespace step::core {
 /// Semantic support reduction of a cone: drops every input on which the
 /// function does not actually depend (structural support is an
 /// over-approximation — e.g. `(x & y) | (x & !y)` reaches y but ignores
-/// it). Each input costs one SAT equivalence check of the two cofactors,
-/// so the routine scales to wide cones where truth tables cannot.
+/// it). Cones of at most aig::kTtMaxSupport inputs are decided from one
+/// truth table (aig::functional_support: ≤ 1024 words, each cofactor pair
+/// compared a word at a time); wider cones cost one SAT equivalence check
+/// of the two cofactors per input (depends_on), which scales where truth
+/// tables cannot.
 ///
 /// Irrelevant inputs matter to bi-decomposition: they inflate ||X|| (and
 /// thus distort εD/εB), enlarge the QBF quantifier prefix, and can only

@@ -1,6 +1,7 @@
 #include "core/relaxation.h"
 
 #include "aig/ops.h"
+#include "aig/simulate.h"
 #include "cnf/cnf.h"
 #include "cnf/tseitin.h"
 
@@ -49,6 +50,7 @@ RelaxationMatrix build_relaxation_matrix(const Cone& cone, GateOp op,
 
   // Instantiated copies of the cone.
   const aig::Lit f0 = aig::copy_cone(cone.aig, cone.root, a, lx);
+  m.fx = f0;
   const aig::Lit f1 = aig::copy_cone(cone.aig, cone.root, a, lxp);
   const aig::Lit f2 = aig::copy_cone(cone.aig, cone.root, a, lxpp);
 
@@ -71,7 +73,8 @@ RelaxationMatrix build_relaxation_matrix(const Cone& cone, GateOp op,
   // Don't-care windows: every copy must be a care minterm, so invalidity
   // witnesses (and CEGAR countermodels) are confined to the care set.
   if (care != nullptr) {
-    conj.push_back(aig::copy_cone(care->aig, care->root, a, lx));
+    m.care_x = aig::copy_cone(care->aig, care->root, a, lx);
+    conj.push_back(m.care_x);
     conj.push_back(aig::copy_cone(care->aig, care->root, a, lxp));
     conj.push_back(aig::copy_cone(care->aig, care->root, a, lxpp));
   }
@@ -88,6 +91,67 @@ RelaxationMatrix build_relaxation_matrix(const Cone& cone, GateOp op,
   m.phi = a.land_many(conj);
   a.add_output(m.phi, "phi");
   return m;
+}
+
+SeedPairTable::SeedPairTable(const RelaxationMatrix& m)
+    : op_(m.op), n_(m.n) {
+  STEP_CHECK(n_ <= aig::kTtMaxSupport);
+  const std::vector<std::uint64_t> f = aig::truth_table(m.aig, m.fx, m.x);
+  if (op_ == GateOp::kXor) {
+    on_ = f;
+    return;
+  }
+  const std::size_t rows = std::size_t{1} << n_;
+  const std::uint64_t mask = rows >= 64 ? ~0ULL : (1ULL << rows) - 1;
+  const std::vector<std::uint64_t> care =
+      m.care_x == aig::kLitTrue
+          ? std::vector<std::uint64_t>(f.size(), mask)
+          : aig::truth_table(m.aig, m.care_x, m.x);
+  // AND bi-decomposition is the OR bi-decomposition of ¬f.
+  const std::uint64_t flip = op_ == GateOp::kAnd ? mask : 0;
+  on_.resize(f.size());
+  off_.resize(f.size());
+  for (std::size_t w = 0; w < f.size(); ++w) {
+    on_[w] = (f[w] ^ flip) & care[w];
+    off_[w] = (f[w] ^ flip ^ mask) & care[w];
+  }
+}
+
+void SeedPairTable::build_base(int j, std::vector<std::uint64_t>& base) const {
+  base.resize(on_.size());
+  for (std::size_t w = 0; w < on_.size(); ++w) {
+    base[w] = op_ == GateOp::kXor
+                  ? on_[w] ^ aig::tt_flip_word(on_.data(), w, j)
+                  : on_[w] & aig::tt_flip_word(off_.data(), w, j);
+  }
+}
+
+bool SeedPairTable::hits(const std::vector<std::uint64_t>& base, int l) const {
+  for (std::size_t w = 0; w < base.size(); ++w) {
+    const std::uint64_t v =
+        op_ == GateOp::kXor ? base[w] ^ aig::tt_flip_word(base.data(), w, l)
+                            : base[w] & aig::tt_flip_word(off_.data(), w, l);
+    if (v != 0) return true;
+  }
+  return false;
+}
+
+bool SeedPairTable::valid(int j, int l) const {
+  STEP_CHECK(j != l && j >= 0 && l >= 0 && j < n_ && l < n_);
+  std::vector<std::uint64_t> base;
+  build_base(j, base);
+  return !hits(base, l);
+}
+
+bool SeedPairTable::any_valid() const {
+  std::vector<std::uint64_t> base;
+  for (int j = 0; j < n_; ++j) {
+    build_base(j, base);
+    for (int l = j + 1; l < n_; ++l) {
+      if (!hits(base, l)) return true;
+    }
+  }
+  return false;
 }
 
 RelaxationSolver::RelaxationSolver(const RelaxationMatrix& m,

@@ -40,6 +40,11 @@ struct RelaxationMatrix {
   // Input index vectors into `aig`, each of length n
   // (xppp only for XOR; empty otherwise).
   std::vector<std::uint32_t> x, xp, xpp, xppp, alpha, beta;
+  /// The cone's first copy f(X) and, when care-constrained, the care
+  /// function over X (constant true otherwise): the truth-table tier reads
+  /// the function back from these.
+  aig::Lit fx = aig::kLitFalse;
+  aig::Lit care_x = aig::kLitTrue;
 };
 
 /// With a non-trivial `care`, Φ additionally requires every cone copy to
@@ -54,6 +59,39 @@ struct RelaxationMatrix {
 /// not sufficient on a sparse care set, so XOR keeps exact semantics.
 RelaxationMatrix build_relaxation_matrix(const Cone& cone, GateOp op,
                                          const CareSet* care = nullptr);
+
+/// Truth-table view of MG's seed pairs for n <= aig::kTtMaxSupport: decides
+/// whether the pair partition ({j},{l}) (every other variable in XC) is
+/// valid exactly as Φ would, without SAT.
+///   OR : invalid iff  on ∧ flip_j(off) ∧ flip_l(off) ≠ 0,
+///        with on = f ∧ care and off = ¬f ∧ care;
+///   AND: the same on ¬f;
+///   XOR: invalid iff  f ⊕ f^j ⊕ f^l ⊕ f^{jl} ≠ 0 (care is ignored, as in
+///        build_relaxation_matrix).
+/// Only f (XOR) or the on/off tables (OR/AND) are stored; flipped words
+/// are read on the fly.
+class SeedPairTable {
+ public:
+  explicit SeedPairTable(const RelaxationMatrix& m);
+
+  /// True iff the pair partition ({j},{l}) is valid; j != l.
+  bool valid(int j, int l) const;
+  /// True iff some pair j < l is valid — i.e. MG's seed scan would find a
+  /// seed. False proves the cone undecomposable under the matrix's op.
+  bool any_valid() const;
+
+ private:
+  /// base = on ∧ flip_j(off) (OR/AND) or f ⊕ f^j (XOR).
+  void build_base(int j, std::vector<std::uint64_t>& base) const;
+  /// True iff base ∧ flip_l(off) (OR/AND) or base ⊕ flip_l(base) (XOR)
+  /// has a set bit: the pair is invalid.
+  bool hits(const std::vector<std::uint64_t>& base, int l) const;
+
+  GateOp op_;
+  int n_;
+  std::vector<std::uint64_t> on_;   ///< f for XOR
+  std::vector<std::uint64_t> off_;  ///< unused for XOR
+};
 
 /// Incremental SAT view of the matrix: Φ is Tseitin-encoded once, and a
 /// concrete partition is checked by assuming values of the α/β variables.

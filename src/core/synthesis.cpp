@@ -1,6 +1,7 @@
 #include "core/synthesis.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "aig/ops.h"
 #include "aig/simulate.h"
@@ -247,13 +248,44 @@ bool tree_equivalent(const Cone& cone, const DecTree& tree,
 }
 
 int cone_depth(const aig::Aig& a, aig::Lit root) {
+  // Memoized post-order walk over the cone of `root` alone, so one call on
+  // a large circuit costs O(cone), not a sweep of every node.
+  std::unordered_map<std::uint32_t, int> level;
+  auto level_of = [&](std::uint32_t n) {
+    if (!a.is_and(n)) return 0;
+    const auto it = level.find(n);
+    return it == level.end() ? -1 : it->second;
+  };
+  std::vector<std::uint32_t> stack{aig::node_of(root)};
+  while (!stack.empty()) {
+    const std::uint32_t n = stack.back();
+    if (level_of(n) >= 0) {
+      stack.pop_back();
+      continue;
+    }
+    const std::uint32_t c0 = aig::node_of(a.fanin0(n));
+    const std::uint32_t c1 = aig::node_of(a.fanin1(n));
+    const int l0 = level_of(c0);
+    const int l1 = level_of(c1);
+    if (l0 >= 0 && l1 >= 0) {
+      level.emplace(n, 1 + std::max(l0, l1));
+      stack.pop_back();
+      continue;
+    }
+    if (l0 < 0) stack.push_back(c0);
+    if (l1 < 0) stack.push_back(c1);
+  }
+  return level_of(aig::node_of(root));
+}
+
+std::vector<int> node_levels(const aig::Aig& a) {
   std::vector<int> level(a.num_nodes(), 0);
   for (std::uint32_t n = 1; n < a.num_nodes(); ++n) {
     if (!a.is_and(n)) continue;
     level[n] = 1 + std::max(level[aig::node_of(a.fanin0(n))],
                             level[aig::node_of(a.fanin1(n))]);
   }
-  return level[aig::node_of(root)];
+  return level;
 }
 
 SynthesisResult resynthesize(const aig::Aig& circuit,
@@ -267,11 +299,12 @@ SynthesisResult resynthesize(const aig::Aig& circuit,
     pi_map[i] = dst.add_input(circuit.input_name(i));
   }
 
+  const std::vector<int> level_before = node_levels(circuit);
   for (std::uint32_t po = 0; po < circuit.num_outputs(); ++po) {
     std::vector<std::uint32_t> orig_inputs;
     const Cone cone = extract_po_cone(circuit, po, &orig_inputs);
-    st.depth_before =
-        std::max(st.depth_before, cone_depth(circuit, circuit.output(po)));
+    st.depth_before = std::max(
+        st.depth_before, level_before[aig::node_of(circuit.output(po))]);
     ++st.pos_processed;
 
     auto tree = decompose_to_tree(cone, opts, &st);
@@ -281,8 +314,12 @@ SynthesisResult resynthesize(const aig::Aig& circuit,
     }
     const aig::Lit out = emit_tree(*tree, dst, dst_inputs);
     dst.add_output(out, circuit.output_name(po));
-    st.depth_after = std::max(st.depth_after, cone_depth(dst, out));
     result.trees.push_back(std::move(tree));
+  }
+  const std::vector<int> level_after = node_levels(dst);
+  for (std::uint32_t po = 0; po < dst.num_outputs(); ++po) {
+    st.depth_after =
+        std::max(st.depth_after, level_after[aig::node_of(dst.output(po))]);
   }
 
   st.ands_before = circuit.num_ands();

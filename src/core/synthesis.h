@@ -103,7 +103,13 @@ bool tree_equivalent(const Cone& cone, const DecTree& tree,
 SynthesisResult resynthesize(const aig::Aig& circuit,
                              const SynthesisOptions& opts = {});
 
-/// Longest path (in AND gates) from any input to `root`.
+/// Longest path (in AND gates) from any input to `root`. Visits only the
+/// cone of `root`.
 int cone_depth(const aig::Aig& a, aig::Lit root);
+
+/// Level of every node (indexed by node id): the longest AND path from an
+/// input, in one sweep. Per-PO depths of a whole circuit read this once
+/// instead of calling cone_depth per output.
+std::vector<int> node_levels(const aig::Aig& a);
 
 }  // namespace step::core

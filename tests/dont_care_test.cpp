@@ -18,24 +18,7 @@
 namespace step::core {
 namespace {
 
-/// Random non-empty care set over n inputs as an explicit truth table.
-CareSet random_care(int n, Rng& rng, double keep_probability = 0.7) {
-  const std::size_t rows = std::size_t{1} << n;
-  std::vector<std::uint64_t> tt(aig::tt_words(n), 0);
-  bool any = false;
-  for (std::size_t r = 0; r < rows; ++r) {
-    if (rng.next_double() < keep_probability) {
-      tt[r >> 6] |= 1ULL << (r & 63);
-      any = true;
-    }
-  }
-  if (!any) tt[0] |= 1ULL;  // keep at least one care minterm
-  CareSet care;
-  std::vector<aig::Lit> inputs(n);
-  for (int i = 0; i < n; ++i) inputs[i] = care.aig.add_input();
-  care.root = aig::build_from_tt(care.aig, tt, inputs);
-  return care;
-}
+using testutil::random_care;
 
 // ---------- SDC windows ---------------------------------------------------
 

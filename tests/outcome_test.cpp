@@ -219,8 +219,10 @@ TEST(OutcomeReach, ConflictBudgetOnCappedSolver) {
   core::DecomposeOptions opts =
       base_opts(core::Engine::kMg, core::GateOp::kOr);
   opts.sat.conflict_budget = 1;  // every solve stops almost immediately
+  // 18 inputs: past aig::kTtMaxSupport, so the seed scan cannot be settled
+  // from a truth table and must go through the capped solver.
   const auto r =
-      core::run_circuit(benchgen::parity_tree(12), "par12", opts, 600.0);
+      core::run_circuit(benchgen::parity_tree(18), "par18", opts, 600.0);
   ASSERT_EQ(r.pos.size(), 1u);
   EXPECT_EQ(r.pos[0].status, core::DecomposeStatus::kUnknown);
   EXPECT_EQ(r.pos[0].reason, core::OutcomeReason::kConflictBudget);

@@ -163,14 +163,15 @@ TEST(ParallelDriver, BudgetExpiryMidLastJobStillRaisesTheFlag) {
   // its cone — the flag stayed false. It must now be aggregated from the
   // shared deadline, identically across thread counts.
   const aig::Aig circ =
-      benchgen::merge({benchgen::parity_tree(14), benchgen::parity_tree(13)});
+      benchgen::merge({benchgen::parity_tree(18), benchgen::parity_tree(17)});
   core::DecomposeOptions opts =
       generous_opts(core::Engine::kQbfCombined, core::GateOp::kOr);
   opts.extract = false;  // the budget dies inside the partition search
-  // Small enough that these 13/14-input OR searches cannot finish inside
-  // it, yet the jobs themselves launch within microseconds — and if a
-  // worker does start late, it observes the expiry directly, so the flag
-  // must be true on every schedule.
+  // Small enough that these 17/18-input OR searches cannot finish inside
+  // it (both are past aig::kTtMaxSupport, so no truth table settles them),
+  // yet the jobs themselves launch within microseconds — and if a worker
+  // does start late, it observes the expiry directly, so the flag must be
+  // true on every schedule.
   const double budget_s = 0.002;
   for (int threads : {1, 4}) {
     SCOPED_TRACE(threads);

@@ -53,13 +53,26 @@ TEST(Reduce, ConstantFunctionLosesAllInputs) {
 
 class ReduceRandom : public ::testing::TestWithParam<int> {};
 
-TEST_P(ReduceRandom, MatchesFunctionalSupportOracle) {
+TEST_P(ReduceRandom, MatchesTheOtherPathsOracle) {
+  // reduce_cone reads a truth table up to aig::kTtMaxSupport inputs and
+  // runs one SAT check per input beyond. Each side is checked against the
+  // other: per-input SAT depends_on for the narrow cones, the truth-table
+  // functional_support for 17–20-input ones.
   Rng rng(GetParam() * 911 + 5);
-  for (int iter = 0; iter < 20; ++iter) {
-    const int n = rng.next_int(2, 8);
-    const Cone cone = testutil::random_cone(n, rng.next_int(3, 24), rng.next());
-    // Oracle over truth tables (aig::functional_support).
-    const auto oracle = aig::functional_support(cone.aig, cone.root);
+  for (int iter = 0; iter < 24; ++iter) {
+    const bool wide = iter % 4 == 3;
+    const int n = wide ? rng.next_int(aig::kTtMaxSupport + 1, 20)
+                       : rng.next_int(2, 8);
+    const Cone cone = testutil::random_cone(
+        n, wide ? rng.next_int(n, 3 * n) : rng.next_int(3, 24), rng.next());
+    std::vector<std::uint32_t> oracle;
+    if (wide) {
+      oracle = aig::functional_support(cone.aig, cone.root);
+    } else {
+      for (std::uint32_t i = 0; i < cone.aig.num_inputs(); ++i) {
+        if (depends_on(cone, i)) oracle.push_back(i);
+      }
+    }
     std::vector<std::uint32_t> kept;
     const Cone r = reduce_cone(cone, &kept);
     EXPECT_EQ(kept, oracle) << "seed=" << GetParam() << " iter=" << iter;

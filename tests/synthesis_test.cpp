@@ -5,6 +5,7 @@
 #include "aig/simulate.h"
 #include "benchgen/generators.h"
 #include "cnf/cnf.h"
+#include "core/circuit_driver.h"
 #include "cnf/tseitin.h"
 #include "sat/solver.h"
 #include "test_util.h"
@@ -125,6 +126,46 @@ TEST(ConeDepth, CountsAndLevels) {
   EXPECT_EQ(cone_depth(a, g1), 1);
   EXPECT_EQ(cone_depth(a, g2), 2);
   EXPECT_EQ(cone_depth(a, aig::kLitTrue), 0);
+}
+
+TEST(ConeDepth, ConeWalkEqualsFullLevelSweep) {
+  // cone_depth visits only the cone of its root; node_levels sweeps every
+  // node once. Both must agree on every node of random DAGs.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const aig::Aig a = benchgen::random_dag(8, 60 + 10 * static_cast<int>(seed),
+                                            4, seed);
+    const std::vector<int> level = node_levels(a);
+    ASSERT_EQ(level.size(), a.num_nodes());
+    for (std::uint32_t n = 0; n < a.num_nodes(); ++n) {
+      EXPECT_EQ(cone_depth(a, aig::mk_lit(n, (n & 1U) != 0)), level[n])
+          << "seed=" << seed << " node=" << n;
+    }
+  }
+}
+
+TEST(ConeDepth, ResynthPerPoDepthsMatchConeDepth) {
+  // The circuit drivers read per-PO depths from one level sweep of the
+  // input and of the output network.
+  const aig::Aig circ = benchgen::merge(
+      {benchgen::ripple_adder(3), benchgen::comparator(3),
+       benchgen::random_dag(6, 40, 3, 0x5eed)});
+  const CircuitResynthResult r =
+      run_circuit_resynth(circ, "depth", fast_opts(), 120.0, {2});
+  ASSERT_EQ(r.pos.size(), circ.num_outputs());
+  int before = 0, after = 0;
+  for (std::uint32_t po = 0; po < circ.num_outputs(); ++po) {
+    EXPECT_EQ(r.pos[po].depth_before, cone_depth(circ, circ.output(po)))
+        << "po " << po;
+    EXPECT_EQ(r.pos[po].depth_after,
+              cone_depth(r.network, r.network.output(po)))
+        << "po " << po;
+    before = std::max(before, r.pos[po].depth_before);
+    after = std::max(after, r.pos[po].depth_after);
+  }
+  EXPECT_EQ(r.stats.depth_before, before);
+  EXPECT_EQ(r.stats.depth_after, after);
+  const SynthesisResult serial = resynthesize(circ, fast_opts());
+  EXPECT_EQ(serial.stats.depth_before, before);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 #pragma once
 
+#include "aig/ops.h"
 #include "aig/simulate.h"
 #include "cnf/tseitin.h"
 #include "common/rng.h"
 #include "core/bidec_types.h"
+#include "core/care.h"
 #include "sat/solver.h"
 
 namespace step::testutil {
@@ -50,6 +52,38 @@ inline core::Cone random_cone(int n, int gates, std::uint64_t seed) {
   }
   cone.root = pool.back() ^ (rng.next_bool() ? 1u : 0u);
   return cone;
+}
+
+/// Random single-output cone over n inputs built from a uniformly random
+/// truth table (n <= 20): dense functions, mostly not bi-decomposable.
+inline core::Cone random_tt_cone(int n, Rng& rng) {
+  std::vector<std::uint64_t> tt(aig::tt_words(n));
+  for (auto& w : tt) w = rng.next();
+  core::Cone cone;
+  std::vector<aig::Lit> inputs(n);
+  for (int i = 0; i < n; ++i) inputs[i] = cone.aig.add_input();
+  cone.root = aig::build_from_tt(cone.aig, tt, inputs);
+  return cone;
+}
+
+/// Random non-empty care set over n inputs as an explicit truth table.
+inline core::CareSet random_care(int n, Rng& rng,
+                                 double keep_probability = 0.7) {
+  const std::size_t rows = std::size_t{1} << n;
+  std::vector<std::uint64_t> tt(aig::tt_words(n), 0);
+  bool any = false;
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (rng.next_double() < keep_probability) {
+      tt[r >> 6] |= 1ULL << (r & 63);
+      any = true;
+    }
+  }
+  if (!any) tt[0] |= 1ULL;  // keep at least one care minterm
+  core::CareSet care;
+  std::vector<aig::Lit> inputs(n);
+  for (int i = 0; i < n; ++i) inputs[i] = care.aig.add_input();
+  care.root = aig::build_from_tt(care.aig, tt, inputs);
+  return care;
 }
 
 /// Random partition over n positions (may be trivial).
