@@ -92,8 +92,7 @@ void bm_sat_pigeonhole_legacy(benchmark::State& state) {
 BENCHMARK(bm_sat_pigeonhole_legacy)->Arg(6)->Arg(7);
 
 /// The incremental pattern of the CEGAR loops: one solver, a growing
-/// clause set, many assumption-driven solve() calls — the case the
-/// inter-solve inprocessing targets.
+/// clause set, many assumption-driven solve() calls.
 void run_incremental_assumptions(benchmark::State& state,
                                  const sat::SolverOptions& cfg) {
   const int nv = 60;

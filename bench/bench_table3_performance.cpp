@@ -9,10 +9,9 @@
 // incremental-vs-scratch comparison); CI emits BENCH_table3.json.
 //
 // `--sat-json <path>` runs the SAT-configuration A/B on top: the same
-// optimum-search loop under the modern solver defaults (LBD tiers,
-// inprocessing, rephasing; Luby restarts), the EMA-restart variant, and
-// the legacy PR-3 configuration (Luby restarts, activity-only reduction,
-// nothing else), plus a few micro SAT instances, written to
+// optimum-search loop under the shipped solver ("modern": LBD tiers, Luby
+// restarts) and the same solver with LBD tiers off ("legacy":
+// activity-only reduction), plus a few micro SAT instances, written to
 // BENCH_sat.json. CI fails when the modern configuration regresses the
 // search-loop wall time by >10% against legacy measured in the same run.
 // `--ab-only` skips the (slow) per-circuit table for exactly that use.
@@ -504,12 +503,11 @@ int main(int argc, char** argv) {
     std::printf("# wrote %s\n", json_path.c_str());
   }
 
-  // ---- SAT-configuration A/B: modern defaults vs the legacy solver -------
+  // ---- SAT-configuration A/B: modern defaults vs LBD tiers off ----------
   // Same prepared search-loop workload, incremental mode on both sides;
   // only the sat::SolverOptions differ. This is the committed
-  // BENCH_sat.json evidence that the modernized CDCL hot path (binary
-  // watch lists, LBD tiers, EMA restarts, inprocessing) pays off on the
-  // workload the engines actually run.
+  // BENCH_sat.json evidence of what the LBD-tiered database is worth on
+  // the workload the engines actually run.
   if (!sat_json_path.empty()) {
     struct SatAb {
       int found = 0;
@@ -519,17 +517,15 @@ int main(int argc, char** argv) {
       sat::Solver::Stats stats;
       std::vector<std::array<int, 3>> answers;
     };
-    constexpr int kConfigs = 3;
+    constexpr int kConfigs = 2;
     // More repeats than the architecture A/B: the configs are closer in
     // wall time, so the min-statistic needs more samples to stabilize.
     constexpr int kSatRepeats = 5;
-    // "modern" is the shipping default, "modern_ema" the same with EMA
-    // restarts, "legacy" the PR-3 solver (the baseline the CI gate
-    // compares against).
+    // "modern" is the shipping default, "legacy" the same solver with LBD
+    // tiers off (the baseline the CI gate compares against).
     const sat::SolverOptions cfgs[kConfigs] = {bench::modern_sat_config(),
-                                               bench::modern_ema_sat_config(),
                                                bench::legacy_sat_config()};
-    const char* cfg_names[kConfigs] = {"modern", "modern_ema", "legacy"};
+    const char* cfg_names[kConfigs] = {"modern", "legacy"};
     SatAb sab[kConfigs];
     std::printf("\n# SAT-configuration A/B (incremental optimum search,"
                 " whole suite, all QBF engines):\n");
@@ -644,13 +640,7 @@ int main(int argc, char** argv) {
       j.kv("propagations", res.stats.propagations);
       j.kv("binary_propagations", res.stats.binary_propagations);
       j.kv("restarts", res.stats.restarts);
-      j.kv("blocked_restarts", res.stats.blocked_restarts);
-      j.kv("rephases", res.stats.rephases);
       j.kv("db_reductions", res.stats.db_reductions);
-      j.kv("inprocess_rounds", res.stats.inprocess_rounds);
-      j.kv("subsumed_clauses", res.stats.subsumed_clauses);
-      j.kv("strengthened_clauses", res.stats.strengthened_clauses);
-      j.kv("vivified_clauses", res.stats.vivified_clauses);
       // Solver-level outcome attribution (core/outcome.h taxonomy): how
       // many kUnknown stops each budget kind caused.
       j.kv("conflict_budget_stops", res.stats.conflict_budget_stops);

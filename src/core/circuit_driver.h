@@ -104,7 +104,7 @@ struct CircuitRunResult {
   std::uint64_t total_abstraction_conflicts() const;
   std::uint64_t total_verification_conflicts() const;
   /// Sum of the per-PO low-level SAT statistics (restarts, tier occupancy,
-  /// inprocessing counters, …) — `step decompose --stats` prints these.
+  /// reductions, …) — `step decompose --stats` prints these.
   sat::Solver::Stats total_solver_stats() const;
 };
 

@@ -59,8 +59,8 @@ struct DecomposeOptions {
   OptimumOptions optimum;
   QbfFinderOptions qbf;
   /// SAT-solver configuration applied to every solver the engines build
-  /// (relaxation / LJH / CEGAR pair): restart mode, LBD tiers,
-  /// inprocessing — see sat::SolverOptions and docs/SOLVER.md.
+  /// (relaxation / LJH / CEGAR pair): LBD tiers, conflict budget — see
+  /// sat::SolverOptions and docs/SOLVER.md.
   sat::SolverOptions sat;
   /// Don't-care-aware mode: the circuit drivers compute an SDC window per
   /// cone (aig/window.h) and decompose the windowed function on its care
@@ -116,7 +116,7 @@ struct DecomposeResult {
   std::uint64_t qbf_verification_conflicts = 0;
   /// Aggregated low-level SAT statistics of the solvers this call owned
   /// (relaxation solver + CEGAR pair): conflicts, restarts, tier
-  /// occupancy, inprocessing counters, … (see sat::Solver::Stats).
+  /// occupancy, budget stops, … (see sat::Solver::Stats).
   sat::Solver::Stats solver_stats;
 };
 

@@ -56,8 +56,8 @@ struct CegarOptions {
   /// disjunction of outer literals (always true for the Section IV
   /// matrices). Off = always Tseitin-encode; ablation knob.
   bool clause_fast_path = true;
-  /// SAT configuration applied to both CEGAR-side solvers (restart mode,
-  /// LBD tiers, inprocessing — see sat::SolverOptions / docs/SOLVER.md).
+  /// SAT configuration applied to both CEGAR-side solvers (LBD tiers,
+  /// conflict budget — see sat::SolverOptions / docs/SOLVER.md).
   sat::SolverOptions sat;
 };
 

@@ -48,8 +48,8 @@ class Clause {
     extra_ = (extra_ & ~3U) | static_cast<std::uint32_t>(t);
   }
 
-  /// Lazily deleted (inprocessing); skipped everywhere, space reclaimed never
-  /// (the arena is append-only so CRefs stay stable).
+  /// Deleted by reduce_db(), then dropped from the learnt list; space is
+  /// reclaimed never (the arena is append-only so CRefs stay stable).
   bool removed() const { return (extra_ & 4U) != 0; }
   void set_removed() { extra_ |= 4U; }
 
@@ -60,13 +60,6 @@ class Clause {
 
   std::uint32_t lbd() const { return extra_ >> 4; }
   void set_lbd(std::uint32_t l) { extra_ = (extra_ & 15U) | (l << 4); }
-
-  /// In-place shrink after strengthening/vivification. The caller owns
-  /// re-attaching watches; trailing arena words are simply abandoned.
-  void shrink(std::uint32_t new_size) {
-    STEP_CHECK(new_size >= 1 && new_size <= size());
-    header_ = (new_size << 5) | (header_ & 31U);
-  }
 
  private:
   friend class ClauseArena;

@@ -137,7 +137,7 @@ DratCheckResult check_drat(int num_vars, const std::vector<LitVec>& formula,
   }
   // An explicitly empty database-final check: a trace whose last addition
   // is the empty clause proves UNSAT; otherwise it is just a valid
-  // derivation log (e.g. a SAT run with inprocessing rewrites).
+  // derivation log (e.g. a SAT run that learnt and deleted clauses).
   res.ok = true;
   return res;
 }

@@ -113,8 +113,7 @@ struct DratLine {
 /// Unlike the resolution `Proof` (which must keep every learnt clause
 /// alive for interpolation), a DRAT trace is compatible with clause
 /// deletion, so it is the proof format of the modern search path: learnt
-/// clauses, inprocessing rewrites (subsumption, strengthening,
-/// vivification) and every deletion from the tiered database are logged.
+/// clauses and every deletion from the tiered database are logged.
 /// The solver performs no blocked-clause addition, so every addition line
 /// is RUP (reverse unit propagation) and `check_drat` below is a complete
 /// checker for the traces this solver emits.

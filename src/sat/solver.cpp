@@ -22,13 +22,12 @@ double luby(double y, int x) {
   return std::pow(y, seq);
 }
 
-// EMA smoothing constants (per conflict). The knobs that matter for tuning
-// are the margins in SolverOptions; the horizons follow Glucose/CaDiCaL
-// practice: the fast average tracks the last ~32 conflicts, the slow one
-// the last ~16k, and the trail average the last ~4k.
-constexpr double kEmaFastAlpha = 1.0 / 32.0;
-constexpr double kEmaSlowAlpha = 1.0 / 16384.0;
-constexpr double kTrailEmaAlpha = 1.0 / 4096.0;
+// Fixed heuristics (MiniSat's defaults): VSIDS and clause-activity decay,
+// and the Luby restart unit in conflicts. Phase saving and basic learnt
+// minimization are always on.
+constexpr double kVarDecay = 0.95;
+constexpr double kClauseDecay = 0.999;
+constexpr int kRestartBase = 100;
 
 /// STEP_DEBUG_MODELS, read once per process: a decomposed cone constructs
 /// four solvers, and getenv walks the whole environment each time.
@@ -45,18 +44,11 @@ Solver::Stats& Solver::Stats::operator+=(const Stats& o) {
   propagations += o.propagations;
   binary_propagations += o.binary_propagations;
   restarts += o.restarts;
-  blocked_restarts += o.blocked_restarts;
-  rephases += o.rephases;
   learnt += o.learnt;
   db_reductions += o.db_reductions;
   core_learnts += o.core_learnts;
   tier2_learnts += o.tier2_learnts;
   local_learnts += o.local_learnts;
-  inprocess_rounds += o.inprocess_rounds;
-  subsumed_clauses += o.subsumed_clauses;
-  strengthened_clauses += o.strengthened_clauses;
-  vivified_clauses += o.vivified_clauses;
-  removed_lits += o.removed_lits;
   conflict_budget_stops += o.conflict_budget_stops;
   deadline_stops += o.deadline_stops;
   return *this;
@@ -74,7 +66,6 @@ Var Solver::new_var() {
   reason_.push_back(kCRefUndef);
   activity_.push_back(0.0);
   polarity_.push_back(0);
-  target_phase_.push_back(0);
   seen_.push_back(0);
   present_.push_back(0);
   seen2_.push_back(0);
@@ -95,7 +86,6 @@ void Solver::reserve_vars(int n) {
   reason_.reserve(nv);
   activity_.reserve(nv);
   polarity_.reserve(nv);
-  target_phase_.reserve(nv);
   seen_.reserve(nv);
   present_.reserve(nv);
   seen2_.reserve(nv);
@@ -365,9 +355,7 @@ void Solver::cancel_until(int lvl) {
   if (decision_level() <= lvl) return;
   for (int i = static_cast<int>(trail_.size()) - 1; i >= trail_lim_[lvl]; --i) {
     const Var v = var(trail_[i]);
-    if (opts_.phase_saving) {
-      polarity_[v] = (assigns_[v] == Lbool::kTrue) ? 1 : 0;
-    }
+    polarity_[v] = (assigns_[v] == Lbool::kTrue) ? 1 : 0;
     assigns_[v] = Lbool::kUndef;
     reason_[v] = kCRefUndef;
     order_heap_.insert(v);
@@ -520,57 +508,6 @@ void Solver::reduce_db() {
                                         std::max(1, opts_.reduce_interval));
 }
 
-// ------------------------------------------------- restarts / rephasing ----
-
-void Solver::update_search_emas(int lbd) {
-  const double trail_size = static_cast<double>(trail_.size());
-  if (!emas_primed_) {
-    lbd_ema_fast_ = lbd_ema_slow_ = static_cast<double>(lbd);
-    trail_ema_ = trail_size;
-    emas_primed_ = true;
-    return;
-  }
-  lbd_ema_fast_ += kEmaFastAlpha * (lbd - lbd_ema_fast_);
-  lbd_ema_slow_ += kEmaSlowAlpha * (lbd - lbd_ema_slow_);
-  trail_ema_ += kTrailEmaAlpha * (trail_size - trail_ema_);
-  // Blocking: a conflict with an unusually deep trail suggests the solver
-  // is closing in on a model — postpone a pending restart.
-  if (opts_.restart_block_margin > 0.0 &&
-      opts_.restart_mode == RestartMode::kEma &&
-      lbd_ema_fast_ > opts_.restart_margin * lbd_ema_slow_ &&
-      trail_size > opts_.restart_block_margin * trail_ema_ &&
-      stats_.conflicts >= restart_hold_until_) {
-    restart_hold_until_ =
-        stats_.conflicts + static_cast<std::uint64_t>(
-                               std::max(1, opts_.restart_min_interval));
-    ++stats_.blocked_restarts;
-  }
-}
-
-bool Solver::ema_restart_due(int conflicts_since_restart) {
-  return emas_primed_ &&
-         conflicts_since_restart >= opts_.restart_min_interval &&
-         stats_.conflicts >= restart_hold_until_ &&
-         lbd_ema_fast_ > opts_.restart_margin * lbd_ema_slow_;
-}
-
-void Solver::maybe_update_target_phase() {
-  if (opts_.rephase_interval <= 0) return;
-  if (trail_.size() <= best_trail_size_) return;
-  best_trail_size_ = trail_.size();
-  for (Lit p : trail_) {
-    target_phase_[var(p)] = (assigns_[var(p)] == Lbool::kTrue) ? 1 : 0;
-  }
-}
-
-void Solver::rephase() {
-  polarity_ = target_phase_;
-  best_trail_size_ = 0;
-  next_rephase_ = stats_.conflicts +
-                  static_cast<std::uint64_t>(opts_.rephase_interval);
-  ++stats_.rephases;
-}
-
 // ---------------------------------------------------- conflict analysis ----
 
 bool Solver::lit_redundant(Lit l, std::vector<ProofStep>& steps,
@@ -659,20 +596,18 @@ void Solver::analyze(CRef confl, LitVec& out_learnt, int& out_btlevel,
   // Basic (non-recursive) learnt clause minimization. `present_` tracks the
   // literals still syntactically in the clause so the logged resolution
   // chain reproduces the final clause exactly.
-  if (opts_.minimize_learnt) {
-    for (Lit l : out_learnt) present_[var(l)] = 1;
-    std::size_t i, j;
-    for (i = j = 1; i < out_learnt.size(); ++i) {
-      const Lit l = out_learnt[i];
-      if (lit_redundant(l, out_steps, dropped0, to_clear)) {
-        present_[var(l)] = 0;
-      } else {
-        out_learnt[j++] = l;
-      }
+  for (Lit l : out_learnt) present_[var(l)] = 1;
+  std::size_t i, j;
+  for (i = j = 1; i < out_learnt.size(); ++i) {
+    const Lit l = out_learnt[i];
+    if (lit_redundant(l, out_steps, dropped0, to_clear)) {
+      present_[var(l)] = 0;
+    } else {
+      out_learnt[j++] = l;
     }
-    out_learnt.resize(j);
-    for (Lit l : out_learnt) present_[var(l)] = 0;
   }
+  out_learnt.resize(j);
+  for (Lit l : out_learnt) present_[var(l)] = 0;
 
   // Find the backtrack level and place its literal at index 1.
   if (out_learnt.size() == 1) {
@@ -742,8 +677,6 @@ Result Solver::search(std::int64_t nof_conflicts, const Deadline* deadline) {
         return Result::kUnsat;
       }
 
-      maybe_update_target_phase();
-
       int btlevel = 0;
       ProofId start = kProofIdUndef;
       analyze(confl, learnt, btlevel, start, steps, dropped0);
@@ -754,7 +687,6 @@ Result Solver::search(std::int64_t nof_conflicts, const Deadline* deadline) {
       }
       if (opts_.drat_logging) drat_.add(learnt);
       const int lbd = learnt.size() == 1 ? 1 : compute_lbd(learnt);
-      update_search_emas(lbd);
       cancel_until(btlevel);
       if (learnt.size() == 1) {
         enqueue(learnt[0], kCRefUndef);
@@ -777,24 +709,15 @@ Result Solver::search(std::int64_t nof_conflicts, const Deadline* deadline) {
         enqueue(learnt[0], cr);
       }
       ++stats_.learnt;
-      decay_var_activity();
-      decay_clause_activity();
-
-      if (opts_.rephase_interval > 0 && stats_.conflicts >= next_rephase_ &&
-          next_rephase_ != 0) {
-        rephase();
-      }
+      var_inc_ /= kVarDecay;
+      cla_inc_ /= kClauseDecay;
 
       if ((conflict_c & 0xf) == 0 && deadline && deadline->expired()) {
         cancel_until(0);
         return Result::kUnknown;
       }
     } else {
-      bool restart_now = nof_conflicts >= 0 && conflict_c >= nof_conflicts;
-      if (!restart_now && opts_.restart_mode == RestartMode::kEma) {
-        restart_now = ema_restart_due(conflict_c);
-      }
-      if (restart_now) {
+      if (conflict_c >= nof_conflicts) {
         ++stats_.restarts;
         cancel_until(0);
         return Result::kUnknown;
@@ -867,8 +790,6 @@ Result Solver::solve_limited(std::span<const Lit> assumptions,
                           : std::min(conflict_budget, opts_.conflict_budget);
   }
 
-  ++solve_calls_;
-
   if (debug_models_) {
     std::string line = "s";
     for (Lit a : assumptions) {
@@ -876,20 +797,6 @@ Result Solver::solve_limited(std::span<const Lit> assumptions,
       line += std::to_string(sign(a) ? -(var(a) + 1) : var(a) + 1);
     }
     debug_trace_.push_back(std::move(line));
-  }
-
-  const bool can_simplify = opts_.inprocess && !opts_.proof_logging;
-  const bool round_due =
-      solve_calls_ - last_inprocess_solve_ >=
-          static_cast<std::uint64_t>(std::max(1, opts_.inprocess_interval)) &&
-      stats_.conflicts - last_inprocess_conflicts_ >=
-          static_cast<std::uint64_t>(
-              std::max<std::int64_t>(0, opts_.inprocess_min_conflicts));
-  if (can_simplify && round_due) {
-    last_inprocess_solve_ = solve_calls_;
-    last_inprocess_conflicts_ = stats_.conflicts;
-    inprocess();
-    if (!ok_) return Result::kUnsat;
   }
 
   assumptions_.assign(assumptions.begin(), assumptions.end());
@@ -901,19 +808,12 @@ Result Solver::solve_limited(std::span<const Lit> assumptions,
         stats_.conflicts +
         static_cast<std::uint64_t>(std::max(1, opts_.reduce_interval));
   }
-  if (next_rephase_ == 0 && opts_.rephase_interval > 0) {
-    next_rephase_ = stats_.conflicts +
-                    static_cast<std::uint64_t>(opts_.rephase_interval);
-  }
 
   const std::uint64_t conflicts_at_start = stats_.conflicts;
   Result status = Result::kUnknown;
   for (int curr_restarts = 0; status == Result::kUnknown; ++curr_restarts) {
-    std::int64_t budget = -1;
-    if (opts_.restart_mode == RestartMode::kLuby) {
-      budget = static_cast<std::int64_t>(luby(2.0, curr_restarts) *
-                                         opts_.restart_base);
-    }
+    std::int64_t budget =
+        static_cast<std::int64_t>(luby(2.0, curr_restarts) * kRestartBase);
     if (conflict_budget >= 0) {
       const std::int64_t used =
           static_cast<std::int64_t>(stats_.conflicts - conflicts_at_start);
@@ -921,8 +821,7 @@ Result Solver::solve_limited(std::span<const Lit> assumptions,
         ++stats_.conflict_budget_stops;
         break;
       }
-      const std::int64_t remaining = conflict_budget - used;
-      budget = budget < 0 ? remaining : std::min(budget, remaining);
+      budget = std::min(budget, conflict_budget - used);
     }
     status = search(budget, deadline);
     if (deadline && deadline->expired()) {
@@ -957,336 +856,6 @@ Result Solver::solve_limited(std::span<const Lit> assumptions,
     }
   }
   return status;
-}
-
-// --------------------------------------------------------- inprocessing ----
-
-void Solver::compact_clause_lists() {
-  clauses_.erase(std::remove_if(clauses_.begin(), clauses_.end(),
-                                [&](CRef cr) { return arena_[cr].removed(); }),
-                 clauses_.end());
-  learnts_.erase(std::remove_if(learnts_.begin(), learnts_.end(),
-                                [&](CRef cr) { return arena_[cr].removed(); }),
-                 learnts_.end());
-}
-
-void Solver::rebuild_watches() {
-  for (auto& ws : watches_) ws.clear();
-  for (auto& ws : bin_watches_) ws.clear();
-  for (CRef cr : clauses_) attach_clause(cr);
-  for (CRef cr : learnts_) attach_clause(cr);
-}
-
-void Solver::mark_removed(CRef cr, bool learnt_list) {
-  Clause& c = arena_[cr];
-  STEP_CHECK(!c.removed());
-  if (opts_.drat_logging) drat_.del(c.lits());
-  if (learnt_list) note_tier(c.tier(), -1);
-  c.set_removed();
-}
-
-/// Rewrites `cr` to `new_lits` (a strict subset of its literals), logging
-/// the DRAT add/delete pair. Returns false when the clause shrank to a
-/// unit: the clause is marked removed and the literal is appended to
-/// `pending_units` (the caller enqueues after watches are consistent).
-/// Watches are NOT touched — callers either rebuild wholesale or hold the
-/// clause detached.
-bool Solver::shrink_clause(CRef cr, const LitVec& new_lits,
-                           LitVec& pending_units) {
-  Clause& c = arena_[cr];
-  STEP_CHECK(!new_lits.empty() && new_lits.size() < c.size());
-  if (opts_.drat_logging) {
-    drat_.add(new_lits);
-    drat_.del(c.lits());
-  }
-  stats_.removed_lits += c.size() - new_lits.size();
-  if (new_lits.size() == 1) {
-    pending_units.push_back(new_lits[0]);
-    if (c.learnt()) note_tier(c.tier(), -1);
-    c.set_removed();
-    return false;
-  }
-  for (std::size_t i = 0; i < new_lits.size(); ++i) c[i] = new_lits[i];
-  c.shrink(static_cast<std::uint32_t>(new_lits.size()));
-  if (c.lbd() > c.size()) c.set_lbd(c.size());
-  return true;
-}
-
-/// Enqueues inprocessing-derived units at level 0 and propagates.
-/// Returns false (and records the refutation) on conflict.
-bool Solver::settle_units(const LitVec& pending_units) {
-  STEP_CHECK(decision_level() == 0);
-  for (Lit l : pending_units) {
-    if (value(l) == Lbool::kTrue) continue;
-    if (value(l) == Lbool::kFalse) {
-      if (opts_.drat_logging) drat_.add({});
-      ok_ = false;
-      return false;
-    }
-    enqueue(l, kCRefUndef);
-  }
-  if (propagate() != kCRefUndef) {
-    if (opts_.drat_logging) drat_.add({});
-    ok_ = false;
-    return false;
-  }
-  return true;
-}
-
-/// One bounded backward-subsumption + self-subsuming-resolution round.
-/// Problem clauses act as subsumers; problem and learnt clauses can be
-/// subsumed or strengthened. Units created by strengthening are appended
-/// to `pending_units` for the caller to settle once watches are rebuilt.
-std::size_t Solver::subsume_round(LitVec& pending_units) {
-  const std::size_t units_before = pending_units.size();
-  // Occurrence lists over all live clauses (they are the subsumees).
-  std::vector<std::vector<CRef>> occs(watches_.size());
-  auto add_occs = [&](const std::vector<CRef>& list) {
-    for (CRef cr : list) {
-      const Clause& c = arena_[cr];
-      if (c.removed()) continue;
-      for (Lit l : c.lits()) occs[index(l)].push_back(cr);
-    }
-  };
-  add_occs(clauses_);
-  add_occs(learnts_);
-
-  // Subsumers, smallest first: short clauses kill the most.
-  std::vector<CRef> subsumers(clauses_);
-  std::sort(subsumers.begin(), subsumers.end(), [&](CRef a, CRef b) {
-    return arena_[a].size() < arena_[b].size();
-  });
-
-  std::vector<int> lit_stamp(watches_.size(), 0);
-  int stamp = 0;
-  std::int64_t budget = opts_.subsume_limit;
-  LitVec scratch;
-
-  for (CRef sub_cr : subsumers) {
-    if (budget <= 0) break;
-    Clause& sub = arena_[sub_cr];
-    if (sub.removed()) continue;
-
-    // Candidate victims must contain every literal of the subsumer (one
-    // possibly negated), in particular (a flip of) its rarest literal.
-    Lit min_lit = sub[0];
-    std::size_t min_occ = static_cast<std::size_t>(-1);
-    for (Lit l : sub.lits()) {
-      const std::size_t o = occs[index(l)].size() + occs[index(~l)].size();
-      if (o < min_occ) {
-        min_occ = o;
-        min_lit = l;
-      }
-    }
-
-    for (const Lit probe : {min_lit, ~min_lit}) {
-      for (CRef victim_cr : occs[index(probe)]) {
-        if (budget <= 0) break;
-        if (victim_cr == sub_cr) continue;
-        Clause& victim = arena_[victim_cr];
-        if (victim.removed() || victim.size() < sub.size()) continue;
-        budget -= static_cast<std::int64_t>(sub.size());
-
-        ++stamp;
-        for (Lit l : victim.lits()) lit_stamp[index(l)] = stamp;
-        int flipped = 0;
-        Lit flipped_in_victim = kLitUndef;
-        bool fail = false;
-        for (Lit l : sub.lits()) {
-          if (lit_stamp[index(l)] == stamp) continue;
-          if (lit_stamp[index(~l)] == stamp) {
-            ++flipped;
-            flipped_in_victim = ~l;
-            if (flipped > 1) {
-              fail = true;
-              break;
-            }
-            continue;
-          }
-          fail = true;
-          break;
-        }
-        if (fail) continue;
-        if (flipped == 0) {
-          // sub ⊆ victim: the victim is redundant.
-          mark_removed(victim_cr, victim.learnt());
-          ++stats_.subsumed_clauses;
-        } else {
-          // Self-subsuming resolution: drop the flipped literal.
-          scratch.clear();
-          for (Lit l : victim.lits()) {
-            if (l != flipped_in_victim) scratch.push_back(l);
-          }
-          shrink_clause(victim_cr, scratch, pending_units);
-          ++stats_.strengthened_clauses;
-        }
-      }
-    }
-  }
-
-  return pending_units.size() - units_before;
-}
-
-/// One bounded vivification round over problem clauses and protected
-/// learnts: re-derive each clause under unit propagation and keep the
-/// shortest implied prefix. Runs at temporary decision levels; the clause
-/// under test is detached so it cannot justify itself.
-std::size_t Solver::vivify_round(LitVec& pending_units) {
-  std::size_t shortened = 0;
-  std::int64_t budget = opts_.vivify_limit;
-  LitVec lits, kept;
-
-  auto vivify_list = [&](const std::vector<CRef>& list) {
-    for (CRef cr : list) {
-      if (budget <= 0) return;
-      Clause& c = arena_[cr];
-      if (c.removed() || c.size() < 3 ||
-          c.size() > static_cast<std::uint32_t>(opts_.vivify_max_size)) {
-        continue;
-      }
-      if (c.learnt() && c.tier() == ClauseTier::kLocal) continue;
-      lits.assign(c.lits().begin(), c.lits().end());
-      detach_clause(cr);
-
-      kept.clear();
-      for (Lit l : lits) {
-        const Lbool v = value(l);
-        if (v == Lbool::kTrue) {
-          // ¬(kept) propagated l: the clause (kept ∪ {l}) is implied.
-          kept.push_back(l);
-          break;
-        }
-        if (v == Lbool::kFalse) continue;  // implied-redundant literal
-        kept.push_back(l);
-        new_decision_level();
-        enqueue(~l, kCRefUndef);
-        --budget;
-        const std::size_t trail_before = trail_.size();
-        const CRef confl = propagate();
-        budget -= static_cast<std::int64_t>(trail_.size() - trail_before);
-        if (confl != kCRefUndef) break;  // ¬(kept) alone is contradictory
-      }
-      cancel_until(0);
-
-      if (kept.empty()) {
-        // Every literal is false at level 0 — the instance is refuted.
-        if (opts_.drat_logging) drat_.add({});
-        ok_ = false;
-        return;
-      }
-      if (kept.size() == lits.size()) {
-        // Either no redundancy found, or the conflict only arrived on the
-        // last literal — the implied clause is the clause itself.
-        attach_clause(cr);
-        continue;
-      }
-      ++shortened;
-      ++stats_.vivified_clauses;
-      if (shrink_clause(cr, kept, pending_units)) {
-        attach_clause(cr);
-      }
-    }
-  };
-
-  vivify_list(clauses_);
-  if (ok_) vivify_list(learnts_);
-  return shortened;
-}
-
-void Solver::inprocess() {
-  STEP_CHECK(decision_level() == 0);
-  if (!ok_) return;
-  if (propagate() != kCRefUndef) {
-    if (opts_.drat_logging) drat_.add({});
-    ok_ = false;
-    return;
-  }
-  ++stats_.inprocess_rounds;
-
-  // The sweep below may delete the reason clauses of root-level units;
-  // re-introduce the units as explicit addition lines first (RUP while the
-  // reasons are still present) so the trace stays checkable.
-  if (opts_.drat_logging) {
-    for (Lit p : trail_) drat_.add(std::span<const Lit>(&p, 1));
-  }
-  std::size_t drat_units_emitted = trail_.size();
-
-  // Level-0 reasons are never resolved on once proof logging is off (and
-  // it is — inprocessing is disabled under proof_logging); clear them so
-  // clause surgery cannot leave dangling reason references.
-  for (Lit p : trail_) reason_[var(p)] = kCRefUndef;
-
-  LitVec pending_units;
-  LitVec kept;
-
-  // Phase 1 — sweep: drop satisfied clauses, strip false literals. Purely
-  // syntactic on the level-0-fixed assignment; watches go stale and are
-  // rebuilt below.
-  auto sweep_list = [&](std::vector<CRef>& list, bool learnt_list) {
-    for (CRef cr : list) {
-      Clause& c = arena_[cr];
-      if (c.removed()) continue;
-      bool satisfied = false;
-      kept.clear();
-      for (Lit l : c.lits()) {
-        const Lbool v = value(l);
-        if (v == Lbool::kTrue) {
-          satisfied = true;
-          break;
-        }
-        if (v == Lbool::kUndef) kept.push_back(l);
-      }
-      if (satisfied) {
-        mark_removed(cr, learnt_list);
-        continue;
-      }
-      STEP_CHECK(!kept.empty());  // all-false would have conflicted above
-      if (kept.size() < c.size()) shrink_clause(cr, kept, pending_units);
-    }
-    list.erase(std::remove_if(list.begin(), list.end(),
-                              [&](CRef cr) { return arena_[cr].removed(); }),
-               list.end());
-  };
-  sweep_list(clauses_, false);
-  sweep_list(learnts_, true);
-
-  // Phase 2 — backward subsumption + self-subsuming resolution.
-  subsume_round(pending_units);
-  compact_clause_lists();
-
-  // Phase 3 — make the solver consistent again, to fixpoint: settling
-  // units falsifies literals inside surviving clauses, so sweep again
-  // until no new unit lands.
-  for (;;) {
-    // Units settled since the last emission are about to lose their
-    // reason clauses to the sweep; re-introduce them as addition lines
-    // (RUP while the reasons still exist) to keep the trace checkable.
-    if (opts_.drat_logging) {
-      for (std::size_t i = drat_units_emitted; i < trail_.size(); ++i) {
-        drat_.add(std::span<const Lit>(&trail_[i], 1));
-      }
-    }
-    drat_units_emitted = trail_.size();
-    const std::size_t trail_before = trail_.size();
-    sweep_list(clauses_, false);
-    sweep_list(learnts_, true);
-    compact_clause_lists();
-    rebuild_watches();
-    if (!settle_units(pending_units)) return;
-    pending_units.clear();
-    if (trail_.size() == trail_before) break;
-  }
-
-  // Phase 4 — vivification (keeps watches consistent incrementally).
-  // Skipped on a pre-first-search round: with no learnts and no search
-  // history yet, re-deriving fresh problem clauses one by one is the most
-  // expensive phase and almost never shortens anything.
-  if (solve_calls_ > 1) {
-    vivify_round(pending_units);
-    if (!ok_) return;
-    compact_clause_lists();
-    if (!settle_units(pending_units)) return;
-  }
 }
 
 }  // namespace step::sat

@@ -15,43 +15,12 @@
 
 namespace step::sat {
 
-/// Restart policy of the search loop.
-enum class RestartMode : std::uint8_t {
-  kLuby,  ///< Luby sequence scaled by `restart_base` (the classic default)
-  kEma,   ///< adaptive: fast/slow exponential moving averages of learnt LBD
-};
-
 /// Tuning knobs and feature switches. docs/SOLVER.md documents every field
-/// and the trade-offs; the defaults are the modern configuration the
-/// committed BENCH_sat.json A/B validates.
+/// and the trade-offs; the defaults are the configuration the committed
+/// BENCH_sat.json A/B validates. Restarts follow the Luby sequence
+/// (unit: 100 conflicts), the one scheduler the engines' workload of
+/// thousands of small assumption-driven queries needs.
 struct SolverOptions {
-  double var_decay = 0.95;
-  double clause_decay = 0.999;
-  bool phase_saving = true;
-  bool minimize_learnt = true;   ///< basic (non-recursive) minimization
-
-  // ---- restarts ----
-  /// Default Luby: the engines' workload is thousands of small
-  /// assumption-driven incremental queries, where Luby measures ~10%
-  /// fewer conflicts than EMA. Switch to kEma for hard single-shot
-  /// instances (the BENCH_sat.json micro section shows it ~30% ahead on
-  /// pigeonhole-style refutations).
-  RestartMode restart_mode = RestartMode::kLuby;
-  int restart_base = 100;        ///< Luby restart unit, in conflicts.
-  /// EMA mode: restart when fast_lbd_ema > restart_margin * slow_lbd_ema.
-  double restart_margin = 1.25;
-  /// EMA mode: minimum conflicts between restarts (also the warm-up before
-  /// the averages are trusted).
-  int restart_min_interval = 50;
-  /// EMA mode: postpone the restart when the trail is this much larger
-  /// than its long-term average — the solver is probably closing in on a
-  /// model ("blocking" restarts, Glucose-style). 0 disables blocking.
-  double restart_block_margin = 1.4;
-  /// Every `rephase_interval` conflicts, reset saved phases to the target
-  /// phase (the assignment of the largest trail seen since the last
-  /// rephase). 0 disables rephasing.
-  int rephase_interval = 10000;
-
   // ---- learnt-clause database (LBD tiers) ----
   /// Learnts with LBD <= core_lbd_cut are kept forever.
   int core_lbd_cut = 3;
@@ -68,25 +37,6 @@ struct SolverOptions {
   /// (the effective limit also scales with the problem size).
   double max_learnts_floor = 4000.0;
 
-  // ---- inter-solve inprocessing ----
-  /// Run bounded inprocessing (satisfied-clause sweep, backward
-  /// subsumption, self-subsuming resolution, clause vivification) between
-  /// incremental solve() calls. Level-0-only and entailment-preserving, so
-  /// it is safe under solve(assumptions). Forced off by proof_logging.
-  bool inprocess = true;
-  /// solve() calls between inprocessing rounds.
-  int inprocess_interval = 2;
-  /// Additionally require this many conflicts since the last round — the
-  /// incremental engines issue thousands of near-trivial solve() calls,
-  /// and a round must never cost more than the search it sped up.
-  std::int64_t inprocess_min_conflicts = 2000;
-  /// Clause-pair budget of one subsumption round.
-  std::int64_t subsume_limit = 100000;
-  /// Propagation budget of one vivification round.
-  std::int64_t vivify_limit = 10000;
-  /// Only clauses up to this many literals are vivified.
-  int vivify_max_size = 16;
-
   // ---- resource governance ----
   /// Per-solve conflict cap applied to *every* solve() of this solver
   /// (negative = unlimited). Callers that pass an explicit budget to
@@ -101,23 +51,20 @@ struct SolverOptions {
 
   // ---- proofs ----
   /// Record the resolution proof. Implies that learnt clauses are never
-  /// deleted (proof nodes must stay resolvable) and disables inprocessing,
-  /// so enable only for the interpolation queries, which are per-cone and
-  /// small.
+  /// deleted (proof nodes must stay resolvable), so enable only for the
+  /// interpolation queries, which are per-cone and small.
   bool proof_logging = false;
   /// Record a clausal DRAT trace (additions + deletions) instead;
-  /// compatible with the tiered database and with inprocessing. Check it
-  /// with check_drat() against the original clauses.
+  /// compatible with the tiered database. Check it with check_drat()
+  /// against the original clauses.
   bool drat_logging = false;
 };
 
 /// Conflict-driven clause-learning SAT solver, MiniSat lineage with the
 /// modern hot path: blocking-literal watcher lists plus a dedicated
 /// binary-clause implication list, first-UIP learning with LBD-tiered
-/// learnt retention (core/tier2/local), VSIDS decisions, phase saving with
-/// target-phase rephasing, Luby or EMA-adaptive restarts, bounded
-/// inter-solve inprocessing (subsumption / self-subsuming resolution /
-/// vivification), incremental solving under assumptions with
+/// learnt retention (core/tier2/local), VSIDS decisions, phase saving,
+/// Luby restarts, incremental solving under assumptions with
 /// final-conflict cores, and optional resolution- or DRAT-proof logging.
 ///
 /// Typical use:
@@ -163,9 +110,8 @@ class Solver {
   /// Interrupt contract: a kUnknown return leaves the solver fully
   /// reusable — the next solve() on the same instance behaves as if the
   /// interrupted call never happened. Specifically: the trail is unwound
-  /// to level 0 before returning, and inprocessing runs only at solve entry
-  /// (never polling the deadline mid-rewrite), with every phase restoring
-  /// watch/trail consistency before it returns. This is what lets a
+  /// to level 0 before returning, and clauses are only ever added or
+  /// removed with their watches kept consistent. This is what lets a
   /// portfolio racer cancel mid-solve without poisoning persistent
   /// incremental state (see tests/solver_fuzz_test.cpp, cancel fuzz).
   Result solve_limited(std::span<const Lit> assumptions,
@@ -206,21 +152,15 @@ class Solver {
     std::uint64_t propagations = 0;
     std::uint64_t binary_propagations = 0;  ///< subset via the binary list
     std::uint64_t restarts = 0;
-    std::uint64_t blocked_restarts = 0;  ///< EMA restarts postponed on trail
-    std::uint64_t rephases = 0;
     std::uint64_t learnt = 0;
     std::uint64_t db_reductions = 0;
     // Current tier occupancy of the learnt database.
     std::uint64_t core_learnts = 0;
     std::uint64_t tier2_learnts = 0;
     std::uint64_t local_learnts = 0;
-    // Inprocessing totals.
+    // Always 0: the solver has no pre- or inprocessing. Kept because
+    // stepbench reports them as per-layer metrics.
     std::uint64_t inprocess_rounds = 0;
-    std::uint64_t subsumed_clauses = 0;
-    std::uint64_t strengthened_clauses = 0;
-    std::uint64_t vivified_clauses = 0;
-    std::uint64_t removed_lits = 0;  ///< via strengthening + vivification
-    // Always 0: the solver has no preprocessing; kept for stats readers.
     std::uint64_t eliminated_vars = 0;
     std::uint64_t failed_literals = 0;
     // Budgeted-stop causes: solve() calls that returned kUnknown because
@@ -285,9 +225,7 @@ class Solver {
   Result search(std::int64_t nof_conflicts, const Deadline* deadline);
 
   void bump_var(Var v, double factor = 1.0);
-  void decay_var_activity() { var_inc_ /= opts_.var_decay; }
   void bump_clause(Clause& c);
-  void decay_clause_activity() { cla_inc_ /= opts_.clause_decay; }
 
   // Learnt database (LBD tiers).
   int compute_lbd(std::span<const Lit> lits);
@@ -296,22 +234,6 @@ class Solver {
   void remove_learnt(CRef cr);
   void demote_unused_tier2();
   void reduce_db();
-
-  // Restarts / rephasing.
-  void update_search_emas(int lbd);
-  bool ema_restart_due(int conflicts_since_restart);
-  void maybe_update_target_phase();
-  void rephase();
-
-  // Inter-solve inprocessing.
-  void inprocess();
-  void compact_clause_lists();
-  void rebuild_watches();
-  bool shrink_clause(CRef cr, const LitVec& new_lits, LitVec& pending_units);
-  void mark_removed(CRef cr, bool learnt_list);
-  std::size_t subsume_round(LitVec& pending_units);
-  std::size_t vivify_round(LitVec& pending_units);
-  bool settle_units(const LitVec& pending_units);
 
   /// Proof id justifying the level-0 assignment of v.
   ProofId level0_justification(Var v) const;
@@ -358,8 +280,6 @@ class Solver {
   double cla_inc_ = 1.0;
   VarOrderHeap order_heap_{activity_};
   std::vector<char> polarity_;
-  std::vector<char> target_phase_;
-  std::size_t best_trail_size_ = 0;
 
   // add_clause scratch (sorted input, level-0-false and kept literals,
   // level-0 resolution steps), reused across calls.
@@ -373,14 +293,6 @@ class Solver {
   std::vector<int> level_stamp_;  ///< LBD computation scratch, per level
   int stamp_counter_ = 0;
 
-  // Restart state (EMA mode).
-  double lbd_ema_fast_ = 0.0;
-  double lbd_ema_slow_ = 0.0;
-  double trail_ema_ = 0.0;
-  bool emas_primed_ = false;
-  std::uint64_t restart_hold_until_ = 0;  ///< conflicts stamp for blocking
-  std::uint64_t next_rephase_ = 0;
-
   // Results.
   std::vector<Lbool> model_;
   LitVec conflict_core_;
@@ -393,9 +305,6 @@ class Solver {
   // Learnt DB management.
   double max_learnts_ = 0.0;
   std::uint64_t next_reduce_ = 0;
-  std::uint64_t solve_calls_ = 0;
-  std::uint64_t last_inprocess_solve_ = 0;
-  std::uint64_t last_inprocess_conflicts_ = 0;
 
   Stats stats_;
 };

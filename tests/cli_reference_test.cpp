@@ -105,10 +105,8 @@ TEST(CliReference, HelpMentionsEverySubcommand) {
   for (const char* cmd : {"decompose", "resynth", "stats"}) {
     EXPECT_NE(help.find(cmd), std::string::npos) << cmd;
   }
-  // The new solver knobs must be part of the printed reference.
-  for (const char* flag :
-       {"-restarts", "-lbd-core", "-lbd-tier2", "--no-inprocess",
-        "--no-rephase"}) {
+  // The solver knobs must be part of the printed reference.
+  for (const char* flag : {"-lbd-core", "-lbd-tier2", "-conflicts"}) {
     EXPECT_NE(help.find(flag), std::string::npos) << flag;
   }
 }

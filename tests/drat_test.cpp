@@ -1,7 +1,7 @@
-// DRAT round-trip: solve with the modern configuration — tiered deletion
-// and inprocessing (subsumption, strengthening, vivification) forced on —
-// while recording the clausal trace, then replay the trace through the
-// in-repo forward RUP checker (sat/proof.h) against the original formula.
+// DRAT round-trip: solve with the shipped solver, its tiered deletion forced
+// to fire constantly, while recording the clausal trace, then replay the
+// trace through the in-repo forward RUP checker (sat/proof.h) against the
+// original formula.
 // UNSAT runs must end in a verified empty clause *including* every
 // deletion line; SAT runs must still be valid derivation logs.
 
@@ -19,14 +19,9 @@ namespace {
 SolverOptions drat_config() {
   SolverOptions o;
   o.drat_logging = true;
-  o.restart_mode = RestartMode::kEma;
-  o.restart_min_interval = 5;
   o.reduce_interval = 50;      // tiered deletions mid-search
   o.reduce_min_local = 0;      // …even from a small local tier
   o.max_learnts_floor = 16.0;  // …and via the size backstop
-  o.inprocess = true;
-  o.inprocess_interval = 1;    // inprocess before every solve
-  o.inprocess_min_conflicts = 0;
   return o;
 }
 
@@ -57,7 +52,7 @@ Instance pigeonhole(int holes) {
 }
 
 /// Solves in two incremental episodes (half the clauses, solve, rest,
-/// solve) so an inprocessing round runs mid-way with real deletions.
+/// solve) so the second search starts from a database with deletions.
 Result solve_logged(const Instance& inst, Solver& s) {
   for (int i = 0; i < inst.num_vars; ++i) s.new_var();
   const std::size_t half = inst.clauses.size() / 2;
@@ -81,7 +76,7 @@ void expect_checked_unsat(const Instance& inst) {
   EXPECT_TRUE(r.proved_unsat) << "no empty clause derived";
 }
 
-TEST(Drat, PigeonholeWithInprocessingAndDeletionChecks) {
+TEST(Drat, PigeonholeWithDeletionChecks) {
   for (int holes = 3; holes <= 5; ++holes) {
     SCOPED_TRACE(holes);
     expect_checked_unsat(pigeonhole(holes));
@@ -90,14 +85,14 @@ TEST(Drat, PigeonholeWithInprocessingAndDeletionChecks) {
 
 TEST(Drat, TraceContainsDeletionLines) {
   // The point of DRAT over plain RUP logs: deletions are recorded, and
-  // the checker honours them. Pigeonhole-5 reliably triggers both the
-  // tiered reduce_db and the inprocessing sweep.
+  // the checker honours them. Pigeonhole-5 reliably triggers the tiered
+  // reduce_db.
   Solver s(drat_config());
   ASSERT_EQ(solve_logged(pigeonhole(5), s), Result::kUnsat);
   bool has_delete = false;
   for (const DratLine& l : s.drat().lines()) has_delete |= l.is_delete;
   EXPECT_TRUE(has_delete);
-  EXPECT_GT(s.stats().inprocess_rounds, 0u);
+  EXPECT_GT(s.stats().db_reductions, 0u);
   EXPECT_NE(s.drat().to_text().find("d "), std::string::npos);
 }
 
@@ -128,8 +123,8 @@ TEST(Drat, RandomUnsatInstances) {
 }
 
 TEST(Drat, SatRunsProduceValidDerivationLogs) {
-  // A satisfiable instance: every addition (learnts, strengthenings,
-  // vivifications) must still be RUP; no empty clause appears.
+  // A satisfiable instance: every addition (learnts, level-0-stripped
+  // inputs) must still be RUP; no empty clause appears.
   Rng rng(7);
   Instance inst;
   inst.num_vars = 12;

@@ -536,6 +536,11 @@ TEST(CliExitCodes, UsageErrorExitsWith2) {
   EXPECT_EQ(run_cli("decompose x.blif -engine QDB"), 2);
   EXPECT_EQ(run_cli("decompose x.blif -op nand"), 2);
   EXPECT_EQ(run_cli("decompose x.blif -op XOR"), 2);
+  // Removed solver switches are unknown flags: a stale script must not
+  // silently run with a different solver than it asked for.
+  EXPECT_EQ(run_cli("decompose x.blif -restarts ema"), 2);
+  EXPECT_EQ(run_cli("decompose x.blif --no-inprocess"), 2);
+  EXPECT_EQ(run_cli("decompose x.blif --no-rephase"), 2);
 }
 
 TEST(CliExitCodes, MemCappedRunCompletesSuccessfully) {

@@ -124,78 +124,6 @@ TEST(SatEdge, UnitClausePersistsAcrossSolves) {
   }
 }
 
-TEST(SatEdge, ProofLoggingWithMinimizationOffStillRefutes) {
-  SolverOptions o;
-  o.proof_logging = true;
-  o.minimize_learnt = false;
-  Solver s(o);
-  Rng rng(77);
-  for (int i = 0; i < 8; ++i) s.new_var();
-  // Dense random instance, almost surely UNSAT.
-  for (int c = 0; c < 60; ++c) {
-    LitVec cl;
-    for (int j = 0; j < 3; ++j) {
-      cl.push_back(mk_lit(rng.next_int(0, 7), rng.next_bool()));
-    }
-    s.add_clause(cl);
-  }
-  if (s.solve() == Result::kUnsat) {
-    ASSERT_NE(s.proof().empty_clause(), kProofIdUndef);
-    EXPECT_TRUE(s.proof().replay_clause(s.proof().empty_clause()).empty());
-  }
-}
-
-TEST(SatEdge, RestartBaseOneStillSolves) {
-  SolverOptions o;
-  o.restart_mode = RestartMode::kLuby;
-  o.restart_base = 1;  // restart after every conflict
-  Solver s(o);
-  Var p[4][3];
-  for (auto& row : p) {
-    for (Var& v : row) v = s.new_var();
-  }
-  for (auto& row : p) {
-    s.add_clause({mk_lit(row[0]), mk_lit(row[1]), mk_lit(row[2])});
-  }
-  for (int h = 0; h < 3; ++h) {
-    for (int i = 0; i < 4; ++i) {
-      for (int j = i + 1; j < 4; ++j) {
-        s.add_clause({~mk_lit(p[i][h]), ~mk_lit(p[j][h])});
-      }
-    }
-  }
-  EXPECT_EQ(s.solve(), Result::kUnsat);
-  EXPECT_GT(s.stats().restarts, 0u);
-}
-
-TEST(SatEdge, PhaseSavingOffStillCorrect) {
-  SolverOptions o;
-  o.phase_saving = false;
-  Solver s(o);
-  Rng rng(3);
-  for (int i = 0; i < 10; ++i) s.new_var();
-  for (int c = 0; c < 35; ++c) {
-    LitVec cl;
-    for (int j = 0; j < 3; ++j) {
-      cl.push_back(mk_lit(rng.next_int(0, 9), rng.next_bool()));
-    }
-    s.add_clause(cl);
-  }
-  const Result r1 = s.solve();
-  Solver s2;  // defaults (phase saving on)
-  // Same formula must give same answer.
-  Rng rng2(3);
-  for (int i = 0; i < 10; ++i) s2.new_var();
-  for (int c = 0; c < 35; ++c) {
-    LitVec cl;
-    for (int j = 0; j < 3; ++j) {
-      cl.push_back(mk_lit(rng2.next_int(0, 9), rng2.next_bool()));
-    }
-    s2.add_clause(cl);
-  }
-  EXPECT_EQ(r1, s2.solve());
-}
-
 TEST(SatEdge, DbReductionFiresAndPreservesCorrectness) {
   // A tiny learnt budget forces clause-database reduction mid-search;
   // pigeonhole must still be refuted.

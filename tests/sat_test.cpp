@@ -255,48 +255,6 @@ TEST(SatBudget, ExpiredDeadlineReturnsUnknown) {
   EXPECT_EQ(r, Result::kUnknown);
 }
 
-// ---------- inprocessing schedule --------------------------------------------
-
-TEST(SatInprocess, OneShotSolveSkipsRoundIncrementalSolveRunsOne) {
-  // Pigeonhole 8x7 guarded by an activation literal: UNSAT under the
-  // assumption `act`, so the solver stays usable for a second call.
-  Solver s;
-  const Lit act = mk_lit(s.new_var());
-  constexpr int kHoles = 7;
-  Var p[kHoles + 1][kHoles];
-  for (auto& row : p) {
-    for (Var& x : row) x = s.new_var();
-  }
-  int clauses = 0;
-  for (auto& row : p) {
-    LitVec c{~act};
-    for (Var x : row) c.push_back(mk_lit(x));
-    s.add_clause(c);
-    ++clauses;
-  }
-  for (int h = 0; h < kHoles; ++h) {
-    for (int i = 0; i <= kHoles; ++i) {
-      for (int j = i + 1; j <= kHoles; ++j) {
-        s.add_clause({~act, ~mk_lit(p[i][h]), ~mk_lit(p[j][h])});
-        ++clauses;
-      }
-    }
-  }
-  ASSERT_GE(clauses, 64);
-
-  // A fresh solver's first solve goes straight to search.
-  const LitVec on{act};
-  ASSERT_EQ(s.solve(on), Result::kUnsat);
-  EXPECT_EQ(s.stats().inprocess_rounds, 0u);
-  const auto min_conflicts =
-      static_cast<std::uint64_t>(SolverOptions{}.inprocess_min_conflicts);
-  ASSERT_GE(s.stats().conflicts, min_conflicts);
-
-  // The next incremental call is due for a round.
-  ASSERT_EQ(s.solve(on), Result::kUnsat);
-  EXPECT_EQ(s.stats().inprocess_rounds, 1u);
-}
-
 // ---------- randomized cross-check against brute force -----------------------
 
 class SatRandom : public ::testing::TestWithParam<int> {};

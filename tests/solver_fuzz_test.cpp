@@ -1,12 +1,12 @@
-// Randomized cross-check harness for the modernized CDCL hot path, in the
-// spirit of krox/dawn's fuzz.py: random CNFs plus random assumption
-// subsets, solved incrementally under two solver configurations —
+// Randomized cross-check harness for the CDCL hot path, in the spirit of
+// krox/dawn's fuzz.py: random CNFs plus random assumption subsets, solved
+// incrementally under two solver configurations —
 //
-//   * "modern"   — the shipping defaults with every new mechanism forced
-//                  into overdrive (EMA restarts, aggressive rephasing,
-//                  tiny reduce interval, inprocessing on every solve);
-//   * "baseline" — the PR-3 configuration (Luby restarts, activity-only
-//                  reduction, no inprocessing, no rephasing);
+//   * "tiered"   — the shipping LBD-tiered database with reduce_db()
+//                  forced to fire constantly (tiny reduce interval and
+//                  learnt budget);
+//   * "untiered" — LBD tiers off, as in bench::legacy_sat_config: every
+//                  learnt is local and only the size backstop reduces;
 //
 // demanding identical SAT/UNSAT answers, valid models, assumption-subset
 // cores, and (on small instances) agreement with a brute-force oracle.
@@ -27,24 +27,21 @@
 namespace step::sat {
 namespace {
 
-SolverOptions modern_config() {
-  SolverOptions o;  // shipping defaults, cranked to fire constantly
-  o.restart_mode = RestartMode::kEma;
-  o.restart_min_interval = 5;
-  o.rephase_interval = 64;
-  o.reduce_interval = 64;
-  o.max_learnts_floor = 32.0;
-  o.inprocess = true;
-  o.inprocess_interval = 1;
-  o.inprocess_min_conflicts = 0;
+SolverOptions tiered_config() {
+  SolverOptions o;  // shipping defaults, reduce_db() cranked to fire often
+  o.reduce_interval = 2;
+  o.reduce_min_local = 0;
+  o.max_learnts_floor = 2.0;
   return o;
 }
 
-SolverOptions baseline_config() {
+SolverOptions untiered_config() {
   SolverOptions o;
-  o.restart_mode = RestartMode::kLuby;
-  o.rephase_interval = 0;
-  o.inprocess = false;
+  o.core_lbd_cut = 0;
+  o.tier2_lbd_cut = 0;
+  o.reduce_interval = 1 << 30;
+  o.reduce_min_local = 0;
+  o.max_learnts_floor = 32.0;
   return o;
 }
 
@@ -101,7 +98,7 @@ void check_core(const Solver& s, const LitVec& assumptions) {
   }
 }
 
-TEST(SolverFuzz, ModernAgreesWithBaselineUnderAssumptions) {
+TEST(SolverFuzz, TieredAgreesWithUntieredUnderAssumptions) {
   constexpr int kRounds = 120;
   constexpr int kSolvesPerRound = 4;
   Rng rng(0xf022ed);
@@ -109,24 +106,24 @@ TEST(SolverFuzz, ModernAgreesWithBaselineUnderAssumptions) {
 
   for (int round = 0; round < kRounds; ++round) {
     const int nv = rng.next_int(5, 14);
-    Solver modern(modern_config());
-    Solver baseline(baseline_config());
+    Solver tiered(tiered_config());
+    Solver untiered(untiered_config());
     for (int i = 0; i < nv; ++i) {
-      modern.new_var();
-      baseline.new_var();
+      tiered.new_var();
+      untiered.new_var();
     }
     std::vector<LitVec> clauses;
 
     // Incremental episodes: grow the formula, solve under fresh random
-    // assumptions each time. Inprocessing fires between the episodes on
-    // the modern solver — exactly the usage pattern of the CEGAR loops.
+    // assumptions each time — exactly the usage pattern of the CEGAR
+    // loops, with learnts kept and reduced across the episodes.
     for (int episode = 0; episode < kSolvesPerRound; ++episode) {
       const int grow = rng.next_int(nv, nv * 2);
       for (int c = 0; c < grow; ++c) {
         LitVec cl = random_clause(nv, rng);
         clauses.push_back(cl);
-        modern.add_clause(cl);
-        baseline.add_clause(cl);
+        tiered.add_clause(cl);
+        untiered.add_clause(cl);
       }
       LitVec assumptions;
       const int n_assume = rng.next_int(0, 3);
@@ -134,8 +131,8 @@ TEST(SolverFuzz, ModernAgreesWithBaselineUnderAssumptions) {
         assumptions.push_back(mk_lit(rng.next_int(0, nv - 1), rng.next_bool()));
       }
 
-      const Result rm = modern.solve(assumptions);
-      const Result rb = baseline.solve(assumptions);
+      const Result rm = tiered.solve(assumptions);
+      const Result rb = untiered.solve(assumptions);
       ASSERT_EQ(rm, rb) << "round " << round << " episode " << episode
                         << ": configs disagree";
       const bool expect_sat = oracle_sat(nv, clauses, assumptions);
@@ -144,16 +141,16 @@ TEST(SolverFuzz, ModernAgreesWithBaselineUnderAssumptions) {
           << ": oracle disagrees";
       if (rm == Result::kSat) {
         ++sat_answers;
-        check_model(modern, clauses, assumptions);
-        check_model(baseline, clauses, assumptions);
+        check_model(tiered, clauses, assumptions);
+        check_model(untiered, clauses, assumptions);
       } else {
         ++unsat_answers;
-        check_core(modern, assumptions);
-        check_core(baseline, assumptions);
+        check_core(tiered, assumptions);
+        check_core(untiered, assumptions);
         // The core alone must already be inconsistent with the clauses.
-        ASSERT_FALSE(oracle_sat(nv, clauses, modern.conflict_core()));
+        ASSERT_FALSE(oracle_sat(nv, clauses, tiered.conflict_core()));
       }
-      if (!modern.is_ok()) break;  // level-0 UNSAT: this instance is spent
+      if (!tiered.is_ok()) break;  // level-0 UNSAT: this instance is spent
     }
   }
   // The generator must exercise both outcomes, or the harness is dead.
@@ -161,22 +158,23 @@ TEST(SolverFuzz, ModernAgreesWithBaselineUnderAssumptions) {
   EXPECT_GT(unsat_answers, 0u);
 }
 
-TEST(SolverFuzz, InprocessingConfigsAgreeWithOracle) {
-  // Inprocessing on (firing before every solve) and off: each config must
-  // agree with the brute-force oracle under random assumption subsets,
-  // return models that satisfy the original clauses, and cores made of
-  // assumed literals that are inconsistent on their own. Clauses have 2-4
-  // literals (units would settle most instances at level 0) and arrive
-  // in three batches, one before each solve, so rounds also run over
-  // learnt clauses and a database that grew since the last round.
+TEST(SolverFuzz, BatchedConfigsAgreeWithOracle) {
+  // Tiered and untiered: each config must agree with the brute-force
+  // oracle under random assumption subsets, return models that satisfy
+  // the original clauses, and cores made of assumed literals that are
+  // inconsistent on their own. Clauses have 2-4 literals (units would
+  // settle most instances at level 0) and arrive in three batches, one
+  // before each solve, so later solves search over learnt clauses and a
+  // database that grew since the last one. These instances have enough
+  // conflicts for the tiered config's reduce_db() to fire between answers.
   struct Config {
     const char* name;
     SolverOptions opts;
   };
-  const Config kConfigs[] = {{"inprocess_on", modern_config()},
-                             {"inprocess_off", baseline_config()}};
+  const Config kConfigs[] = {{"tiered", tiered_config()},
+                             {"untiered", untiered_config()}};
   Rng rng(0x5e11a7e);
-  std::uint64_t sat_answers = 0, unsat_answers = 0, rounds_run = 0;
+  std::uint64_t sat_answers = 0, unsat_answers = 0, reductions = 0;
 
   for (int round = 0; round < 60; ++round) {
     const int nv = rng.next_int(6, 13);
@@ -224,20 +222,20 @@ TEST(SolverFuzz, InprocessingConfigsAgreeWithOracle) {
           ASSERT_FALSE(oracle_sat(nv, clauses, s.conflict_core()));
         }
       }
-      rounds_run += s.stats().inprocess_rounds;
+      reductions += s.stats().db_reductions;
     }
   }
   EXPECT_GT(sat_answers, 0u);
   EXPECT_GT(unsat_answers, 0u);
-  EXPECT_GT(rounds_run, 0u) << "inprocessing never fired";
+  EXPECT_GT(reductions, 0u) << "reduce_db never fired";
 }
 
 TEST(SolverFuzz, ShrunkFieldInstancesUnderDefaults) {
-  // Two shrunk field failures, kept as answer regressions under the
-  // default options.
+  // Two shrunk field failures of an earlier between-solve clause-rewriting
+  // tier, kept as answer regressions under the default options.
   //
-  // Instance 1 (UNSAT): units derived after the inprocessing sweep left
-  // clauses carrying newly falsified literals.
+  // Instance 1 (UNSAT): units derived after a level-0 sweep left clauses
+  // carrying newly falsified literals.
   //
   // Instance 2 (SAT): a unit resolvent on a variable went unseen by the
   // clause rewriting of the same round and produced a bogus model.
@@ -275,43 +273,6 @@ TEST(SolverFuzz, ShrunkFieldInstancesUnderDefaults) {
   }
 }
 
-TEST(SolverFuzz, InprocessingKeepsIncrementalAnswersStable) {
-  // Pin the exact hazard inprocessing could introduce: clauses deleted or
-  // strengthened between solves must never change answers under
-  // assumptions that arrive *after* the rewrite.
-  Rng rng(20260731);
-  for (int round = 0; round < 60; ++round) {
-    const int nv = rng.next_int(6, 12);
-    SolverOptions aggressive = modern_config();
-    Solver s(aggressive);
-    Solver ref(baseline_config());
-    for (int i = 0; i < nv; ++i) {
-      s.new_var();
-      ref.new_var();
-    }
-    std::vector<LitVec> clauses;
-    for (int c = 0; c < nv * 3; ++c) {
-      LitVec cl = random_clause(nv, rng);
-      clauses.push_back(cl);
-      s.add_clause(cl);
-      ref.add_clause(cl);
-    }
-    // Repeated solves on the same formula: every round after the first
-    // runs inprocessing first; answers must stay fixed.
-    for (int i = 0; i < 4; ++i) {
-      LitVec assumptions;
-      for (int a = 0; a < 2; ++a) {
-        assumptions.push_back(mk_lit(rng.next_int(0, nv - 1), rng.next_bool()));
-      }
-      ASSERT_EQ(s.solve(assumptions), ref.solve(assumptions))
-          << "round " << round << " solve " << i;
-    }
-    // Instances refuted at level 0 short-circuit solve() before the
-    // inprocessing hook; everything else must have run it.
-    if (s.is_ok()) EXPECT_GE(s.stats().inprocess_rounds, 1u);
-  }
-}
-
 TEST(SolverFuzz, ConflictBudgetsAndInjectedFaultsOnlyLoseAnswers) {
   // Random instances under a random conflict cap plus a fault-injected
   // deadline: every answer is either kUnknown (with the stop attributed in
@@ -324,7 +285,7 @@ TEST(SolverFuzz, ConflictBudgetsAndInjectedFaultsOnlyLoseAnswers) {
     std::vector<LitVec> clauses;
     for (int c = 0; c < nv * 3; ++c) clauses.push_back(random_clause(nv, rng));
 
-    SolverOptions capped = modern_config();
+    SolverOptions capped = tiered_config();
     capped.conflict_budget = rng.next_int(1, 40);
     Solver s(capped);
     for (int i = 0; i < nv; ++i) s.new_var();
@@ -373,16 +334,16 @@ TEST(SolverFuzz, ConflictBudgetsAndInjectedFaultsOnlyLoseAnswers) {
 TEST(SolverFuzz, CancelThenResolveLeavesSolverReusable) {
   // The portfolio's cancel contract (see solve_limited's doc in solver.h):
   // a solve_limited interrupted at *any* poll point — entry, mid-search,
-  // around restarts and inprocessing — must leave the incremental solver
-  // fully reusable, answering the next solve on the same instance exactly
-  // like a never-interrupted solver. Interruptions are forced
+  // around restarts and database reductions — must leave the incremental
+  // solver fully reusable, answering the next solve on the same instance
+  // exactly like a never-interrupted solver. Interruptions are forced
   // deterministically through the deadline's poll-count seam at varying
   // depths; the uninterrupted re-solve is checked against the oracle.
   Rng rng(0xcace1);
   std::uint64_t cancelled = 0, resolved_sat = 0, resolved_unsat = 0;
   for (int round = 0; round < 60; ++round) {
     const int nv = rng.next_int(6, 12);
-    Solver s(modern_config());
+    Solver s(tiered_config());
     for (int i = 0; i < nv; ++i) s.new_var();
     std::vector<LitVec> clauses;
     for (int episode = 0; episode < 4 && s.is_ok(); ++episode) {
@@ -410,8 +371,8 @@ TEST(SolverFuzz, CancelThenResolveLeavesSolverReusable) {
         ++cancelled;
       }
 
-      // Same solver, uninterrupted: no stale trail and no half-applied
-      // rewrite may survive the interruption.
+      // Same solver, uninterrupted: no stale trail may survive the
+      // interruption.
       const Result r = s.solve(assumptions);
       ASSERT_NE(r, Result::kUnknown);
       ASSERT_EQ(r == Result::kSat, oracle_sat(nv, clauses, assumptions))

@@ -140,15 +140,10 @@ constexpr const char kHelpText[] =
     "                            counters after the run\n"
     "\n"
     "SAT-solver options (see docs/SOLVER.md):\n"
-    "  -restarts <luby|ema>      restart policy (default luby; ema =\n"
-    "                            adaptive fast/slow LBD conflict averages)\n"
     "  -lbd-core <n>             learnts with LBD <= n are kept forever\n"
     "                            (default 3)\n"
     "  -lbd-tier2 <n>            LBD cut of the mid tier; above it clauses\n"
     "                            compete on activity (default 6)\n"
-    "  --no-inprocess            disable inter-solve subsumption /\n"
-    "                            strengthening / vivification\n"
-    "  --no-rephase              disable target-phase rephasing\n"
     "  -conflicts <n>            per-solve conflict budget; an exhausted\n"
     "                            budget is a typed `conf` outcome, never a\n"
     "                            wrong answer (default unlimited)\n"
@@ -187,7 +182,7 @@ constexpr const char kHelpText[] =
     "reporting options:\n"
     "  --stats                   print aggregated solver-cost counters\n"
     "                            (SAT/QBF calls, CEGAR iterations, conflicts,\n"
-    "                            restarts, tiers, inprocessing), the\n"
+    "                            restarts, tiers), the\n"
     "                            per-reason outcome taxonomy and the schedule\n"
     "                            shape (policy, outliers, batches,\n"
     "                            predicted-vs-actual hardness agreement)\n"
@@ -325,25 +320,10 @@ CliOptions parse_args(int argc, char** argv) {
       }
     } else if (flag == "-o") {
       cli.output = value();
-    } else if (flag == "-restarts") {
-      const std::string v = value();
-      if (v == "luby") {
-        cli.sat.restart_mode = sat::RestartMode::kLuby;
-      } else if (v == "ema") {
-        cli.sat.restart_mode = sat::RestartMode::kEma;
-      } else {
-        std::fprintf(stderr, "step: -restarts expects luby or ema, got %s\n",
-                     v.c_str());
-        usage();
-      }
     } else if (flag == "-lbd-core") {
       cli.sat.core_lbd_cut = std::atoi(value());
     } else if (flag == "-lbd-tier2") {
       cli.sat.tier2_lbd_cut = std::atoi(value());
-    } else if (flag == "--no-inprocess" || flag == "-no-inprocess") {
-      cli.sat.inprocess = false;
-    } else if (flag == "--no-rephase" || flag == "-no-rephase") {
-      cli.sat.rephase_interval = 0;
     } else if (flag == "-conflicts") {
       cli.sat.conflict_budget = std::atoll(value());
       if (cli.sat.conflict_budget < 0) {
@@ -544,19 +524,13 @@ int cmd_decompose(const CliOptions& cli, const io::Network& net,
                     run.total_verification_conflicts()));
     const sat::Solver::Stats ss = run.total_solver_stats();
     auto u = [](std::uint64_t v) { return static_cast<unsigned long long>(v); };
-    std::printf("# stats: solver conflicts=%llu restarts=%llu (blocked=%llu)"
-                " rephases=%llu reductions=%llu\n",
-                u(ss.conflicts), u(ss.restarts), u(ss.blocked_restarts),
-                u(ss.rephases), u(ss.db_reductions));
+    std::printf("# stats: solver conflicts=%llu restarts=%llu"
+                " reductions=%llu\n",
+                u(ss.conflicts), u(ss.restarts), u(ss.db_reductions));
     std::printf("# stats: learnt tiers core=%llu tier2=%llu local=%llu"
                 " (of %llu learnt)\n",
                 u(ss.core_learnts), u(ss.tier2_learnts), u(ss.local_learnts),
                 u(ss.learnt));
-    std::printf("# stats: inprocess rounds=%llu subsumed=%llu"
-                " strengthened=%llu vivified=%llu lits_removed=%llu\n",
-                u(ss.inprocess_rounds), u(ss.subsumed_clauses),
-                u(ss.strengthened_clauses), u(ss.vivified_clauses),
-                u(ss.removed_lits));
   }
   if (g_interrupted.load(std::memory_order_relaxed)) {
     std::printf("# interrupted: partial report above (unfinished POs are"
