@@ -226,15 +226,6 @@ inline void json_run_stats(JsonWriter& j, const core::CircuitRunResult& r) {
   }
   j.end_object();
   j.kv("degraded", r.num_degraded());
-  // Portfolio accounting, only for --portfolio runs (fixed-engine
-  // artifacts stay byte-identical to before the portfolio existed).
-  if (r.num_probed() > 0) {
-    j.kv("probed", r.num_probed());
-    j.kv("raced", r.num_raced());
-    j.kv("race_cancels", r.total_race_cancels());
-    j.kv("pool_published", r.total_pool_published());
-    j.kv("pool_imported", r.total_pool_imported());
-  }
 }
 
 /// Budgets scaled to the suite size (the paper: 6000 s per circuit, 4 s per

@@ -139,82 +139,6 @@ int main(int argc, char** argv) {
         " e.g. s38584.1)\n");
   }  // !ab_only
 
-  // ---- engine-portfolio A/B: probe + race vs every fixed engine ----------
-  // Same driver, same budgets; --portfolio picks (and possibly races) an
-  // engine per cone instead of running the configured engine everywhere.
-  // Two comparisons matter: #Dec against the best *fixed* engine (the
-  // portfolio must not lose conclusions — MG anchors every race, so it
-  // cannot), and CPU against the per-cone-best oracle (per PO, the cheapest
-  // fixed engine's cpu — the unreachable ideal of always guessing right).
-  // Conclusive answers must never contradict a fixed engine's; differing
-  // timeouts are fine. CI gates on the recorded JSON.
-  std::vector<core::CircuitRunResult> prt(suite.size());
-  long prt_mismatches = 0;
-  int prt_dec_total = 0, prt_best_fixed_dec = 0;
-  double prt_cpu_total = 0.0, prt_oracle_cpu = 0.0;
-  int prt_width = 0;
-  if (!ab_only) {
-    core::ParallelDriverOptions ppar = par;
-    ppar.portfolio.enabled = true;
-    ppar.portfolio.race_width = 3;
-    prt_width = ppar.portfolio.race_width;
-    std::printf("\n# engine-portfolio A/B (--portfolio -race-width %d,"
-                " configured engine QDB):\n", prt_width);
-    std::printf("%-10s %9s %9s %6s %8s %9s %10s\n", "circuit", "prtDec",
-                "bestFix", "races", "cancels", "cpu(s)", "oracle(s)");
-    for (std::size_t c = 0; c < suite.size(); ++c) {
-      const benchgen::BenchCircuit& circ = suite[c];
-      prt[c] = core::run_circuit(
-          circ.aig, circ.name,
-          bench::engine_options(Engine::kQbfCombined, core::GateOp::kOr,
-                                budgets),
-          budgets.circuit_s, ppar);
-      int best_dec = 0;
-      for (int e = 0; e < 5; ++e) {
-        best_dec = std::max(best_dec, cells[c][e].run.num_decomposed());
-      }
-      double oracle = 0.0;
-      for (std::size_t p = 0; p < prt[c].pos.size(); ++p) {
-        double best = cells[c][0].run.pos[p].cpu_s;
-        for (int e = 1; e < 5; ++e) {
-          best = std::min(best, cells[c][e].run.pos[p].cpu_s);
-        }
-        oracle += best;
-        const core::DecomposeStatus ps = prt[c].pos[p].status;
-        for (int e = 0; e < 5; ++e) {
-          const core::DecomposeStatus fs = cells[c][e].run.pos[p].status;
-          const bool contradiction =
-              (ps == core::DecomposeStatus::kDecomposed &&
-               fs == core::DecomposeStatus::kNotDecomposable) ||
-              (ps == core::DecomposeStatus::kNotDecomposable &&
-               fs == core::DecomposeStatus::kDecomposed);
-          if (contradiction) ++prt_mismatches;
-        }
-      }
-      prt_dec_total += prt[c].num_decomposed();
-      prt_best_fixed_dec += best_dec;
-      prt_cpu_total += prt[c].total_cpu_s;
-      prt_oracle_cpu += oracle;
-      std::printf("%-10s %6d/%-2zu %6d/%-2zu %6d %8ld %9.3f %10.3f\n",
-                  circ.name.c_str(), prt[c].num_decomposed(),
-                  prt[c].pos.size(), best_dec, prt[c].pos.size(),
-                  prt[c].num_raced(), prt[c].total_race_cancels(),
-                  prt[c].total_cpu_s, oracle);
-      std::fflush(stdout);
-    }
-    long pool_pub = 0, pool_imp = 0;
-    for (const core::CircuitRunResult& r : prt) {
-      pool_pub += r.total_pool_published();
-      pool_imp += r.total_pool_imported();
-    }
-    std::printf("# portfolio totals: dec=%d (best fixed per circuit: %d),"
-                " cpu=%.3f s (per-cone-best oracle: %.3f s),"
-                " pool published=%ld imported=%ld,"
-                " answer mismatches (must be 0): %ld\n",
-                prt_dec_total, prt_best_fixed_dec, prt_cpu_total,
-                prt_oracle_cpu, pool_pub, pool_imp, prt_mismatches);
-  }  // !ab_only
-
   // ---- don't-care A/B: windowed-DC vs exact decomposability --------------
   // Same driver, same engine/op/budgets; the only difference is
   // use_dont_cares. Extraction + verification stay ON so every windowed
@@ -424,48 +348,6 @@ int main(int argc, char** argv) {
       j.kv("care_sat_completions", dc.total_window_sat_completions());
       j.kv("cpu_exact_s", ex.total_cpu_s);
       j.kv("cpu_dc_s", dc.total_cpu_s);
-      j.end_object();
-    }
-    j.end_array();
-    j.end_object();
-    j.key("portfolio_ab");
-    j.begin_object();
-    j.kv("race_width", prt_width);
-    j.kv("configured_engine", "STEP-QDB");
-    j.kv("measures",
-         "run_circuit with --portfolio vs the five fixed-engine runs above;"
-         " oracle = per-PO minimum fixed-engine cpu; mismatches count"
-         " conclusive contradictions only (timeout differences excluded)");
-    j.kv("portfolio_decomposed", prt_dec_total);
-    j.kv("best_fixed_decomposed", prt_best_fixed_dec);
-    j.kv("portfolio_cpu_s", prt_cpu_total);
-    j.kv("oracle_cpu_s", prt_oracle_cpu);
-    j.kv("answer_mismatches", prt_mismatches);
-    {
-      long pub = 0, imp = 0, cancels = 0;
-      int probed = 0, raced = 0;
-      for (const core::CircuitRunResult& r : prt) {
-        probed += r.num_probed();
-        raced += r.num_raced();
-        cancels += r.total_race_cancels();
-        pub += r.total_pool_published();
-        imp += r.total_pool_imported();
-      }
-      j.kv("probed", probed);
-      j.kv("raced", raced);
-      j.kv("race_cancels", cancels);
-      j.kv("pool_published", pub);
-      j.kv("pool_imported", imp);
-    }
-    j.key("circuits");
-    j.begin_array();
-    for (std::size_t c = 0; c < suite.size(); ++c) {
-      j.begin_object();
-      j.kv("name", suite[c].name);
-      j.kv("pos", static_cast<long long>(prt[c].pos.size()));
-      j.kv("decomposed", prt[c].num_decomposed());
-      j.kv("raced", prt[c].num_raced());
-      j.kv("cpu_s", prt[c].total_cpu_s);
       j.end_object();
     }
     j.end_array();

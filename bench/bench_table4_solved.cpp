@@ -30,26 +30,16 @@ int main(int argc, char** argv) {
                             Engine::kQbfCombined};
   std::printf("%8s", "#Out");
   for (Engine e : engines) std::printf(" %12s(%%)", core::to_string(e));
-  std::printf(" %12s(%%)\n", "portfolio");
+  std::printf("\n");
 
-  // Fourth column: the engine portfolio (QDB configured, MG-anchored
-  // races on hard cones) under the same tight per-call timeout. Racing
-  // trades optimality proofs for conclusions — MG wins carry no proof —
-  // so its solved %% may sit below the pure QBF columns while its #Dec
-  // never does.
   long total_pos = 0;
-  double pct[4] = {};
-  core::CircuitRunResult agg[4];
-  for (int e = 0; e < 4; ++e) {
-    core::ParallelDriverOptions epar = par;
-    if (e == 3) {
-      epar.portfolio.enabled = true;
-      epar.portfolio.race_width = 3;
-    }
+  double pct[3] = {};
+  core::CircuitRunResult agg[3];
+  for (int e = 0; e < 3; ++e) {
     long decomposed = 0, proven = 0, pos = 0;
     for (const benchgen::BenchCircuit& c : suite) {
-      auto r = bench::run_suite({c}, e == 3 ? Engine::kQbfCombined : engines[e],
-                                core::GateOp::kOr, budgets, epar)[0];
+      auto r = bench::run_suite({c}, engines[e], core::GateOp::kOr, budgets,
+                                par)[0];
       pos += static_cast<long>(r.pos.size());
       decomposed += r.num_decomposed();
       proven += r.num_proven_optimal();
@@ -60,7 +50,7 @@ int main(int argc, char** argv) {
     pct[e] = decomposed == 0 ? 0.0 : 100.0 * proven / decomposed;
   }
   std::printf("%8ld", total_pos);
-  for (int e = 0; e < 4; ++e) std::printf(" %15.2f", pct[e]);
+  for (int e = 0; e < 3; ++e) std::printf(" %15.2f", pct[e]);
   std::printf("\n");
   std::printf("# shape check (paper): QB (97.81) > QD (91.97) > QDB (84.42)\n");
 
@@ -79,9 +69,9 @@ int main(int argc, char** argv) {
     j.kv("total_pos", total_pos);
     j.key("engines");
     j.begin_array();
-    for (int e = 0; e < 4; ++e) {
+    for (int e = 0; e < 3; ++e) {
       j.begin_object();
-      j.kv("engine", e == 3 ? "portfolio" : core::to_string(engines[e]));
+      j.kv("engine", core::to_string(engines[e]));
       j.kv("solved_pct", pct[e]);
       bench::json_run_stats(j, agg[e]);
       j.end_object();

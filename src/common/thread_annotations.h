@@ -6,8 +6,8 @@
 // Clang Thread Safety Analysis support: annotated mutex / lock / condvar
 // wrappers plus the attribute macros behind them. Every mutex in src/ is a
 // step::Mutex from this header, so the locking discipline of the shared
-// structures (thread pool, race latches, decomposition cache, countermodel
-// pool) is *proved at compile time* on any clang build:
+// structures (thread pool, decomposition cache) is *proved at compile
+// time* on any clang build:
 //
 //   clang++ -Wthread-safety -Werror=thread-safety   (CI adds this
 //   automatically on the clang leg; see CMakeLists.txt)

@@ -8,7 +8,6 @@
 #include "aig/ops.h"
 #include "aig/support.h"
 #include "aig/window.h"
-#include "common/race.h"
 #include "common/thread_pool.h"
 
 namespace step::core {
@@ -117,34 +116,6 @@ long CircuitRunResult::total_window_sat_completions() const {
   return s;
 }
 
-int CircuitRunResult::num_probed() const {
-  return static_cast<int>(std::count_if(
-      pos.begin(), pos.end(), [](const PoOutcome& p) { return p.probed; }));
-}
-
-int CircuitRunResult::num_raced() const {
-  return static_cast<int>(std::count_if(
-      pos.begin(), pos.end(), [](const PoOutcome& p) { return p.raced; }));
-}
-
-long CircuitRunResult::total_race_cancels() const {
-  long s = 0;
-  for (const PoOutcome& p : pos) s += p.race_cancels;
-  return s;
-}
-
-long CircuitRunResult::total_pool_published() const {
-  long s = 0;
-  for (const PoOutcome& p : pos) s += p.pool_published;
-  return s;
-}
-
-long CircuitRunResult::total_pool_imported() const {
-  long s = 0;
-  for (const PoOutcome& p : pos) s += p.pool_imported;
-  return s;
-}
-
 long CircuitRunResult::total_sat_calls() const {
   long s = 0;
   for (const PoOutcome& p : pos) s += p.sat_calls;
@@ -239,17 +210,6 @@ CircuitRunResult run_circuit(const aig::Aig& circuit, const std::string& name,
   result.pos.resize(jobs.size());
   std::atomic<bool> hit_budget{false};
 
-  // Race helpers are a separate small pool: racers of one cone must never
-  // queue behind other cones' primary jobs on the PO pool (a full PO pool
-  // would starve every race of its non-primary racers — or deadlock a
-  // pool waiting on itself). Width is capped at 3 engines, so 2 helpers
-  // cover the widest race; the caller's worker runs the primary racer.
-  std::unique_ptr<RaceScheduler> race_sched;
-  if (par.portfolio.enabled && par.portfolio.race_width > 1) {
-    race_sched = std::make_unique<RaceScheduler>(
-        std::min(par.portfolio.race_width - 1, 2));
-  }
-
   auto absorb_costs = [](PoOutcome& outcome, const DecomposeResult& r) {
     outcome.sat_calls += r.sat_calls;
     outcome.qbf_calls += r.qbf_calls;
@@ -291,8 +251,7 @@ CircuitRunResult run_circuit(const aig::Aig& circuit, const std::string& name,
     // read-only circuit, the deadline, and the governor's atomics.
     // Returns kOk on a conclusion (decomposed or proven not
     // decomposable), otherwise the typed failure reason.
-    auto attempt = [&](DecomposeOptions aopts, bool try_window,
-                       bool use_portfolio) {
+    auto attempt = [&](DecomposeOptions aopts, bool try_window) {
       MemTracker mem(par.governor);
       if (par.governor != nullptr) aopts.mem = &mem;
       if (faults) aopts.faults = &*faults;
@@ -344,21 +303,7 @@ CircuitRunResult run_circuit(const aig::Aig& circuit, const std::string& name,
       const Cone cone = extract_po_cone(circuit, job.po);
       aopts.po_budget_s =
           effective_attempt_budget_s(aopts.po_budget_s, circuit_deadline);
-      DecomposeResult r;
-      if (use_portfolio) {
-        PortfolioOutcome p = decompose_portfolio(cone, aopts, par.portfolio,
-                                                 race_sched.get());
-        r = std::move(p.result);
-        outcome.probed = true;
-        outcome.engine_used = p.engine_used;
-        outcome.raced = p.raced;
-        outcome.race_width = p.race_width;
-        outcome.race_cancels = p.race_cancels;
-        outcome.pool_published = p.pool_published;
-        outcome.pool_imported = p.pool_imported;
-      } else {
-        r = BiDecomposer(aopts).decompose(cone);
-      }
+      const DecomposeResult r = BiDecomposer(aopts).decompose(cone);
       absorb_costs(outcome, r);
       outcome.status = r.status;
       if (r.status != DecomposeStatus::kUnknown) {
@@ -370,9 +315,7 @@ CircuitRunResult run_circuit(const aig::Aig& circuit, const std::string& name,
                                             : r.reason;
     };
 
-    outcome.engine_used = opts.engine;
-    const OutcomeReason why =
-        attempt(opts, opts.use_dont_cares, par.portfolio.enabled);
+    const OutcomeReason why = attempt(opts, opts.use_dont_cares);
     if (why != OutcomeReason::kOk) {
       // The reported reason stays the primary attempt's: the root cause,
       // even when ladder rungs below fail for other (cheaper) reasons.
@@ -420,10 +363,7 @@ CircuitRunResult run_circuit(const aig::Aig& circuit, const std::string& name,
           }
           ropts.extract = true;
           ropts.verify = true;
-          // Rungs stay fixed-engine: the ladder exists to get *cheaper*,
-          // racing a cone that already blew its budget is not that.
-          if (attempt(ropts, rung.window, /*use_portfolio=*/false) ==
-              OutcomeReason::kOk) {
+          if (attempt(ropts, rung.window) == OutcomeReason::kOk) {
             outcome.degraded = true;
             outcome.ladder_rung = rung_idx;
             outcome.reason = OutcomeReason::kOk;

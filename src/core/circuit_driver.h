@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/decomposer.h"
-#include "core/portfolio.h"
 #include "core/schedule.h"
 #include "core/synthesis.h"
 
@@ -34,16 +33,6 @@ struct PoOutcome {
   std::uint64_t qbf_abstraction_conflicts = 0;
   std::uint64_t qbf_verification_conflicts = 0;
   sat::Solver::Stats solver_stats;  ///< low-level SAT counters, all solvers
-  // Portfolio accounting (populated in --portfolio mode only). Probe and
-  // plan are deterministic per cone; engine_used / race_cancels / pool
-  // transfers of a decided race are timing-dependent, the answer is not.
-  Engine engine_used = Engine::kMg;  ///< engine that produced the answer
-  bool probed = false;               ///< portfolio probe ran on this PO
-  bool raced = false;                ///< engines raced concurrently
-  int race_width = 1;                ///< engines run on this PO
-  int race_cancels = 0;              ///< losers cancelled by the winner
-  long pool_published = 0;           ///< countermodels shared to racers
-  long pool_imported = 0;            ///< countermodels adopted from racers
   // Don't-care accounting (populated in DC mode only).
   bool window_built = false;  ///< an SDC window existed for this PO
   bool used_window = false;   ///< decomposed on the window's care set
@@ -89,14 +78,6 @@ struct CircuitRunResult {
   std::uint64_t total_window_sdc_minterms() const;
   long total_window_sat_completions() const;
 
-  /// Portfolio aggregates (all zero outside --portfolio mode; derived
-  /// from `pos`, so they sum identically across thread counts).
-  int num_probed() const;
-  int num_raced() const;
-  long total_race_cancels() const;
-  long total_pool_published() const;
-  long total_pool_imported() const;
-
   /// Circuit-wide solver-cost aggregates (sums over `pos`).
   long total_sat_calls() const;
   long total_qbf_calls() const;
@@ -139,11 +120,6 @@ struct ParallelDriverOptions {
   /// default so paper-faithful benchmark runs report first-attempt
   /// engine quality.
   bool degrade = false;
-  /// Engine-portfolio mode (core/portfolio.h): probe each cone, run the
-  /// probe-picked engine solo on easy cones and race 2-3 engines with
-  /// first-winner cancellation on hard ones. Applies to the primary
-  /// attempt only; degradation-ladder rungs stay fixed-engine.
-  PortfolioOptions portfolio;
   /// Job-ordering policy (core/schedule.h): kFifo preserves the
   /// historical PO-order queue; kHardness scores every cone and submits
   /// hardest-first with small-cone chunking — a pure reordering, so

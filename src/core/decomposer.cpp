@@ -4,6 +4,30 @@
 
 namespace step::core {
 
+namespace {
+
+/// Result of one engine's pure partition-search strand: a partition (or a
+/// proof there is none, or a typed give-up) plus the strand's own cost
+/// counters. No extraction, no verification — BiDecomposer::decompose
+/// does both.
+struct SearchStrand {
+  DecomposeStatus status = DecomposeStatus::kUnknown;
+  OutcomeReason reason = OutcomeReason::kOk;
+  Partition partition;  ///< valid when status == kDecomposed
+  bool proven_optimal = false;
+  int sat_calls = 0;
+  int qbf_calls = 0;
+  int qbf_iterations = 0;
+  std::uint64_t qbf_abstraction_conflicts = 0;
+  std::uint64_t qbf_verification_conflicts = 0;
+  sat::Solver::Stats solver_stats;
+};
+
+/// Runs one engine's partition search on a prebuilt relaxation matrix.
+/// Every solver the strand builds (relaxation, LJH, CEGAR pair) is private
+/// to the call and dies with it. `opts` supplies the engine sub-options
+/// and the SAT configuration (including the memory account via
+/// opts.sat.mem); opts.engine is ignored in favour of `engine`.
 SearchStrand run_search_strand(const RelaxationMatrix& matrix, Engine engine,
                                const DecomposeOptions& opts,
                                const Deadline* deadline) {
@@ -68,8 +92,6 @@ SearchStrand run_search_strand(const RelaxationMatrix& matrix, Engine engine,
       res.qbf_abstraction_conflicts = finder.abstraction_conflicts();
       res.qbf_verification_conflicts = finder.verification_conflicts();
       res.solver_stats += finder.solver_stats();
-      res.pool_published = finder.shared_published();
-      res.pool_imported = finder.shared_imported();
       switch (r.outcome) {
         case OptimumResult::Outcome::kFound:
           res.status = DecomposeStatus::kDecomposed;
@@ -112,6 +134,8 @@ SearchStrand run_search_strand(const RelaxationMatrix& matrix, Engine engine,
   }
   return res;
 }
+
+}  // namespace
 
 DecomposeResult BiDecomposer::decompose(const Cone& cone_in,
                                         const CareSet* care) const {

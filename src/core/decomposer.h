@@ -120,41 +120,6 @@ struct DecomposeResult {
   sat::Solver::Stats solver_stats;
 };
 
-/// Result of one engine's pure partition-search strand: a partition (or a
-/// proof there is none, or a typed give-up) plus the strand's own cost
-/// counters. No extraction, no verification — that is the orchestration
-/// layer's job (BiDecomposer::decompose, or the portfolio racer's
-/// post-race validation).
-struct SearchStrand {
-  DecomposeStatus status = DecomposeStatus::kUnknown;
-  OutcomeReason reason = OutcomeReason::kOk;
-  Partition partition;  ///< valid when status == kDecomposed
-  bool proven_optimal = false;
-  int sat_calls = 0;
-  int qbf_calls = 0;
-  int qbf_iterations = 0;
-  std::uint64_t qbf_abstraction_conflicts = 0;
-  std::uint64_t qbf_verification_conflicts = 0;
-  sat::Solver::Stats solver_stats;
-  /// Shared-pool transfer counts (portfolio races only; see qbf_model.h).
-  long pool_published = 0;
-  long pool_imported = 0;
-};
-
-/// Runs one engine's partition search on a prebuilt relaxation matrix.
-/// This is the cancellable unit of the engine portfolio: every solver the
-/// strand builds (relaxation, LJH, CEGAR pair) is private to the call and
-/// dies with it, so a racer losing the race — its deadline tripping
-/// kCancelled mid-solve — unwinds without poisoning anything persistent.
-/// The matrix itself is read-only and may be shared across concurrent
-/// strands. `opts` supplies the engine sub-options, the SAT configuration
-/// (including the memory account via opts.sat.mem) and, for QBF engines,
-/// opts.qbf.shared_pool for cross-racer learning; opts.engine is ignored
-/// in favour of `engine`.
-SearchStrand run_search_strand(const RelaxationMatrix& matrix, Engine engine,
-                               const DecomposeOptions& opts,
-                               const Deadline* deadline);
-
 /// Facade running one engine on one cone — the per-PO unit of work of the
 /// paper's experiments and of this library's public API.
 class BiDecomposer {

@@ -6,26 +6,6 @@
 
 namespace step::core {
 
-bool SharedCountermodelPool::publish(const std::vector<sat::Lbool>& cm) {
-  MutexLock lk(mu_);
-  if (!keys_.insert(sat::lbool_key(cm)).second) return false;
-  cms_.push_back(cm);
-  return true;
-}
-
-std::size_t SharedCountermodelPool::fetch_new(
-    std::size_t* cursor, std::vector<std::vector<sat::Lbool>>* out) const {
-  MutexLock lk(mu_);
-  const std::size_t added = cms_.size() - *cursor;
-  for (; *cursor < cms_.size(); ++*cursor) out->push_back(cms_[*cursor]);
-  return added;
-}
-
-std::size_t SharedCountermodelPool::size() const {
-  MutexLock lk(mu_);
-  return cms_.size();
-}
-
 QbfPartitionFinder::QbfPartitionFinder(const RelaxationMatrix& m,
                                        QbfFinderOptions opts)
     : m_(m), opts_(opts) {
@@ -110,28 +90,6 @@ void QbfPartitionFinder::absorb_countermodel(
     const std::vector<sat::Lbool>& cm) {
   if (!pool_keys_.insert(sat::lbool_key(cm)).second) return;
   pool_.push_back(cm);
-  if (opts_.shared_pool != nullptr && opts_.shared_pool->publish(cm)) {
-    ++shared_published_;
-  }
-}
-
-void QbfPartitionFinder::import_shared() {
-  if (opts_.shared_pool == nullptr || !opts_.pool_seeding) return;
-  std::vector<std::vector<sat::Lbool>> fresh;
-  opts_.shared_pool->fetch_new(&shared_cursor_, &fresh);
-  for (const auto& cm : fresh) {
-    // Skip countermodels this finder published (or already imported).
-    if (!pool_keys_.insert(sat::lbool_key(cm)).second) continue;
-    pool_.push_back(cm);
-    ++shared_imported_;
-    // Live persistent pairs get the refinement immediately; future pairs
-    // pick it up from pool_ at state_for() construction like any other.
-    for (const auto& slot : inc_) {
-      if (slot != nullptr && slot->solver != nullptr) {
-        slot->solver->seed_countermodel(cm);
-      }
-    }
-  }
 }
 
 QbfPartitionFinder::IncState& QbfPartitionFinder::state_for(QbfModel model) {
@@ -341,7 +299,6 @@ sat::Solver::Stats QbfPartitionFinder::solver_stats() const {
 QbfFindResult QbfPartitionFinder::find_with_bound(QbfModel model, int k,
                                                   const Deadline* deadline) {
   ++qbf_calls_;
-  import_shared();
   QbfFindResult r = opts_.incremental ? find_incremental(model, k, deadline)
                                       : find_scratch(model, k, deadline);
   total_iterations_ += r.iterations;

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "cnf/cardinality.h"
-#include "common/thread_annotations.h"
 #include "common/timer.h"
 #include "core/partition_check.h"
 #include "core/relaxation.h"
@@ -56,32 +55,6 @@ struct QbfFindResult {
   int refuted_below = 0;
 };
 
-/// Thread-safe, deduplicated pool of universal countermodels shared by
-/// the finders of concurrent portfolio racers (core/portfolio.h). Only
-/// sound across finders over the *same* relaxation matrix (same cone, op
-/// and care set): a countermodel refutes candidate partitions purely
-/// through the matrix part Φ, which does not depend on the racer's target
-/// fT — the same argument that lets the per-finder pool below span bounds
-/// and models. Publishing deduplicates; importing is cursor-based so each
-/// finder pays one copy per novel countermodel.
-class SharedCountermodelPool {
- public:
-  /// Adds a countermodel; returns false when an identical one is pooled.
-  bool publish(const std::vector<sat::Lbool>& cm);
-
-  /// Appends every countermodel added since `*cursor` to `out` and
-  /// advances the cursor. Returns the number appended.
-  std::size_t fetch_new(std::size_t* cursor,
-                        std::vector<std::vector<sat::Lbool>>* out) const;
-
-  std::size_t size() const;
-
- private:
-  mutable Mutex mu_;
-  std::vector<std::vector<sat::Lbool>> cms_ STEP_GUARDED_BY(mu_);
-  std::unordered_set<std::string> keys_ STEP_GUARDED_BY(mu_);
-};
-
 /// Decides, via the 2QBF formulation (9), whether a non-trivial valid
 /// partition with fT-cost <= k exists — and produces it if so.
 ///
@@ -114,13 +87,6 @@ struct QbfFinderOptions {
   /// Keep one solver pair alive across all bound queries of a model and
   /// drive the bounds with counter-output assumptions. Off = rebuild per query.
   bool incremental = true;
-  /// Cross-racer countermodel pool (non-owning, optional): every locally
-  /// novel countermodel is published, and novel foreign ones are imported
-  /// (and seeded into live solver pairs) at each find_with_bound() entry.
-  /// The portfolio wires one pool per race; all racers must share this
-  /// finder's relaxation matrix. Gated by `pool_seeding` like the local
-  /// pool.
-  SharedCountermodelPool* shared_pool = nullptr;
   /// Forwarded to the CEGAR solver.
   qbf::CegarOptions cegar;
 };
@@ -146,11 +112,6 @@ class QbfPartitionFinder {
   /// Full low-level SAT statistics across every solver this finder built:
   /// retired scratch pairs plus the live persistent pairs.
   sat::Solver::Stats solver_stats() const;
-
-  /// Countermodels this finder pushed to / pulled from the shared pool
-  /// (zero without one) — the portfolio's pool-transfer accounting.
-  long shared_published() const { return shared_published_; }
-  long shared_imported() const { return shared_imported_; }
 
  private:
   /// A counter enforcing one fT inequality. The cost bound k becomes "at
@@ -195,7 +156,6 @@ class QbfPartitionFinder {
 
   Partition decode_partition(const std::vector<sat::Lbool>& outer_model) const;
   void absorb_countermodel(const std::vector<sat::Lbool>& cm);
-  void import_shared();
 
   const RelaxationMatrix& m_;  ///< not owned; must outlive the finder
   QbfFinderOptions opts_;
@@ -216,9 +176,6 @@ class QbfPartitionFinder {
   /// Deduplicated inner-countermodel pool shared by every solver instance.
   std::vector<std::vector<sat::Lbool>> pool_;
   std::unordered_set<std::string> pool_keys_;
-  std::size_t shared_cursor_ = 0;  ///< shared-pool entries already fetched
-  long shared_published_ = 0;
-  long shared_imported_ = 0;
 
   int qbf_calls_ = 0;
   int total_iterations_ = 0;

@@ -39,8 +39,7 @@ struct ConeCost {
 /// engines actually pay: the partition search space grows exponentially
 /// with support width (the dominant term, clamped so it cannot overflow)
 /// and the CNF/QBF matrices grow with cone size; a warm decomposition
-/// cache discounts the expected cost. Reuses the same signals as the
-/// portfolio probe (core/portfolio.h) without requiring cone extraction.
+/// cache discounts the expected cost. Needs no cone extraction.
 double predicted_hardness(const ConeCost& c);
 
 /// Saturating tree-size estimate of every node's cone in ONE forward

@@ -111,9 +111,10 @@ class Solver {
   /// reusable — the next solve() on the same instance behaves as if the
   /// interrupted call never happened. Specifically: the trail is unwound
   /// to level 0 before returning, and clauses are only ever added or
-  /// removed with their watches kept consistent. This is what lets a
-  /// portfolio racer cancel mid-solve without poisoning persistent
-  /// incremental state (see tests/solver_fuzz_test.cpp, cancel fuzz).
+  /// removed with their watches kept consistent. This is what lets the
+  /// optimum search's per-call timeout, the circuit deadline or SIGINT
+  /// interrupt a persistent incremental solver mid-solve without
+  /// poisoning its state (see tests/solver_fuzz_test.cpp, cancel fuzz).
   Result solve_limited(std::span<const Lit> assumptions,
                        std::int64_t conflict_budget = -1,
                        const Deadline* deadline = nullptr);

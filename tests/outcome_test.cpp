@@ -541,6 +541,11 @@ TEST(CliExitCodes, UsageErrorExitsWith2) {
   EXPECT_EQ(run_cli("decompose x.blif -restarts ema"), 2);
   EXPECT_EQ(run_cli("decompose x.blif --no-inprocess"), 2);
   EXPECT_EQ(run_cli("decompose x.blif --no-rephase"), 2);
+  // Likewise the removed engine-racing switches: a stale script must
+  // not silently run one fixed engine instead.
+  EXPECT_EQ(run_cli("decompose x.blif --portfolio"), 2);
+  EXPECT_EQ(run_cli("decompose x.blif -race-width 2"), 2);
+  EXPECT_EQ(run_cli("decompose x.blif --portfolio-stats"), 2);
 }
 
 TEST(CliExitCodes, MemCappedRunCompletesSuccessfully) {

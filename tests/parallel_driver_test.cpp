@@ -113,9 +113,9 @@ core::DecomposeOptions generous_opts(core::Engine engine, core::GateOp op) {
 
 TEST(ParallelDriver, MatchesSequentialRunAcrossEngines) {
   const aig::Aig circ = benchgen::random_sop(3, 3, 2, 6, 4, 0x5eed);
-  const core::Engine engines[] = {core::Engine::kMg,
-                                  core::Engine::kQbfDisjoint,
-                                  core::Engine::kQbfCombined};
+  const core::Engine engines[] = {
+      core::Engine::kLjh, core::Engine::kMg, core::Engine::kQbfDisjoint,
+      core::Engine::kQbfBalanced, core::Engine::kQbfCombined};
   for (core::Engine e : engines) {
     SCOPED_TRACE(core::to_string(e));
     const auto opts = generous_opts(e, core::GateOp::kOr);

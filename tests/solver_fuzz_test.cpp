@@ -332,7 +332,9 @@ TEST(SolverFuzz, ConflictBudgetsAndInjectedFaultsOnlyLoseAnswers) {
 }
 
 TEST(SolverFuzz, CancelThenResolveLeavesSolverReusable) {
-  // The portfolio's cancel contract (see solve_limited's doc in solver.h):
+  // The interrupt contract (see solve_limited's doc in solver.h) that the
+  // optimum search's per-call timeout, the circuit deadline and SIGINT
+  // rely on:
   // a solve_limited interrupted at *any* poll point — entry, mid-search,
   // around restarts and database reductions — must leave the incremental
   // solver fully reusable, answering the next solve on the same instance

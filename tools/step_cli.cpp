@@ -61,9 +61,6 @@ struct CliOptions {
   bool verify = false;
   bool use_dc = false;
   bool dc_stats = false;
-  bool portfolio = false;
-  int race_width = 2;
-  bool portfolio_stats = false;
   core::SchedulePolicy schedule = core::SchedulePolicy::kFifo;
   aig::WindowOptions window;
   sat::SolverOptions sat;
@@ -123,21 +120,6 @@ constexpr const char kHelpText[] =
     "  -dc-inputs <n>            widest window cut accepted (default 10,\n"
     "                            max 16; the care set enumerates 2^n)\n"
     "  --dc-stats                print window/care counters after the run\n"
-    "\n"
-    "engine-portfolio options (see docs/ARCHITECTURE.md § Engine"
-    " portfolio):\n"
-    "  --portfolio               decompose: probe each cone and pick its\n"
-    "                            engine instead of running -engine\n"
-    "                            everywhere; cones predicted hard race\n"
-    "                            several engines concurrently with\n"
-    "                            first-winner cancellation and shared\n"
-    "                            countermodel learning (-engine still picks\n"
-    "                            the preferred QBF variant)\n"
-    "  -race-width <n>           engines raced on a hard cone (1-3,\n"
-    "                            default 2; 1 = probe-picked solo engine,\n"
-    "                            no racing)\n"
-    "  --portfolio-stats         print probe/race/cancel/pool-transfer\n"
-    "                            counters after the run\n"
     "\n"
     "SAT-solver options (see docs/SOLVER.md):\n"
     "  -lbd-core <n>             learnts with LBD <= n are kept forever\n"
@@ -294,16 +276,6 @@ CliOptions parse_args(int argc, char** argv) {
       }
     } else if (flag == "--dc-stats" || flag == "-dc-stats") {
       cli.dc_stats = true;
-    } else if (flag == "--portfolio" || flag == "-portfolio") {
-      cli.portfolio = true;
-    } else if (flag == "-race-width") {
-      cli.race_width = std::atoi(value());
-      if (cli.race_width < 1 || cli.race_width > 3) {
-        std::fprintf(stderr, "step: -race-width expects a width in [1, 3]\n");
-        usage();
-      }
-    } else if (flag == "--portfolio-stats" || flag == "-portfolio-stats") {
-      cli.portfolio_stats = true;
     } else if (flag == "-j") {
       cli.num_threads = std::atoi(value());
     } else if (flag == "--schedule" || flag == "-schedule") {
@@ -382,8 +354,6 @@ core::ParallelDriverOptions driver_options(const CliOptions& cli,
   par.faults = cli.faults && cli.faults->enabled() ? &*cli.faults : nullptr;
   par.cancel = &g_interrupted;
   par.degrade = cli.degrade;
-  par.portfolio.enabled = cli.portfolio;
-  par.portfolio.race_width = cli.race_width;
   par.schedule = cli.schedule;
   return par;
 }
@@ -465,15 +435,9 @@ int cmd_decompose(const CliOptions& cli, const io::Network& net,
     std::printf(" %9.3f\n", po.cpu_s);
   }
   std::printf("# %s %s: %d/%zu decomposed, %d proven optimal, %.2f s\n",
-              cli.portfolio ? "portfolio" : core::to_string(cli.engine),
-              core::to_string(cli.op), run.num_decomposed(), run.pos.size(),
-              run.num_proven_optimal(), run.total_cpu_s);
-  if (cli.portfolio_stats) {
-    std::printf("# portfolio: probes=%d races=%d cancels=%ld"
-                " pool_published=%ld pool_imported=%ld\n",
-                run.num_probed(), run.num_raced(), run.total_race_cancels(),
-                run.total_pool_published(), run.total_pool_imported());
-  }
+              core::to_string(cli.engine), core::to_string(cli.op),
+              run.num_decomposed(), run.pos.size(), run.num_proven_optimal(),
+              run.total_cpu_s);
   if (cli.dc_stats) {
     std::printf("# dc: windows=%d window_decomposed=%d sdc_minterms=%llu"
                 " care_sat_completions=%ld\n",
