@@ -13,8 +13,8 @@ namespace step::benchgen {
 /// 10^6 AND gates. Like generators.h these are fully deterministic and
 /// return self-contained combinational AIGs with named inputs/outputs;
 /// unlike the paper-table stand-ins they exist to stress *scale* — the
-/// streaming AIGER path, the arena memory envelope and the hardness
-/// scheduler — not to reproduce any published row.
+/// streaming AIGER path and the arena memory envelope — not to reproduce
+/// any published row.
 
 /// Wide carry-select adder, a[bits] + b[bits] + cin. Roughly 12 ANDs per
 /// bit; bits = 100000 lands near 1.2M gates. The MSB cones span the whole
@@ -44,9 +44,8 @@ aig::Aig epfl_decoder(int addr_bits);
 
 /// One deliberately giant cone (an `giant_support`-input majority-of-
 /// parities tower) merged with `n_small` independent random cones of
-/// `small_support` inputs each. The workload the hardness scheduler is
-/// built for: FIFO discovers the giant cone wherever PO order put it
-/// (here: last), hardest-first starts it immediately.
+/// `small_support` inputs each, the giant cone last in PO order: one
+/// outlier among many small cones.
 aig::Aig giant_cone_suite(int giant_support, int n_small, int small_support,
                           std::uint64_t seed);
 

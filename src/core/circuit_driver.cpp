@@ -183,28 +183,6 @@ CircuitRunResult run_circuit(const aig::Aig& circuit, const std::string& name,
     jobs.push_back(PoJob{po, support});
   }
 
-  // Hardness scoring + execution order (core/schedule.h). A pure function
-  // of the circuit and the policy — no timing, no thread count — so the
-  // order (and everything derived from it) is identical across -jN.
-  std::vector<double> scores(jobs.size(), 0.0);
-  {
-    const std::vector<double> est = tree_size_estimates(circuit);
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      ConeCost cost;
-      cost.po = jobs[j].po;
-      cost.support = jobs[j].support;
-      cost.est_ands = est[aig::node_of(circuit.output(jobs[j].po))];
-      scores[j] = predicted_hardness(cost);
-    }
-  }
-  const std::vector<std::size_t> order =
-      schedule_order(scores, par.schedule, &result.schedule);
-  // rank_of[j] = position of job j in the execution order.
-  std::vector<int> rank_of(jobs.size(), 0);
-  for (std::size_t r = 0; r < order.size(); ++r) {
-    rank_of[order[r]] = static_cast<int>(r);
-  }
-
   // Slot per job: workers write disjoint entries, so aggregation is
   // deterministic (PO order) regardless of completion order.
   result.pos.resize(jobs.size());
@@ -224,8 +202,6 @@ CircuitRunResult run_circuit(const aig::Aig& circuit, const std::string& name,
     PoOutcome& outcome = result.pos[j];
     outcome.po_index = static_cast<int>(job.po);
     outcome.support = job.support;
-    outcome.predicted_hardness = scores[j];
-    outcome.schedule_rank = rank_of[j];
 
     if (circuit_deadline.expired()) {
       hit_budget.store(true, std::memory_order_relaxed);
@@ -382,19 +358,12 @@ CircuitRunResult run_circuit(const aig::Aig& circuit, const std::string& name,
   const int threads =
       std::min(ThreadPool::resolve_num_threads(par.num_threads),
                std::max<int>(1, static_cast<int>(jobs.size())));
-  // Both paths execute the scheduled order; the pooled path additionally
-  // chunks runs of small cones into one submission each (outliers stay
-  // singleton) so a very wide netlist does not pay per-PO queue overhead.
-  const std::vector<std::vector<std::size_t>> batches =
-      schedule_batches(scores, order, par.schedule, &result.schedule);
   if (threads <= 1) {
-    for (const std::size_t j : order) run_one(j);
+    for (std::size_t j = 0; j < jobs.size(); ++j) run_one(j);
   } else {
     ThreadPool pool(threads);
-    for (const std::vector<std::size_t>& batch : batches) {
-      pool.submit([&run_one, &batch] {
-        for (const std::size_t j : batch) run_one(j);
-      });
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      pool.submit([&run_one, j] { run_one(j); });
     }
     pool.wait_idle();
   }

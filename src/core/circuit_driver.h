@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/decomposer.h"
-#include "core/schedule.h"
 #include "core/synthesis.h"
 
 namespace step::core {
@@ -41,13 +40,6 @@ struct PoOutcome {
   double care_fraction = 1.0;
   int window_sat_completions = 0;
   bool care_overapprox = false;  ///< window care set over-approximated
-  // Scheduling accounting (core/schedule.h): the cone's predicted
-  // hardness score and its position in the execution order. Both are pure
-  // functions of the circuit and the policy — identical across thread
-  // counts — and let --stats/bench JSON compare predicted hardness
-  // against the actual cpu_s.
-  double predicted_hardness = 0.0;
-  int schedule_rank = 0;
 };
 
 /// One engine applied to every decomposable-candidate PO of a circuit —
@@ -59,8 +51,6 @@ struct CircuitRunResult {
   std::vector<PoOutcome> pos;  ///< POs with support >= 2 only
   double total_cpu_s = 0.0;
   bool hit_circuit_budget = false;
-  /// How the job queue was ordered/chunked (core/schedule.h).
-  ScheduleShape schedule;
 
   int num_decomposed() const;
   int num_proven_optimal() const;
@@ -120,11 +110,6 @@ struct ParallelDriverOptions {
   /// default so paper-faithful benchmark runs report first-attempt
   /// engine quality.
   bool degrade = false;
-  /// Job-ordering policy (core/schedule.h): kFifo preserves the
-  /// historical PO-order queue; kHardness scores every cone and submits
-  /// hardest-first with small-cone chunking — a pure reordering, so
-  /// per-PO outcomes are identical to FIFO's under any thread count.
-  SchedulePolicy schedule = SchedulePolicy::kFifo;
 };
 
 /// Effective wall budget for one decomposition attempt under a shared

@@ -1,7 +1,5 @@
 #include "core/decomposer.h"
 
-#include "core/reduce.h"
-
 namespace step::core {
 
 namespace {
@@ -137,7 +135,7 @@ SearchStrand run_search_strand(const RelaxationMatrix& matrix, Engine engine,
 
 }  // namespace
 
-DecomposeResult BiDecomposer::decompose(const Cone& cone_in,
+DecomposeResult BiDecomposer::decompose(const Cone& cone,
                                         const CareSet* care) const {
   Timer timer;
   Deadline deadline(opts_.po_budget_s);
@@ -151,28 +149,6 @@ DecomposeResult BiDecomposer::decompose(const Cone& cone_in,
   DecomposeResult res;
   if (care_is_trivial(care)) care = nullptr;
 
-  // Support reduction must carry the care set along: a dropped input may
-  // still appear in the care function, so it is existentially projected
-  // away (any extension being care keeps the minterm constrained). When
-  // the projection is over budget, reduction is skipped — sound either way.
-  Cone reduced;
-  std::optional<CareSet> reduced_care;
-  bool use_reduced = false;
-  if (opts_.reduce_support) {
-    std::vector<std::uint32_t> kept;
-    reduced = reduce_cone(cone_in, &kept);
-    if (care == nullptr) {
-      use_reduced = true;
-    } else if (kept.size() == cone_in.aig.num_inputs()) {
-      use_reduced = true;
-      reduced_care = *care;
-    } else if (auto proj = care_project(*care, kept, /*max_quantified=*/8)) {
-      use_reduced = true;
-      reduced_care = std::move(*proj);
-    }
-  }
-  const Cone& cone = use_reduced ? reduced : cone_in;
-  if (reduced_care) care = &*reduced_care;
   if (cone.n() < 2) {
     res.status = DecomposeStatus::kNotDecomposable;
     res.cpu_s = timer.elapsed_s();

@@ -50,10 +50,6 @@ struct DecomposeOptions {
   bool extract = true;
   /// SAT-verify f ≡ fA <OP> fB after extraction.
   bool verify = true;
-  /// Drop semantically irrelevant inputs before decomposing (one SAT
-  /// check per input; see core/reduce.h). The reported partition/metrics
-  /// then refer to the reduced support.
-  bool reduce_support = false;
   LjhOptions ljh;
   MgOptions mg;
   OptimumOptions optimum;

@@ -144,9 +144,7 @@ QbfPartitionFinder::IncState& QbfPartitionFinder::state_for(QbfModel model) {
   }
 
   // Carry everything already learned about this matrix into the new pair.
-  if (opts_.pool_seeding) {
-    for (const auto& cm : pool_) st.solver->seed_countermodel(cm);
-  }
+  for (const auto& cm : pool_) st.solver->seed_countermodel(cm);
   return st;
 }
 
@@ -263,9 +261,7 @@ QbfFindResult QbfPartitionFinder::find_scratch(QbfModel model, int k,
   }
 
   // Replay previously discovered universal countermodels.
-  if (opts_.pool_seeding) {
-    for (const auto& cm : pool_) solver.seed_countermodel(cm);
-  }
+  for (const auto& cm : pool_) solver.seed_countermodel(cm);
 
   const qbf::Qbf2Result r = solver.solve(deadline);
   abs_conflicts_ += solver.abstraction_stats().conflicts;

@@ -81,9 +81,6 @@ struct QbfFinderOptions {
   /// bound the *absolute* size difference instead, which is equivalent on
   /// partitions but doubles the witness space.
   bool symmetry_breaking = true;
-  /// Carry CEGAR countermodels across bound queries (and, via the pool,
-  /// across solver instances / models).
-  bool pool_seeding = true;
   /// Keep one solver pair alive across all bound queries of a model and
   /// drive the bounds with counter-output assumptions. Off = rebuild per query.
   bool incremental = true;

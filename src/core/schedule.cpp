@@ -8,26 +8,15 @@
 
 namespace step::core {
 
-const char* to_string(SchedulePolicy p) {
-  switch (p) {
-    case SchedulePolicy::kFifo: return "fifo";
-    case SchedulePolicy::kHardness: return "hardness";
-  }
-  return "?";
-}
-
 double predicted_hardness(const ConeCost& c) {
   if (c.support < 2) return 0.0;
   // Exponential in support width (the partition search space), linear in
   // cone size (matrix/CNF build and walk costs). The exponent base is
   // deliberately mild — supports differ by tens, and 1.5^n already
   // separates a 20-input cone from a 10-input one by ~57x — and clamped
-  // far below double overflow. A warm cache halves the expected cost at
-  // hit rate 1.
+  // far below double overflow.
   const double width = std::min(c.support, 64);
-  const double search = std::pow(1.5, width);
-  const double size = 1.0 + c.est_ands;
-  return search * size * (1.0 - 0.5 * c.cache_hit_rate);
+  return std::pow(1.5, width) * (1.0 + c.est_ands);
 }
 
 std::vector<double> tree_size_estimates(const aig::Aig& a) {
@@ -44,92 +33,21 @@ std::vector<double> tree_size_estimates(const aig::Aig& a) {
   return est;
 }
 
-namespace {
-
-double median_of(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  const std::size_t mid = v.size() / 2;
-  std::nth_element(v.begin(), v.begin() + mid, v.end());
-  return v[mid];
-}
-
-}  // namespace
-
 std::vector<std::size_t> schedule_order(const std::vector<double>& scores,
-                                        SchedulePolicy policy,
-                                        ScheduleShape* shape) {
+                                        SchedulePolicy /*policy*/) {
   std::vector<std::size_t> order(scores.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  if (policy == SchedulePolicy::kHardness) {
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t x, std::size_t y) {
-                       if (scores[x] != scores[y]) return scores[x] > scores[y];
-                       return x < y;
-                     });
-  }
-  if (shape != nullptr) {
-    shape->policy = policy;
-    shape->jobs = static_cast<int>(scores.size());
-    const double median = median_of(scores);
-    shape->median_score = median;
-    shape->max_score =
-        scores.empty() ? 0.0 : *std::max_element(scores.begin(), scores.end());
-    shape->outliers = static_cast<int>(std::count_if(
-        scores.begin(), scores.end(), [&](double s) {
-          return median > 0.0 && s >= kOutlierFactor * median;
-        }));
-    shape->batches = 0;
-  }
   return order;
 }
 
 std::vector<std::vector<std::size_t>> schedule_batches(
     const std::vector<double>& scores, const std::vector<std::size_t>& order,
-    SchedulePolicy policy, ScheduleShape* shape) {
+    SchedulePolicy /*policy*/) {
   STEP_CHECK(scores.size() == order.size());
   std::vector<std::vector<std::size_t>> batches;
-  if (policy == SchedulePolicy::kFifo) {
-    // Historical behavior: one submission per job, in PO order.
-    batches.reserve(order.size());
-    for (const std::size_t j : order) batches.push_back({j});
-  } else {
-    const double median = median_of(scores);
-    auto is_outlier = [&](std::size_t j) {
-      return median > 0.0 && scores[j] >= kOutlierFactor * median;
-    };
-    std::vector<std::size_t> run;
-    auto flush = [&]() {
-      if (!run.empty()) {
-        batches.push_back(std::move(run));
-        run.clear();
-      }
-    };
-    for (const std::size_t j : order) {
-      if (is_outlier(j)) {
-        // Outliers never share a submission: the pool can hand each to a
-        // dedicated worker immediately.
-        flush();
-        batches.push_back({j});
-      } else {
-        run.push_back(j);
-        if (run.size() >= kBatchMaxJobs) flush();
-      }
-    }
-    flush();
-  }
-  if (shape != nullptr) shape->batches = static_cast<int>(batches.size());
+  batches.reserve(order.size());
+  for (const std::size_t j : order) batches.push_back({j});
   return batches;
-}
-
-double simulated_makespan(const std::vector<double>& costs,
-                          const std::vector<std::size_t>& order, int workers) {
-  STEP_CHECK(workers >= 1);
-  std::vector<double> busy_until(static_cast<std::size_t>(workers), 0.0);
-  for (const std::size_t j : order) {
-    auto it = std::min_element(busy_until.begin(), busy_until.end());
-    *it += costs[j];
-  }
-  return *std::max_element(busy_until.begin(), busy_until.end());
 }
 
 }  // namespace step::core

@@ -49,7 +49,6 @@ GroupMusResult GroupMusExtractor::extract(
 
   std::vector<char> in_core(n, 0);
   auto refine_from_core = [&](int excluded) {
-    if (!opts_.core_refinement) return;
     // Keep only groups whose enable literal appears in the final conflict.
     std::fill(in_core.begin(), in_core.end(), 0);
     for (sat::Lit l : solver_.conflict_core()) {

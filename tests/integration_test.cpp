@@ -149,9 +149,9 @@ TEST(Integration, EmbeddedC17AgainstBruteForceAllOps) {
 }
 
 TEST(Integration, AblationConfigurationsAgreeOnOptima) {
-  // Symmetry breaking / pool seeding / clause fast path / incremental
-  // solving are engineering, not semantics: all sixteen on/off
-  // combinations find the same optimum.
+  // Symmetry breaking / clause fast path / incremental solving are
+  // engineering, not semantics: all eight on/off combinations find the
+  // same optimum.
   Rng rng(24680);
   for (int iter = 0; iter < 4; ++iter) {
     const core::Cone cone =
@@ -160,12 +160,11 @@ TEST(Integration, AblationConfigurationsAgreeOnOptima) {
         core::build_relaxation_matrix(cone, core::GateOp::kOr);
 
     int reference_cost = -2;
-    for (int mask = 0; mask < 16; ++mask) {
+    for (int mask = 0; mask < 8; ++mask) {
       core::QbfFinderOptions f;
       f.symmetry_breaking = (mask & 1) != 0;
-      f.pool_seeding = (mask & 2) != 0;
-      f.cegar.clause_fast_path = (mask & 4) != 0;
-      f.incremental = (mask & 8) != 0;
+      f.cegar.clause_fast_path = (mask & 2) != 0;
+      f.incremental = (mask & 4) != 0;
       core::QbfPartitionFinder finder(m, f);
       core::OptimumSearch search(finder, core::QbfModel::kQD);
       const core::OptimumResult r = search.run(std::nullopt);

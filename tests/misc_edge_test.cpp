@@ -121,17 +121,15 @@ TEST(CardinalityEdge, DiffAtMostNegativeK) {
 
 // ---------- MUS option paths ----------------------------------------------------
 
-TEST(MusEdge, NoCoreRefinementStillMinimal) {
+TEST(MusEdge, InterchangeableGroupsStillMinimal) {
   sat::Solver s;
   const sat::Var x = s.new_var();
   const sat::Var e0 = s.new_var(), e1 = s.new_var(), e2 = s.new_var();
   s.add_clause({sat::mk_lit(x), ~sat::mk_lit(e0)});
   s.add_clause({~sat::mk_lit(x), ~sat::mk_lit(e1)});
   s.add_clause({sat::mk_lit(x), ~sat::mk_lit(e2)});  // redundant with e0
-  mus::GroupMusOptions opts;
-  opts.core_refinement = false;
   mus::GroupMusExtractor ex(
-      s, {sat::mk_lit(e0), sat::mk_lit(e1), sat::mk_lit(e2)}, opts);
+      s, {sat::mk_lit(e0), sat::mk_lit(e1), sat::mk_lit(e2)});
   const mus::GroupMusResult r = ex.extract();
   EXPECT_TRUE(r.minimal);
   ASSERT_EQ(r.mus.size(), 2u);

@@ -546,6 +546,11 @@ TEST(CliExitCodes, UsageErrorExitsWith2) {
   EXPECT_EQ(run_cli("decompose x.blif --portfolio"), 2);
   EXPECT_EQ(run_cli("decompose x.blif -race-width 2"), 2);
   EXPECT_EQ(run_cli("decompose x.blif --portfolio-stats"), 2);
+  // Likewise the removed job-order and per-subsystem stats switches: a
+  // stale script must fail loudly, not silently lose part of its report.
+  EXPECT_EQ(run_cli("decompose x.blif --schedule hardness"), 2);
+  EXPECT_EQ(run_cli("decompose x.blif --dc-stats"), 2);
+  EXPECT_EQ(run_cli("decompose x.blif --cache-stats"), 2);
 }
 
 TEST(CliExitCodes, MemCappedRunCompletesSuccessfully) {

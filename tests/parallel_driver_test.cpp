@@ -237,75 +237,6 @@ TEST(ParallelDriver, FaultInjectionIsThreadCountInvariant) {
   }
 }
 
-// ---------- hardness scheduling ------------------------------------------
-
-TEST(ParallelDriver, HardnessScheduleMatchesAcrossThreadCounts) {
-  // Hardness ordering is a pure function of the circuit (scores from
-  // structural support + tree-size estimates), so -j1 and -j8 must agree
-  // on every per-PO outcome AND on the schedule metadata itself.
-  const aig::Aig circ = benchgen::merge(
-      {benchgen::random_sop(3, 3, 2, 6, 4, 0x5eed), benchgen::parity_tree(8),
-       benchgen::comparator(4)});
-  auto opts = generous_opts(core::Engine::kMg, core::GateOp::kOr);
-  core::ParallelDriverOptions p1;
-  p1.num_threads = 1;
-  p1.schedule = core::SchedulePolicy::kHardness;
-  core::ParallelDriverOptions p8 = p1;
-  p8.num_threads = 8;
-  const auto seq = core::run_circuit(circ, "h", opts, 600.0, p1);
-  const auto par = core::run_circuit(circ, "h", opts, 600.0, p8);
-  expect_same_outcomes(seq, par);
-  EXPECT_EQ(seq.schedule.jobs, par.schedule.jobs);
-  EXPECT_EQ(seq.schedule.outliers, par.schedule.outliers);
-  EXPECT_EQ(seq.schedule.batches, par.schedule.batches);
-  for (std::size_t i = 0; i < seq.pos.size(); ++i) {
-    SCOPED_TRACE("po slot " + std::to_string(i));
-    EXPECT_EQ(seq.pos[i].schedule_rank, par.pos[i].schedule_rank);
-    EXPECT_EQ(seq.pos[i].predicted_hardness, par.pos[i].predicted_hardness);
-  }
-}
-
-TEST(ParallelDriver, HardnessIsAPureReorderingOfFifo) {
-  // Same cones, same budgets, same per-cone computation: only the
-  // execution order changes, so per-PO statuses/reasons/metrics — and the
-  // aggregate decomposition count — must be identical between policies.
-  const aig::Aig circuits[] = {
-      benchgen::merge({benchgen::ripple_adder(5), benchgen::parity_tree(9)}),
-      benchgen::random_sop(3, 3, 2, 8, 4, 0xfeed)};
-  for (const aig::Aig& circ : circuits) {
-    const auto opts = generous_opts(core::Engine::kMg, core::GateOp::kOr);
-    core::ParallelDriverOptions fifo;
-    fifo.num_threads = 4;
-    fifo.schedule = core::SchedulePolicy::kFifo;
-    core::ParallelDriverOptions hard = fifo;
-    hard.schedule = core::SchedulePolicy::kHardness;
-    const auto a = core::run_circuit(circ, "c", opts, 600.0, fifo);
-    const auto b = core::run_circuit(circ, "c", opts, 600.0, hard);
-    expect_same_outcomes(a, b);
-    EXPECT_EQ(a.num_decomposed(), b.num_decomposed());
-    EXPECT_EQ(a.outcome_counts(), b.outcome_counts());
-    for (std::size_t i = 0; i < a.pos.size(); ++i) {
-      SCOPED_TRACE("po slot " + std::to_string(i));
-      EXPECT_EQ(a.pos[i].reason, b.pos[i].reason);
-      // SAT/QBF work is identical per cone; conflict totals must match
-      // exactly here because nothing in the cone depends on siblings.
-      EXPECT_EQ(a.pos[i].sat_calls, b.pos[i].sat_calls);
-      EXPECT_EQ(a.pos[i].qbf_calls, b.pos[i].qbf_calls);
-    }
-    // FIFO leaves ranks in PO order; hardness assigns a permutation.
-    for (std::size_t i = 0; i < a.pos.size(); ++i) {
-      EXPECT_EQ(a.pos[i].schedule_rank, static_cast<int>(i));
-    }
-    std::vector<bool> seen(b.pos.size(), false);
-    for (const core::PoOutcome& po : b.pos) {
-      ASSERT_GE(po.schedule_rank, 0);
-      ASSERT_LT(po.schedule_rank, static_cast<int>(b.pos.size()));
-      EXPECT_FALSE(seen[static_cast<std::size_t>(po.schedule_rank)]);
-      seen[static_cast<std::size_t>(po.schedule_rank)] = true;
-    }
-  }
-}
-
 // ---------- recursive resynthesis driver ----------------------------------
 
 TEST(ParallelResynth, SharedCacheUnderManyWorkersStaysCorrect) {

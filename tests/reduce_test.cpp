@@ -4,7 +4,6 @@
 
 #include "aig/simulate.h"
 #include "aig/support.h"
-#include "core/decomposer.h"
 #include "test_util.h"
 
 namespace step::core {
@@ -92,27 +91,6 @@ TEST_P(ReduceRandom, MatchesTheOtherPathsOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReduceRandom, ::testing::Range(0, 6));
-
-TEST(Reduce, DecomposerOptionReducesBeforePartitioning) {
-  // A padded OR of two variables: 2 real + 3 noise inputs.
-  Cone c;
-  const aig::Lit x = c.aig.add_input("x");
-  const aig::Lit y = c.aig.add_input("y");
-  const aig::Lit z = c.aig.add_input("z");
-  (void)c.aig.add_input("w");
-  const aig::Lit v = c.aig.add_input("v");
-  const aig::Lit noise = c.aig.land(z, aig::lnot(z));  // constant 0
-  c.root = c.aig.lor(c.aig.lor(x, y), c.aig.land(noise, v));
-
-  DecomposeOptions opts;
-  opts.engine = Engine::kQbfDisjoint;
-  opts.reduce_support = true;
-  const DecomposeResult r = BiDecomposer(opts).decompose(c);
-  ASSERT_EQ(r.status, DecomposeStatus::kDecomposed);
-  // Metrics refer to the reduced support {x, y}: perfectly disjoint.
-  EXPECT_EQ(r.metrics.n, 2);
-  EXPECT_EQ(r.metrics.shared, 0);
-}
 
 }  // namespace
 }  // namespace step::core

@@ -1,50 +1,36 @@
-// Hardness-aware cone scheduling (core/schedule.h): score model
-// monotonicity, order determinism, batching shape, and the makespan
-// property the whole subsystem exists for — hardest-first beats FIFO when
-// one giant cone hides at the end of the PO list. All through the
-// deterministic list-scheduling simulation, never wall clock.
+// Cone scheduling hooks (core/schedule.h): the hardness score's
+// monotonicity, the tree-size estimate, and the FIFO order and batching
+// that run_circuit's PO-order job queue follows.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <vector>
 
-#include "aig/support.h"
-#include "benchgen/epfl.h"
-#include "benchgen/generators.h"
 #include "core/schedule.h"
 
 namespace step::core {
 namespace {
 
 TEST(PredictedHardness, WiderSupportDominates) {
-  ConeCost narrow{0, 8, 100.0, 0.0};
-  ConeCost wide{1, 16, 100.0, 0.0};
+  ConeCost narrow{0, 8, 100.0};
+  ConeCost wide{1, 16, 100.0};
   EXPECT_GT(predicted_hardness(wide), predicted_hardness(narrow));
 }
 
 TEST(PredictedHardness, BiggerConeCostsMore) {
-  ConeCost small{0, 10, 50.0, 0.0};
-  ConeCost big{1, 10, 500.0, 0.0};
+  ConeCost small{0, 10, 50.0};
+  ConeCost big{1, 10, 500.0};
   EXPECT_GT(predicted_hardness(big), predicted_hardness(small));
 }
 
-TEST(PredictedHardness, WarmCacheDiscounts) {
-  ConeCost cold{0, 10, 100.0, 0.0};
-  ConeCost warm{1, 10, 100.0, 0.8};
-  EXPECT_LT(predicted_hardness(warm), predicted_hardness(cold));
-  EXPECT_GT(predicted_hardness(warm), 0.0);
-}
-
 TEST(PredictedHardness, TrivialConesScoreZeroAndHugeSupportsSaturate) {
-  EXPECT_EQ(predicted_hardness({0, 0, 10.0, 0.0}), 0.0);
-  EXPECT_EQ(predicted_hardness({0, 1, 10.0, 0.0}), 0.0);
+  EXPECT_EQ(predicted_hardness({0, 0, 10.0}), 0.0);
+  EXPECT_EQ(predicted_hardness({0, 1, 10.0}), 0.0);
   // Clamped exponent: a 1000-input cone must not overflow to inf.
-  const double huge = predicted_hardness({0, 1000, 1e6, 0.0});
+  const double huge = predicted_hardness({0, 1000, 1e6});
   EXPECT_TRUE(std::isfinite(huge));
-  EXPECT_GE(huge, predicted_hardness({0, 64, 1e6, 0.0}));
+  EXPECT_GE(huge, predicted_hardness({0, 64, 1e6}));
 }
 
 TEST(TreeSizeEstimates, ChainAndSharingBehaveAsDocumented) {
@@ -63,103 +49,18 @@ TEST(TreeSizeEstimates, ChainAndSharingBehaveAsDocumented) {
   EXPECT_EQ(est[aig::node_of(top)], 4.0);  // 1 + est[h] + est[g]
 }
 
-TEST(ScheduleOrder, FifoIsIdentityHardnessIsSortedPermutation) {
+TEST(ScheduleOrder, FifoIsIdentityInSingletonBatches) {
   const std::vector<double> scores = {3.0, 9.0, 1.0, 9.0, 5.0};
-  const auto fifo = schedule_order(scores, SchedulePolicy::kFifo);
-  for (std::size_t i = 0; i < fifo.size(); ++i) EXPECT_EQ(fifo[i], i);
+  const auto order = schedule_order(scores, SchedulePolicy::kFifo);
+  const std::vector<std::size_t> identity = {0, 1, 2, 3, 4};
+  EXPECT_EQ(order, identity);
 
-  const auto hard = schedule_order(scores, SchedulePolicy::kHardness);
-  // Descending scores; equal scores keep ascending index (stable).
-  const std::vector<std::size_t> expect = {1, 3, 4, 0, 2};
-  EXPECT_EQ(hard, expect);
-
-  // Always a permutation.
-  auto sorted = hard;
-  std::sort(sorted.begin(), sorted.end());
-  for (std::size_t i = 0; i < sorted.size(); ++i) EXPECT_EQ(sorted[i], i);
-}
-
-TEST(ScheduleOrder, ShapeCountsOutliers) {
-  // Median 1.0; the 100.0 cone is >= 8x median.
-  const std::vector<double> scores = {1.0, 1.0, 1.0, 1.0, 100.0};
-  ScheduleShape shape;
-  schedule_order(scores, SchedulePolicy::kHardness, &shape);
-  EXPECT_EQ(shape.jobs, 5);
-  EXPECT_EQ(shape.outliers, 1);
-  EXPECT_EQ(shape.max_score, 100.0);
-}
-
-TEST(ScheduleBatches, FifoSingletonsHardnessChunks) {
-  std::vector<double> scores(70, 1.0);
-  scores[0] = 1000.0;  // outlier
-  const auto order = schedule_order(scores, SchedulePolicy::kHardness);
-
-  const auto fifo = schedule_batches(
-      scores, schedule_order(scores, SchedulePolicy::kFifo),
-      SchedulePolicy::kFifo);
-  EXPECT_EQ(fifo.size(), scores.size());
-  for (const auto& b : fifo) EXPECT_EQ(b.size(), 1u);
-
-  ScheduleShape shape;
-  const auto hard =
-      schedule_batches(scores, order, SchedulePolicy::kHardness, &shape);
-  // 1 singleton outlier + ceil(69/32) = 3 chunks.
-  EXPECT_EQ(hard.size(), 4u);
-  EXPECT_EQ(hard[0].size(), 1u);
-  EXPECT_EQ(hard[0][0], 0u);
-  EXPECT_EQ(shape.batches, 4);
-  // Every job appears exactly once across batches.
-  std::vector<int> seen(scores.size(), 0);
-  for (const auto& b : hard) {
-    for (const std::size_t j : b) ++seen[j];
+  const auto batches =
+      schedule_batches(scores, order, SchedulePolicy::kFifo);
+  ASSERT_EQ(batches.size(), scores.size());
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    EXPECT_EQ(batches[i], std::vector<std::size_t>{i});
   }
-  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(),
-                          [](int c) { return c == 1; }));
-}
-
-TEST(SimulatedMakespan, HardestFirstBeatsFifoOnGiantConeLast) {
-  // 63 unit jobs followed by one 40-unit giant, 8 workers. FIFO spreads
-  // the small jobs then starts the giant on an otherwise-idle pool:
-  // makespan ~= 8 + 40. Hardest-first starts the giant immediately:
-  // makespan = max(40, ceil(63/7)) = 40. The LPT advantage the hardness
-  // policy is built on.
-  std::vector<double> costs(64, 1.0);
-  costs[63] = 40.0;
-  std::vector<double> scores = costs;  // a perfect hardness predictor
-  const auto fifo = schedule_order(scores, SchedulePolicy::kFifo);
-  const auto hard = schedule_order(scores, SchedulePolicy::kHardness);
-  const double mk_fifo = simulated_makespan(costs, fifo, 8);
-  const double mk_hard = simulated_makespan(costs, hard, 8);
-  EXPECT_EQ(mk_hard, 40.0);
-  EXPECT_GT(mk_fifo, mk_hard + 5.0);
-}
-
-TEST(SimulatedMakespan, OneWorkerOrderIsIrrelevant) {
-  const std::vector<double> costs = {3.0, 1.0, 4.0, 1.0, 5.0};
-  const auto fifo = schedule_order(costs, SchedulePolicy::kFifo);
-  const auto hard = schedule_order(costs, SchedulePolicy::kHardness);
-  EXPECT_DOUBLE_EQ(simulated_makespan(costs, fifo, 1),
-                   simulated_makespan(costs, hard, 1));
-}
-
-TEST(GiantConeSuite, GiantConeScoresAsTheTopOutlier) {
-  // The generator puts the giant cone last in PO order; the hardness
-  // order must put it first.
-  const aig::Aig circ = benchgen::giant_cone_suite(36, 40, 5, 0xabc);
-  const std::vector<double> est = tree_size_estimates(circ);
-  std::vector<double> scores;
-  for (std::uint32_t po = 0; po < circ.num_outputs(); ++po) {
-    ConeCost c;
-    c.po = po;
-    c.support = static_cast<int>(
-        aig::structural_support(circ, circ.output(po)).size());
-    c.est_ands = est[aig::node_of(circ.output(po))];
-    scores.push_back(predicted_hardness(c));
-  }
-  ScheduleShape shape;
-  const auto order = schedule_order(scores, SchedulePolicy::kHardness, &shape);
-  EXPECT_EQ(order[0], scores.size() - 1);
-  EXPECT_GE(shape.outliers, 1);
 }
 
 }  // namespace

@@ -56,12 +56,9 @@ struct CliOptions {
   bool incremental = true;
   bool print_stats = false;
   bool recursive = false;
-  bool cache_stats = false;
   bool use_cache = true;
   bool verify = false;
   bool use_dc = false;
-  bool dc_stats = false;
-  core::SchedulePolicy schedule = core::SchedulePolicy::kFifo;
   aig::WindowOptions window;
   sat::SolverOptions sat;
   // Resource governance / fault injection (PR 7).
@@ -99,13 +96,6 @@ constexpr const char kHelpText[] =
     "  --verify                  resynth/recursive: SAT-prove every PO tree\n"
     "  --no-cache                resynth/recursive: disable the NPN cache\n"
     "  -j <n>                    worker threads (0 = one per hardware thread)\n"
-    "  --schedule <fifo|hardness>  decompose: PO job order (default fifo).\n"
-    "                            hardness scores every cone (support width,\n"
-    "                            estimated size) and runs hardest-first so\n"
-    "                            wide pools never idle behind a giant cone\n"
-    "                            found late; a pure reordering — per-PO\n"
-    "                            results match fifo's whenever no circuit\n"
-    "                            budget expires mid-run\n"
     "  -o <out.blif>             resynth output file (default stdout)\n"
     "\n"
     "don't-care options (see docs/ARCHITECTURE.md § Don't-care windows):\n"
@@ -119,7 +109,6 @@ constexpr const char kHelpText[] =
     "                            (default 6)\n"
     "  -dc-inputs <n>            widest window cut accepted (default 10,\n"
     "                            max 16; the care set enumerates 2^n)\n"
-    "  --dc-stats                print window/care counters after the run\n"
     "\n"
     "SAT-solver options (see docs/SOLVER.md):\n"
     "  -lbd-core <n>             learnts with LBD <= n are kept forever\n"
@@ -162,14 +151,12 @@ constexpr const char kHelpText[] =
     "  finding exists (warnings and infos never fail a run), 1 otherwise.\n"
     "\n"
     "reporting options:\n"
-    "  --stats                   print aggregated solver-cost counters\n"
-    "                            (SAT/QBF calls, CEGAR iterations, conflicts,\n"
-    "                            restarts, tiers), the\n"
-    "                            per-reason outcome taxonomy and the schedule\n"
-    "                            shape (policy, outliers, batches,\n"
-    "                            predicted-vs-actual hardness agreement)\n"
-    "                            after the run\n"
-    "  --cache-stats             print NPN-decomposition-cache counters\n"
+    "  --stats                   print, after the run, the per-reason\n"
+    "                            outcome taxonomy, aggregated solver-cost\n"
+    "                            counters (SAT/QBF calls, CEGAR iterations,\n"
+    "                            conflicts, restarts, tiers), the window/care\n"
+    "                            counters under --dc and the NPN-cache\n"
+    "                            counters when the cache ran\n"
     "  --help                    this reference\n"
     "\n"
     "exit codes:\n"
@@ -251,8 +238,6 @@ CliOptions parse_args(int argc, char** argv) {
       cli.print_stats = true;
     } else if (flag == "--recursive" || flag == "-recursive") {
       cli.recursive = true;
-    } else if (flag == "--cache-stats" || flag == "-cache-stats") {
-      cli.cache_stats = true;
     } else if (flag == "--no-cache" || flag == "-no-cache") {
       cli.use_cache = false;
     } else if (flag == "--verify" || flag == "-verify") {
@@ -274,22 +259,8 @@ CliOptions parse_args(int argc, char** argv) {
                              " [2, 16]\n");
         usage();
       }
-    } else if (flag == "--dc-stats" || flag == "-dc-stats") {
-      cli.dc_stats = true;
     } else if (flag == "-j") {
       cli.num_threads = std::atoi(value());
-    } else if (flag == "--schedule" || flag == "-schedule") {
-      const std::string v = value();
-      if (v == "fifo") {
-        cli.schedule = core::SchedulePolicy::kFifo;
-      } else if (v == "hardness") {
-        cli.schedule = core::SchedulePolicy::kHardness;
-      } else {
-        std::fprintf(stderr,
-                     "step: --schedule expects fifo or hardness, got %s\n",
-                     v.c_str());
-        usage();
-      }
     } else if (flag == "-o") {
       cli.output = value();
     } else if (flag == "-lbd-core") {
@@ -354,7 +325,6 @@ core::ParallelDriverOptions driver_options(const CliOptions& cli,
   par.faults = cli.faults && cli.faults->enabled() ? &*cli.faults : nullptr;
   par.cancel = &g_interrupted;
   par.degrade = cli.degrade;
-  par.schedule = cli.schedule;
   return par;
 }
 
@@ -438,38 +408,17 @@ int cmd_decompose(const CliOptions& cli, const io::Network& net,
               core::to_string(cli.engine), core::to_string(cli.op),
               run.num_decomposed(), run.pos.size(), run.num_proven_optimal(),
               run.total_cpu_s);
-  if (cli.dc_stats) {
-    std::printf("# dc: windows=%d window_decomposed=%d sdc_minterms=%llu"
-                " care_sat_completions=%ld\n",
-                run.num_windows_built(), run.num_window_decomposed(),
-                static_cast<unsigned long long>(
-                    run.total_window_sdc_minterms()),
-                run.total_window_sat_completions());
-  }
   if (cli.print_stats) {
     std::printf("# outcomes: %s degraded=%d\n",
                 run.outcome_counts().to_string().c_str(), run.num_degraded());
-    // Predicted-vs-actual hardness: the fraction of cone pairs whose
-    // predicted-score ordering matches their measured-cpu ordering.
-    std::uint64_t agree = 0, pairs = 0;
-    for (std::size_t i = 0; i < run.pos.size(); ++i) {
-      for (std::size_t k = i + 1; k < run.pos.size(); ++k) {
-        const auto& a = run.pos[i];
-        const auto& b = run.pos[k];
-        if (a.cpu_s == b.cpu_s || a.predicted_hardness == b.predicted_hardness)
-          continue;
-        ++pairs;
-        if ((a.cpu_s < b.cpu_s) == (a.predicted_hardness < b.predicted_hardness))
-          ++agree;
-      }
+    if (cli.use_dc) {
+      std::printf("# dc: windows=%d window_decomposed=%d sdc_minterms=%llu"
+                  " care_sat_completions=%ld\n",
+                  run.num_windows_built(), run.num_window_decomposed(),
+                  static_cast<unsigned long long>(
+                      run.total_window_sdc_minterms()),
+                  run.total_window_sat_completions());
     }
-    std::printf("# schedule: policy=%s jobs=%d outliers=%d batches=%d"
-                " rank_agreement=%.2f\n",
-                core::to_string(run.schedule.policy), run.schedule.jobs,
-                run.schedule.outliers, run.schedule.batches,
-                pairs > 0
-                    ? static_cast<double>(agree) / static_cast<double>(pairs)
-                    : 1.0);
     if (has_governor(cli)) {
       std::printf("# mem: peak=%zu bytes cones_tripped=%llu\n",
                   governor.peak_run_bytes(),
@@ -517,20 +466,24 @@ core::SynthesisOptions synthesis_options(const CliOptions& cli,
   return opts;
 }
 
-void print_dc_synthesis_stats(const core::SynthesisStats& s) {
-  std::fprintf(stderr, "# dc: care_nodes=%d care_constants=%d\n", s.dc_nodes,
-               s.dc_constants);
-}
-
-void print_cache_stats(const core::DecCacheStats& c) {
-  std::fprintf(stderr,
+/// The --dc and cache lines of `--stats` for the recursive paths, on the
+/// stream that carries the rest of the report.
+void print_synthesis_stats(std::FILE* out, const CliOptions& cli,
+                           const core::CircuitResynthResult& r) {
+  if (cli.use_dc) {
+    std::fprintf(out, "# dc: care_nodes=%d care_constants=%d\n",
+                 r.stats.dc_nodes, r.stats.dc_constants);
+  }
+  if (!cli.use_cache) return;
+  const core::DecCacheStats& c = r.cache;
+  std::fprintf(out,
                "# cache: lookups=%llu npn_hits=%llu sig_hits=%llu"
                " misses=%llu hit_rate=%.1f%%\n",
                static_cast<unsigned long long>(c.lookups),
                static_cast<unsigned long long>(c.npn_hits),
                static_cast<unsigned long long>(c.sig_hits),
                static_cast<unsigned long long>(c.misses), 100.0 * c.hit_rate());
-  std::fprintf(stderr,
+  std::fprintf(out,
                "# cache: insertions=%llu sat_confirms=%llu sat_refutes=%llu\n",
                static_cast<unsigned long long>(c.insertions),
                static_cast<unsigned long long>(c.sat_confirms),
@@ -581,9 +534,8 @@ int cmd_decompose_recursive(const CliOptions& cli, const io::Network& net,
   }
   if (cli.print_stats) {
     std::printf("# outcomes: %s\n", r.outcome_counts().to_string().c_str());
+    print_synthesis_stats(stdout, cli, r);
   }
-  if (cli.dc_stats) print_dc_synthesis_stats(r.stats);
-  if (cli.cache_stats) print_cache_stats(r.cache);
   if (g_interrupted.load(std::memory_order_relaxed)) return 130;
   return cli.verify && !r.all_verified ? 1 : 0;
 }
@@ -606,9 +558,8 @@ int cmd_resynth(const CliOptions& cli, const io::Network& net,
   if (cli.print_stats) {
     std::fprintf(stderr, "# outcomes: %s\n",
                  r.outcome_counts().to_string().c_str());
+    print_synthesis_stats(stderr, cli, r);
   }
-  if (cli.dc_stats) print_dc_synthesis_stats(r.stats);
-  if (cli.cache_stats) print_cache_stats(r.cache);
   const std::string text = io::write_blif(r.network, "resynth");
   if (cli.output.empty()) {
     std::fputs(text.c_str(), stdout);
