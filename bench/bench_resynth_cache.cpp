@@ -99,11 +99,8 @@ int main(int argc, char** argv) {
       j.begin_object();
       j.kv("lookups", warm.cache.lookups);
       j.kv("npn_hits", warm.cache.npn_hits);
-      j.kv("sig_hits", warm.cache.sig_hits);
       j.kv("misses", warm.cache.misses);
       j.kv("insertions", warm.cache.insertions);
-      j.kv("sat_confirms", warm.cache.sat_confirms);
-      j.kv("sat_refutes", warm.cache.sat_refutes);
       j.kv("hit_rate", warm.cache.hit_rate());
       j.end_object();
       j.key("dc");

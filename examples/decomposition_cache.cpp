@@ -52,11 +52,10 @@ int main(int argc, char** argv) {
   std::printf("cached: %d splits, %.3f s, %d cache hits\n",
               warm.stats.decompositions, warm.total_cpu_s,
               warm.stats.cache_hits);
-  std::printf("cache:  %llu lookups, %llu NPN hits, %llu semantic hits"
-              " (%.0f%% hit rate), %zu stored trees\n",
+  std::printf("cache:  %llu lookups, %llu hits (%.0f%% hit rate),"
+              " %zu stored trees\n",
               static_cast<unsigned long long>(warm.cache.lookups),
-              static_cast<unsigned long long>(warm.cache.npn_hits),
-              static_cast<unsigned long long>(warm.cache.sig_hits),
+              static_cast<unsigned long long>(warm.cache.hits()),
               100.0 * warm.cache.hit_rate(), cache.size());
   std::printf("verify: %s\n", warm.all_verified
                                   ? "every PO SAT-proven equivalent"

@@ -601,15 +601,19 @@ CircuitResynthResult run_circuit_resynth(const aig::Aig& circuit,
     const DecCacheStats after = opts.cache->stats();
     result.cache.lookups = after.lookups - cache_before.lookups;
     result.cache.npn_hits = after.npn_hits - cache_before.npn_hits;
-    result.cache.sig_hits = after.sig_hits - cache_before.sig_hits;
     result.cache.misses = after.misses - cache_before.misses;
     result.cache.insertions = after.insertions - cache_before.insertions;
-    result.cache.sat_confirms = after.sat_confirms - cache_before.sat_confirms;
-    result.cache.sat_refutes = after.sat_refutes - cache_before.sat_refutes;
   }
   result.hit_circuit_budget = circuit_deadline.expired();
   result.total_cpu_s = total.elapsed_s();
   return result;
+}
+
+SynthesisResult resynthesize(const aig::Aig& circuit,
+                             const SynthesisOptions& opts) {
+  CircuitResynthResult run = run_circuit_resynth(circuit, "", opts, 0.0, {});
+  return SynthesisResult{std::move(run.network), run.stats,
+                         std::move(run.trees)};
 }
 
 QualityComparison compare_quality(const CircuitRunResult& base,

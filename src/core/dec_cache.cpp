@@ -1,259 +1,42 @@
 #include "core/dec_cache.h"
 
-#include <algorithm>
-
 #include "aig/simulate.h"
-#include "cnf/cnf.h"
-#include "cnf/tseitin.h"
-#include "common/rng.h"
-#include "sat/solver.h"
 
 namespace step::core {
-
-namespace {
-
-std::vector<std::uint32_t> identity_support(int n) {
-  std::vector<std::uint32_t> s(n);
-  for (int i = 0; i < n; ++i) s[i] = static_cast<std::uint32_t>(i);
-  return s;
-}
-
-/// Enumerates input correspondences between two cones with equal
-/// per-input signature multisets: rank both supports by (signature,
-/// position) and map rank to rank; inputs with *equal* signatures form
-/// tie classes (often genuinely symmetric, sometimes just beyond the
-/// refinement's resolving power), and the query-side ordering of each
-/// class is advanced odometer-style through its permutations, up to
-/// `budget` candidates. Calls fn(perm) — perm[e] = query position for
-/// entry position e — until it returns true (hit) or the budget/space is
-/// exhausted.
-template <typename Fn>
-bool for_each_signature_permutation(const std::vector<std::uint64_t>& entry,
-                                    const std::vector<std::uint64_t>& query,
-                                    int budget, Fn fn) {
-  const int n = static_cast<int>(entry.size());
-  auto ranked = [n](const std::vector<std::uint64_t>& sigs) {
-    std::vector<int> order(n);
-    for (int i = 0; i < n; ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      return sigs[a] != sigs[b] ? sigs[a] < sigs[b] : a < b;
-    });
-    return order;
-  };
-  const std::vector<int> eo = ranked(entry), qo = ranked(query);
-
-  // Tie classes as rank ranges [begin, end) of equal signature.
-  std::vector<std::pair<int, int>> classes;
-  for (int b = 0; b < n;) {
-    int e = b + 1;
-    while (e < n && query[qo[e]] == query[qo[b]]) ++e;
-    if (e - b > 1) classes.push_back({b, e});
-    b = e;
-  }
-
-  std::vector<int> qcur = qo;
-  std::vector<int> perm(n);
-  for (int tried = 0; tried < budget; ++tried) {
-    for (int r = 0; r < n; ++r) perm[eo[r]] = qcur[r];
-    if (fn(perm)) return true;
-    bool advanced = false;
-    for (const auto& [b, e] : classes) {
-      if (std::next_permutation(qcur.begin() + b, qcur.begin() + e)) {
-        advanced = true;
-        break;
-      }
-      // Wrapped back to sorted order: carry into the next class.
-    }
-    if (!advanced) break;  // every class-consistent bijection tried
-  }
-  return false;
-}
-
-/// SAT miter under an input correspondence: entry position e and query
-/// position perm[e] share one variable. UNSAT proves the stored tree
-/// rewired through `perm` computes the query cone.
-bool cones_equivalent_mapped(const Cone& entry, const Cone& query,
-                             const std::vector<int>& perm) {
-  sat::Solver solver;
-  std::vector<sat::Lit> entry_vars(entry.n());
-  for (auto& l : entry_vars) l = sat::mk_lit(solver.new_var());
-  std::vector<sat::Lit> query_vars(query.n());
-  for (int e = 0; e < entry.n(); ++e) query_vars[perm[e]] = entry_vars[e];
-
-  cnf::SolverSink sink(solver);
-  const sat::Lit le = cnf::encode_cone(entry.aig, entry.root, entry_vars, sink);
-  const sat::Lit lq = cnf::encode_cone(query.aig, query.root, query_vars, sink);
-  sink.add_binary(le, lq);
-  sink.add_binary(~le, ~lq);
-  return solver.solve() == sat::Result::kUnsat;
-}
-
-}  // namespace
-
-DecCache::DecCache(DecCacheOptions opts) : opts_(opts) {
-  opts_.npn_max_support = std::min(opts_.npn_max_support, kNpnMaxSupport);
-  opts_.signature_words = std::max(opts_.signature_words, 1);
-}
-
-namespace {
-
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
-std::vector<std::uint64_t> DecCache::input_signatures(const Cone& cone) const {
-  // Two refinement rounds of stimuli that treat "the other inputs"
-  // symmetrically, so the signature of input i is invariant under any
-  // permutation of the support (the old raw-order stimuli made
-  // NPN-equivalent wide cones never collide, while permuted lookups of
-  // the same cone dodged their own entry). Round 0 probes each input's
-  // cofactors along the diagonal of the other inputs; round 1 re-probes
-  // with each other input driven by a hash of its round-0 signature —
-  // still permutation-invariant, but it separates inputs round 0 cannot.
-  const int n = cone.n();
-  std::vector<std::uint64_t> sigs(n, 0), prev(n, 0), words(n);
-  for (int round = 0; round < 2; ++round) {
-    prev = sigs;
-    for (int i = 0; i < n; ++i) {
-      std::uint64_t h =
-          mix64(0x51900000ULL + static_cast<std::uint64_t>(round));
-      for (int w = 0; w < opts_.signature_words; ++w) {
-        Rng rng(opts_.signature_seed + 0x9177ULL * (w + 1) + round);
-        const std::uint64_t diag = rng.next();
-        for (int j = 0; j < n; ++j) {
-          words[j] = round == 0 ? diag : diag ^ mix64(prev[j] + w);
-        }
-        words[i] = ~0ULL;
-        const std::uint64_t pos =
-            aig::simulate_cone(cone.aig, cone.root, words);
-        words[i] = 0ULL;
-        const std::uint64_t neg =
-            aig::simulate_cone(cone.aig, cone.root, words);
-        h = mix64(h ^ pos) + mix64(neg + 0x2545f491ULL * w);
-      }
-      sigs[i] = h;
-    }
-  }
-  return sigs;
-}
-
-std::uint64_t DecCache::signature_of(
-    const Cone& cone, const std::vector<std::uint64_t>& sigs) const {
-  // Fold of the *sorted* per-input signatures: equal functions collide
-  // regardless of input order; anything else almost never does, and a SAT
-  // check under the candidate correspondence arbitrates when it does.
-  std::vector<std::uint64_t> sorted(sigs);
-  std::sort(sorted.begin(), sorted.end());
-  std::uint64_t h =
-      0x9e3779b97f4a7c15ULL ^ static_cast<std::uint64_t>(cone.n());
-  for (const std::uint64_t s : sorted) h = mix64(h ^ s) + (h << 6) + (h >> 2);
-  return h;
-}
 
 std::optional<DecCacheHit> DecCache::lookup(const Cone& cone,
                                             DecCacheKey* key) {
   const int n = cone.n();
-  DecCacheKey k;
+  DecCacheKey local;
+  DecCacheKey& k = key != nullptr ? *key : local;
+  k = DecCacheKey{};
   k.n = n;
-  k.exact = n <= opts_.npn_max_support;
-
-  if (k.exact) {
-    const TruthTable tt =
-        aig::truth_table(cone.aig, cone.root, identity_support(n));
-    NpnCanonical canon = npn_canonicalize(tt, n);
-    k.canon_tt = canon.tt;
-    k.canon_to_fn = canon.transform;
-    if (key != nullptr) *key = k;
-
-    MutexLock lock(mu_);
-    ++stats_.lookups;
-    const auto it = npn_map_.find(TtKey{n, k.canon_tt});
-    if (it == npn_map_.end()) {
-      ++stats_.misses;
-      return std::nullopt;
-    }
-    ++stats_.npn_hits;
-    return DecCacheHit{it->second.tree,
-                       npn_compose(it->second.canon_to_fn, k.canon_to_fn)};
-  }
-
-  k.input_sigs = input_signatures(cone);
-  k.signature = signature_of(cone, k.input_sigs);
-  if (key != nullptr) *key = k;
-
-  // Copy the collision candidates out so the SAT checks run unlocked.
-  std::vector<SigEntry> candidates;
-  {
-    MutexLock lock(mu_);
-    ++stats_.lookups;
-    const auto it = sig_map_.find(k.signature);
-    if (it != sig_map_.end()) candidates = it->second;
-  }
-  for (const SigEntry& e : candidates) {
-    if (e.cone->n() != n) continue;
-    // The bucket key folds sorted signatures, so candidates normally have
-    // the same multiset; build the rank-to-rank input correspondence and
-    // let SAT arbitrate (a refuted correspondence is a plain miss).
-    {
-      std::vector<std::uint64_t> a(e.input_sigs), b(k.input_sigs);
-      std::sort(a.begin(), a.end());
-      std::sort(b.begin(), b.end());
-      if (a != b) continue;
-    }
-    // Screen each candidate bijection with bit-parallel simulation under
-    // per-position random stimuli — cheap enough to walk deep into large
-    // tie classes — and spend SAT only on simulation-consistent ones.
-    constexpr int kSimBatches = 2;
-    std::vector<std::vector<std::uint64_t>> stim(kSimBatches);
-    std::vector<std::uint64_t> entry_out(kSimBatches);
-    {
-      Rng rng(opts_.signature_seed ^ 0xd15c0ULL);
-      for (int b = 0; b < kSimBatches; ++b) {
-        stim[b].resize(n);
-        for (auto& w : stim[b]) w = rng.next();
-        entry_out[b] = aig::simulate_cone(e.cone->aig, e.cone->root, stim[b]);
-      }
-    }
-    std::vector<std::uint64_t> qwords(n);
-    std::vector<int> confirmed;
-    std::uint64_t refutes = 0;
-    int sat_attempts = 0;
-    for_each_signature_permutation(
-        e.input_sigs, k.input_sigs, opts_.max_match_attempts,
-        [&](const std::vector<int>& perm) {
-          for (int b = 0; b < kSimBatches; ++b) {
-            for (int p = 0; p < n; ++p) qwords[perm[p]] = stim[b][p];
-            if (aig::simulate_cone(cone.aig, cone.root, qwords) !=
-                entry_out[b]) {
-              return false;  // refuted without a solver
-            }
-          }
-          if (sat_attempts++ >= opts_.max_confirm_attempts) return true;
-          if (cones_equivalent_mapped(*e.cone, cone, perm)) {
-            confirmed = perm;
-            return true;
-          }
-          ++refutes;
-          return false;
-        });
-    MutexLock lock(mu_);
-    stats_.sat_refutes += refutes;
-    if (!confirmed.empty()) {
-      ++stats_.sat_confirms;
-      ++stats_.sig_hits;
-      NpnVarMap map;
-      map.var.assign(confirmed.begin(), confirmed.end());
-      return DecCacheHit{e.tree, std::move(map)};
+  const bool cached = n <= aig::kTtMaxSupport;
+  if (cached) {
+    std::vector<std::uint32_t> support(n);
+    for (int i = 0; i < n; ++i) support[i] = static_cast<std::uint32_t>(i);
+    TruthTable tt = aig::truth_table(cone.aig, cone.root, support);
+    if (n <= kNpnMaxSupport) {
+      NpnCanonical canon = npn_canonicalize(tt, n);
+      k.canon_tt = std::move(canon.tt);
+      k.canon_to_fn = std::move(canon.transform);
+    } else {
+      k.canon_tt = std::move(tt);
+      k.canon_to_fn = npn_identity(n);
     }
   }
+
   MutexLock lock(mu_);
-  ++stats_.misses;
-  return std::nullopt;
+  ++stats_.lookups;
+  const auto it =
+      cached ? npn_map_.find(TtKey{n, k.canon_tt}) : npn_map_.end();
+  if (it == npn_map_.end()) {
+    ++stats_.misses;
+    return std::nullopt;
+  }
+  ++stats_.npn_hits;
+  return DecCacheHit{it->second.tree,
+                     npn_compose(it->second.canon_to_fn, k.canon_to_fn)};
 }
 
 void DecCache::set_mem_tracker(MemTracker* tracker) {
@@ -267,31 +50,22 @@ void DecCache::set_mem_tracker(MemTracker* tracker) {
 
 void DecCache::insert(const Cone& cone, const DecCacheKey& key, DecTree tree) {
   STEP_CHECK(key.n == cone.n());
+  if (key.n > aig::kTtMaxSupport) return;
   auto shared = std::make_shared<const DecTree>(std::move(tree));
   MutexLock lock(mu_);
   ++stats_.insertions;
   if (mem_tracker_ != nullptr) {
-    // Entry-size estimate: the tree nodes plus the key material (exact
-    // entries keep a truth table, semantic ones a whole cone AIG).
-    std::size_t bytes = sizeof(DecTreeNode) * shared->nodes.size() + 128;
-    if (key.exact) {
-      bytes += key.canon_tt.size() * sizeof(std::uint64_t);
-    } else {
-      bytes += cone.aig.num_nodes() * 16 +
-               key.input_sigs.size() * sizeof(std::uint64_t);
-    }
+    // Entry-size estimate: the tree nodes plus the key's truth table.
+    const std::size_t bytes = sizeof(DecTreeNode) * shared->nodes.size() +
+                              128 +
+                              key.canon_tt.size() * sizeof(std::uint64_t);
     mem_tracker_->charge(bytes);
     charged_bytes_ += bytes;
   }
-  if (key.exact) {
-    // First insertion per NPN class wins; concurrent duplicates are
-    // dropped (both trees are correct, keeping one is enough).
-    npn_map_.emplace(TtKey{key.n, key.canon_tt},
-                     NpnEntry{std::move(shared), key.canon_to_fn});
-    return;
-  }
-  sig_map_[key.signature].push_back(SigEntry{
-      std::make_shared<const Cone>(cone), std::move(shared), key.input_sigs});
+  // First insertion per key wins; concurrent duplicates are dropped (both
+  // trees are correct, keeping one is enough).
+  npn_map_.emplace(TtKey{key.n, key.canon_tt},
+                   NpnEntry{std::move(shared), key.canon_to_fn});
 }
 
 DecCacheStats DecCache::stats() const {
@@ -301,15 +75,12 @@ DecCacheStats DecCache::stats() const {
 
 std::size_t DecCache::size() const {
   MutexLock lock(mu_);
-  std::size_t n = npn_map_.size();
-  for (const auto& [sig, entries] : sig_map_) n += entries.size();
-  return n;
+  return npn_map_.size();
 }
 
 void DecCache::clear() {
   MutexLock lock(mu_);
   npn_map_.clear();
-  sig_map_.clear();
   stats_ = DecCacheStats{};
   if (mem_tracker_ != nullptr && charged_bytes_ > 0) {
     mem_tracker_->release(charged_bytes_);

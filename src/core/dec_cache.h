@@ -13,36 +13,17 @@
 
 namespace step::core {
 
-struct DecCacheOptions {
-  /// Supports up to this size are keyed by their exact NPN-canonical
-  /// truth table; wider cones fall back to the semantic signature + SAT
-  /// confirmation path. Capped at kNpnMaxSupport.
-  int npn_max_support = kNpnMaxSupport;
-  /// 64-bit stimulus words per input when computing the semantic
-  /// signature of a wide cone (more words = fewer SAT confirmations that
-  /// end in a refutation).
-  int signature_words = 4;
-  std::uint64_t signature_seed = 0x57e9dec0ULL;
-  /// Input correspondences enumerated per signature-bucket candidate:
-  /// inputs with equal signatures form tie classes (often genuinely
-  /// symmetric), and class-consistent bijections are screened with a
-  /// bit-parallel simulation check, cheap enough to afford thousands.
-  int max_match_attempts = 4096;
-  /// Of the simulation-consistent correspondences, at most this many are
-  /// SAT-checked before the candidate is abandoned as a miss.
-  int max_confirm_attempts = 8;
-};
-
 struct DecCacheStats {
   std::uint64_t lookups = 0;
-  std::uint64_t npn_hits = 0;   ///< exact-canonical-key hits (rewired trees)
-  std::uint64_t sig_hits = 0;   ///< signature hits confirmed by SAT
+  std::uint64_t npn_hits = 0;  ///< every hit (all keys are exact tables)
   std::uint64_t misses = 0;
   std::uint64_t insertions = 0;
-  std::uint64_t sat_confirms = 0;  ///< signature collisions proven equivalent
-  std::uint64_t sat_refutes = 0;   ///< signature collisions disproven
+  /// Always 0. Kept only because stepbench reads them; they go with the
+  /// next benchmark change.
+  std::uint64_t sig_hits = 0;
+  std::uint64_t sat_confirms = 0;
 
-  std::uint64_t hits() const { return npn_hits + sig_hits; }
+  std::uint64_t hits() const { return npn_hits; }
   double hit_rate() const {
     return lookups == 0 ? 0.0 : static_cast<double>(hits()) / lookups;
   }
@@ -51,9 +32,8 @@ struct DecCacheStats {
 /// A cache hit: `tree` decomposes a function NPN-equivalent to the query;
 /// `map` rewires it (tree support position i reads query support position
 /// map.var[i], complemented per map.neg, output complemented per
-/// map.output_neg). Semantic (wide-cone) hits carry a pure permutation
-/// map: the SAT-confirmed input correspondence between the stored cone
-/// and the query.
+/// map.output_neg). Hits on cones wider than kNpnMaxSupport carry the
+/// identity map.
 struct DecCacheHit {
   std::shared_ptr<const DecTree> tree;
   NpnVarMap map;
@@ -63,35 +43,27 @@ struct DecCacheHit {
 /// following insert() of the freshly decomposed cone does not repeat it.
 struct DecCacheKey {
   int n = 0;
-  bool exact = false;
   TruthTable canon_tt;
   NpnTransform canon_to_fn;
-  std::uint64_t signature = 0;
-  /// Wide cones: permutation-invariant per-input signatures backing both
-  /// the fold above and the candidate input correspondence at lookup.
-  std::vector<std::uint64_t> input_sigs;
 };
 
 /// Thread-safe memo of decomposition trees, shared across the POs (and
-/// worker threads) of a circuit run so identical or NPN-equivalent cones
-/// are decomposed once. Small cones are keyed exactly by NPN-canonical
-/// truth table; wide cones by a permutation-invariant simulation
-/// signature — cones that differ only by an input permutation share a
-/// bucket, a rank-ordering of the per-input signatures proposes the
-/// correspondence, and one SAT equivalence check under that mapping
-/// confirms the hit before the tree is reused (rewired through the
-/// permutation).
+/// worker threads) of a circuit run so equivalent cones are decomposed
+/// once. Every key is an exact truth table:
+///   - n <= kNpnMaxSupport: the NPN-canonical table, so NPN-equivalent
+///     cones share one tree (rewired on a hit);
+///   - n <= aig::kTtMaxSupport: the cone's own table (identity rewiring);
+///   - wider cones are not cached.
 class DecCache {
  public:
-  explicit DecCache(DecCacheOptions opts = {});
-
   /// Looks up a tree for `cone` (whose inputs are exactly its support).
   /// When `key` is non-null it receives the token to pass to insert().
   std::optional<DecCacheHit> lookup(const Cone& cone,
                                     DecCacheKey* key = nullptr);
 
   /// Stores `tree` (a decomposition of `cone`) under `key` as obtained
-  /// from lookup() on the same cone. First insertion per class wins.
+  /// from lookup() on the same cone. First insertion per key wins; a cone
+  /// wider than aig::kTtMaxSupport is not stored.
   void insert(const Cone& cone, const DecCacheKey& key, DecTree tree);
 
   DecCacheStats stats() const;
@@ -124,29 +96,14 @@ class DecCache {
     /// Instantiates the canonical tt as the stored function.
     NpnTransform canon_to_fn;
   };
-  struct SigEntry {
-    std::shared_ptr<const Cone> cone;
-    std::shared_ptr<const DecTree> tree;
-    std::vector<std::uint64_t> input_sigs;
-  };
-
-  /// Permutation-invariant semantic signature per input (two refinement
-  /// rounds of symmetric stimuli); the cone key folds the *sorted* list,
-  /// so cones differing only by an input permutation share a bucket.
-  std::vector<std::uint64_t> input_signatures(const Cone& cone) const;
-  std::uint64_t signature_of(const Cone& cone,
-                             const std::vector<std::uint64_t>& sigs) const;
 
   /// Negative-compile harness (tests/negative/thread_safety_negative.cpp):
   /// proves that an unguarded access to a STEP_GUARDED_BY field below
   /// fails the clang thread-safety build, so the annotations cannot rot.
   friend struct DecCacheTsaProbe;
 
-  DecCacheOptions opts_;
   mutable Mutex mu_;
   std::unordered_map<TtKey, NpnEntry, TtKeyHash> npn_map_ STEP_GUARDED_BY(mu_);
-  std::unordered_map<std::uint64_t, std::vector<SigEntry>> sig_map_
-      STEP_GUARDED_BY(mu_);
   DecCacheStats stats_ STEP_GUARDED_BY(mu_);
   MemTracker* mem_tracker_ STEP_GUARDED_BY(mu_) = nullptr;
   std::size_t charged_bytes_ STEP_GUARDED_BY(mu_) = 0;

@@ -64,8 +64,8 @@ struct DecTreeStats {
 
 /// Explicit recursive bi-decomposition tree of one function over support
 /// positions 0..n-1. Produced by decompose_to_tree() (core/synthesis.h),
-/// cached per NPN class by DecCache, and replayed into a netlist with
-/// emit_tree().
+/// cached by DecCache (per NPN class up to 6 inputs, per truth table up to
+/// 16), and replayed into a netlist with emit_tree().
 struct DecTree {
   int n = 0;              ///< support size of the decomposed function
   std::vector<DecTreeNode> nodes;

@@ -21,7 +21,7 @@ namespace step::core {
 /// of the 2^n input negations is then a single in-word flip
 /// (aig::tt_flip_word) of a previously built candidate, so at n = 6 a call
 /// is ~46k row lookups plus ~46k word flips. Wider functions are keyed by
-/// a semantic simulation signature instead (see dec_cache).
+/// their own truth table under the identity transform (see dec_cache).
 
 /// Largest support for which exact NPN canonicalization is enumerated
 /// (6! · 2^6 · 2 = 92160 candidate transforms, one 64-bit word each).
@@ -75,8 +75,8 @@ bool npn_equivalent(const TruthTable& f, const TruthTable& g, int n);
 ///   g(x) = output_neg XOR f(z),  z_i = x_{var[i]} XOR neg_i.
 /// I.e. f-variable i is driven by g-variable var[i], complemented when bit
 /// i of neg is set. This is how a cached tree over f is rewired to
-/// implement g. (`var` is int-wide because the identity map also serves
-/// the semantic-signature cache path, whose supports exceed a byte.)
+/// implement g. (`var` is int-wide to match DecTreeNode::inputs, which it
+/// is copied into on a cache hit.)
 struct NpnVarMap {
   std::vector<int> var;
   std::uint32_t neg = 0;

@@ -11,6 +11,11 @@ namespace step::core {
 
 namespace {
 
+/// Inputs the care projection may existentially quantify per
+/// support-reduction step before the child falls back to exact semantics
+/// (each quantified input can double the care AIG).
+constexpr int kMaxCareProject = 8;
+
 /// Builds DecTrees bottom-up; one instance per decompose_to_tree call.
 struct TreeBuilder {
   const SynthesisOptions& opts;
@@ -67,13 +72,13 @@ struct TreeBuilder {
   std::shared_ptr<const DecTree> build(const Cone& cone, const CareSet* care,
                                        int depth) {
     if (!opts.use_dont_cares || care_is_trivial(care)) care = nullptr;
-    if (opts.reduce_supports && cone.n() > 0 && !expired()) {
+    if (cone.n() > 0 && !expired()) {
       std::vector<std::uint32_t> kept;
       const Cone reduced = reduce_cone(cone, &kept);
       if (static_cast<int>(kept.size()) < cone.n()) {
         std::optional<CareSet> proj;
         if (care != nullptr) {
-          proj = care_project(*care, kept, opts.max_care_project);
+          proj = care_project(*care, kept, kMaxCareProject);
         }
         auto sub = build_core(reduced, proj ? &*proj : nullptr, depth);
         DecTree t;
@@ -186,7 +191,7 @@ struct TreeBuilder {
         const CareSet full =
             child_care(care, fns.aig, fns.fa, fns.fb, best_op, child, n);
         if (!full.trivial()) {
-          sub_care = care_project(full, used, opts.max_care_project);
+          sub_care = care_project(full, used, kMaxCareProject);
         }
       }
       DecTreeNode node;
@@ -286,45 +291,6 @@ std::vector<int> node_levels(const aig::Aig& a) {
                             level[aig::node_of(a.fanin1(n))]);
   }
   return level;
-}
-
-SynthesisResult resynthesize(const aig::Aig& circuit,
-                             const SynthesisOptions& opts) {
-  SynthesisResult result;
-  aig::Aig& dst = result.network;
-  SynthesisStats& st = result.stats;
-
-  std::vector<aig::Lit> pi_map(circuit.num_inputs());
-  for (std::uint32_t i = 0; i < circuit.num_inputs(); ++i) {
-    pi_map[i] = dst.add_input(circuit.input_name(i));
-  }
-
-  const std::vector<int> level_before = node_levels(circuit);
-  for (std::uint32_t po = 0; po < circuit.num_outputs(); ++po) {
-    std::vector<std::uint32_t> orig_inputs;
-    const Cone cone = extract_po_cone(circuit, po, &orig_inputs);
-    st.depth_before = std::max(
-        st.depth_before, level_before[aig::node_of(circuit.output(po))]);
-    ++st.pos_processed;
-
-    auto tree = decompose_to_tree(cone, opts, &st);
-    std::vector<aig::Lit> dst_inputs(orig_inputs.size());
-    for (std::size_t i = 0; i < orig_inputs.size(); ++i) {
-      dst_inputs[i] = pi_map[orig_inputs[i]];
-    }
-    const aig::Lit out = emit_tree(*tree, dst, dst_inputs);
-    dst.add_output(out, circuit.output_name(po));
-    result.trees.push_back(std::move(tree));
-  }
-  const std::vector<int> level_after = node_levels(dst);
-  for (std::uint32_t po = 0; po < dst.num_outputs(); ++po) {
-    st.depth_after =
-        std::max(st.depth_after, level_after[aig::node_of(dst.output(po))]);
-  }
-
-  st.ands_before = circuit.num_ands();
-  st.ands_after = dst.num_ands();
-  return result;
 }
 
 }  // namespace step::core

@@ -20,9 +20,12 @@ namespace step::core {
 /// (QB/QDB) keep the gate tree shallow — which is precisely the paper's
 /// argument for optimising εD and εB.
 ///
-/// The recursion produces explicit DecTree objects (core/dec_tree.h) and
-/// can be backed by a shared NPN-canonical cache (core/dec_cache.h) so
-/// repeated cones across POs — and across recursion levels — decompose
+/// Every recursion node first drops semantically irrelevant inputs (see
+/// core/reduce.h), which tightens the cache key and exposes
+/// constant/literal leaves. The recursion produces explicit DecTree
+/// objects (core/dec_tree.h) and can be backed by a shared cache keyed by
+/// exact truth tables (core/dec_cache.h) so repeated cones of at most
+/// aig::kTtMaxSupport inputs, across POs and recursion levels, decompose
 /// once per run.
 struct SynthesisOptions {
   /// Partition engine used at every recursion node.
@@ -36,10 +39,6 @@ struct SynthesisOptions {
   int leaf_support = 2;
   /// Hard recursion depth cap (safety; the support shrink bounds it too).
   int max_depth = 32;
-  /// Drop semantically irrelevant inputs at every recursion node before
-  /// decomposing (one SAT cofactor check per input; see core/reduce.h).
-  /// Tightens the cache key and exposes constant/literal leaves.
-  bool reduce_supports = true;
   /// Shared decomposition cache; nullptr disables caching. The cache is
   /// thread-safe, so one instance may serve concurrent PO workers.
   DecCache* cache = nullptr;
@@ -53,10 +52,6 @@ struct SynthesisOptions {
   /// unaffected. Cache entries are only *written* by exactly-specified
   /// nodes — an exact tree serves any care set, but not vice versa.
   bool use_dont_cares = false;
-  /// Inputs the care projection may existentially quantify per
-  /// support-reduction step before the child falls back to exact
-  /// semantics (each quantified input can double the care AIG).
-  int max_care_project = 8;
   /// Per-decomposition options (budgets etc.).
   DecomposeOptions per_node;
 };
@@ -98,8 +93,10 @@ std::shared_ptr<const DecTree> decompose_to_tree(
 bool tree_equivalent(const Cone& cone, const DecTree& tree,
                      const CareSet* care = nullptr);
 
-/// Rewrites every PO of `circuit` by recursive bi-decomposition.
-/// The result is functionally equivalent (tests verify by miter).
+/// Rewrites every PO of `circuit` by recursive bi-decomposition: a serial,
+/// unbudgeted, unverified run_circuit_resynth (core/circuit_driver.h; it is
+/// defined in circuit_driver.cpp). The result is functionally equivalent
+/// (tests verify by miter).
 SynthesisResult resynthesize(const aig::Aig& circuit,
                              const SynthesisOptions& opts = {});
 

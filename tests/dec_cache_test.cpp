@@ -1,7 +1,7 @@
 // Direct unit tests of the decomposition-tree store: DecTree emission,
 // NPN-rewired cache hits (every variant of a stored function must replay
-// to the variant's own truth table), the semantic signature + SAT
-// confirmation path for wide cones, and the stats counters.
+// to the variant's own truth table), exact-table keys for cones of 7..16
+// inputs, no caching above 16 inputs, and the stats counters.
 
 #include <gtest/gtest.h>
 
@@ -103,43 +103,39 @@ TEST(DecCache, NpnVariantsAreServedByOneStoredTree) {
   EXPECT_EQ(s.insertions, 1u);
 }
 
-TEST(DecCache, WideConesUseSignatureAndSatConfirmation) {
-  // Support 8 > kNpnMaxSupport: identical cones must hit through the
-  // signature path with exactly one SAT confirmation each.
+TEST(DecCache, WideConesHitThroughTheExactTableKey) {
+  // Support 8 > kNpnMaxSupport: the key is the cone's own truth table, so
+  // an identical cone hits with the identity rewiring.
   DecCache cache;
   SynthesisOptions opts = mg_opts(&cache);
-  opts.reduce_supports = false;  // keep the wide support intact
 
   const aig::Aig p1 = benchgen::parity_tree(8);
   const aig::Aig p2 = benchgen::parity_tree(8);
   const Cone c1 = cone_of(p1, 0);
   auto t1 = decompose_to_tree(c1, opts);
-  const DecCacheStats after_first = cache.stats();
-  EXPECT_EQ(after_first.sig_hits, 0u);
-  EXPECT_GT(after_first.insertions, 0u);
+  EXPECT_GT(cache.stats().insertions, 0u);
 
   const Cone c2 = cone_of(p2, 0);
+  const std::optional<DecCacheHit> hit = cache.lookup(c2);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->map.var, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(hit->map.neg, 0u);
+  EXPECT_FALSE(hit->map.output_neg);
+
   auto t2 = decompose_to_tree(c2, opts);
-  const DecCacheStats s = cache.stats();
-  EXPECT_GE(s.sig_hits, 1u);
-  EXPECT_GE(s.sat_confirms, 1u);
-  EXPECT_EQ(s.sat_refutes, 0u);
+  EXPECT_GE(cache.stats().npn_hits, 1u);
   EXPECT_TRUE(tree_equivalent(c2, *t2));
 }
 
-TEST(DecCache, PermutedWideConesHitThroughSignatureNormalization) {
-  // Regression (PR 5): the wide-cone signature hashed simulation words in
-  // raw cone-input order, so permuted variants of one function never
-  // collided — permuted lookups dodged their own entry and inserted
-  // duplicates. The normalized key (sorted per-input signature fold) must
-  // bucket them together, and the rank correspondence must SAT-confirm.
+TEST(DecCache, PermutedWideConesMissAndStillVerify) {
+  // Above kNpnMaxSupport the key is not permutation-invariant: an
+  // input-permuted variant of a stored 8-input cone misses, is decomposed
+  // afresh, and its tree replays to the permuted function.
   DecCache cache;
   SynthesisOptions opts = mg_opts(&cache);
-  opts.reduce_supports = false;  // keep the wide support intact
 
-  // 8 inputs with pairwise-distinct roles so the per-input signatures
-  // induce an unambiguous correspondence:
-  // f = x0 | (x1 & x2 & x3) | (x4 & !x5 & x6 & x7) with asymmetric mixing.
+  // 8 inputs with pairwise-distinct roles, so no permutation below is a
+  // symmetry of f = x0 | (x1 & x2 & x3) | (x4 & !x5 & x6 & x7) | (x2 & !x7).
   auto build = [](const std::vector<int>& order) {
     aig::Aig a;
     std::vector<aig::Lit> x(8);
@@ -163,25 +159,50 @@ TEST(DecCache, PermutedWideConesHitThroughSignatureNormalization) {
   ASSERT_GT(cache.stats().insertions, 0u);
   EXPECT_TRUE(tree_equivalent(base, *t1));
 
-  // The permuted cone must *hit* (SAT-confirmed), not miss, and the
-  // rewired tree must replay to the permuted function.
   const Cone permuted = cone_of(perm_circ, 0);
-  const DecCacheStats before = cache.stats();
+  ASSERT_EQ(permuted.n(), 8);
+  EXPECT_FALSE(cache.lookup(permuted).has_value());
   auto t2 = decompose_to_tree(permuted, opts);
-  const DecCacheStats s = cache.stats();
-  EXPECT_GT(s.sig_hits, before.sig_hits);
-  EXPECT_GT(s.sat_confirms, before.sat_confirms);
   EXPECT_TRUE(tree_equivalent(permuted, *t2));
+}
+
+TEST(DecCache, ConesAboveSixteenInputsAreNotCached) {
+  // 17 > aig::kTtMaxSupport: lookups count as misses and insert stores
+  // nothing, so the same cone misses again.
+  DecCache cache;
+  const aig::Aig circ = benchgen::parity_tree(17);
+  const Cone cone = cone_of(circ, 0);
+  ASSERT_EQ(cone.n(), 17);
+
+  DecCacheKey key;
+  EXPECT_FALSE(cache.lookup(cone, &key).has_value());
+  DecTree leaf;
+  leaf.n = cone.n();
+  DecTreeNode node;
+  node.kind = DecTreeNode::Kind::kCone;
+  node.cone_aig = cone.aig;
+  node.cone_root = cone.root;
+  for (int i = 0; i < cone.n(); ++i) node.inputs.push_back(i);
+  leaf.root = leaf.add(std::move(node));
+  cache.insert(cone, key, std::move(leaf));
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.lookup(cone).has_value());
+
+  const DecCacheStats s = cache.stats();
+  EXPECT_EQ(s.lookups, 2u);
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.insertions, 0u);
 }
 
 TEST(DecCache, LookupInsertRoundTripPreservesFunctions) {
   // Randomized: decompose random cones with a shared cache and verify
-  // every produced tree against its cone — hits included.
+  // every produced tree against its cone — hits included. Supports up to
+  // 10 exercise both the NPN key and the raw-table key.
   DecCache cache;
   SynthesisOptions opts = mg_opts(&cache);
   Rng rng(0xdecca);
   for (int iter = 0; iter < 40; ++iter) {
-    const int n = rng.next_int(2, 6);
+    const int n = rng.next_int(2, 10);
     const Cone cone =
         testutil::random_cone(n, rng.next_int(3, 18), rng.next());
     auto tree = decompose_to_tree(cone, opts);

@@ -477,17 +477,13 @@ void print_synthesis_stats(std::FILE* out, const CliOptions& cli,
   if (!cli.use_cache) return;
   const core::DecCacheStats& c = r.cache;
   std::fprintf(out,
-               "# cache: lookups=%llu npn_hits=%llu sig_hits=%llu"
-               " misses=%llu hit_rate=%.1f%%\n",
+               "# cache: lookups=%llu hits=%llu misses=%llu insertions=%llu"
+               " hit_rate=%.1f%%\n",
                static_cast<unsigned long long>(c.lookups),
-               static_cast<unsigned long long>(c.npn_hits),
-               static_cast<unsigned long long>(c.sig_hits),
-               static_cast<unsigned long long>(c.misses), 100.0 * c.hit_rate());
-  std::fprintf(out,
-               "# cache: insertions=%llu sat_confirms=%llu sat_refutes=%llu\n",
+               static_cast<unsigned long long>(c.hits()),
+               static_cast<unsigned long long>(c.misses),
                static_cast<unsigned long long>(c.insertions),
-               static_cast<unsigned long long>(c.sat_confirms),
-               static_cast<unsigned long long>(c.sat_refutes));
+               100.0 * c.hit_rate());
 }
 
 core::CircuitResynthResult run_resynth(const CliOptions& cli,
