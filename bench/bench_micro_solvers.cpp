@@ -11,6 +11,7 @@
 #include <new>
 
 #include "bench_common.h"
+#include "aig/simulate.h"
 #include "aig/support.h"
 #include "benchgen/epfl.h"
 #include "benchgen/generators.h"
@@ -145,10 +146,17 @@ void bm_qbf_partition_query(benchmark::State& state) {
 }
 BENCHMARK(bm_qbf_partition_query)->Arg(2)->Arg(3);
 
+/// MG's SAT seed scan and group MUS, which run only on cones above
+/// aig::kTtMaxSupport inputs (18 and 19 here; smaller OR cones run on
+/// the truth table, see bm_fresh_cone_solvers).
 void bm_mus_equivalence_groups(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const aig::Aig circ = benchgen::random_sop(n, n, 2, 1, 5, 777);
+  const aig::Aig circ = benchgen::random_sop(n, n, 2, 1, 16, 777);
   const core::Cone cone = core::extract_po_cone(circ, 0);
+  if (cone.n() <= aig::kTtMaxSupport) {
+    state.SkipWithError("cone fits the truth-table tier");
+    return;
+  }
   const core::RelaxationMatrix m =
       core::build_relaxation_matrix(cone, core::GateOp::kOr);
   for (auto _ : state) {
@@ -157,12 +165,19 @@ void bm_mus_equivalence_groups(benchmark::State& state) {
     benchmark::DoNotOptimize(mg.find_partition());
   }
 }
-BENCHMARK(bm_mus_equivalence_groups)->Arg(4)->Arg(6);
+BENCHMARK(bm_mus_equivalence_groups)->Arg(9)->Arg(12);
 
+/// One STEP-MG decomposition whose fA/fB come from interpolation: the
+/// cone has 18 inputs, above aig::kTtMaxSupport, where extraction stays
+/// on SAT.
 void bm_interpolation_extract(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const aig::Aig circ = benchgen::random_sop(n, n, 1, 1, 4, 4242);
+  const aig::Aig circ = benchgen::random_sop(n, n, 1, 1, 16, 4242);
   const core::Cone cone = core::extract_po_cone(circ, 0);
+  if (cone.n() <= aig::kTtMaxSupport) {
+    state.SkipWithError("cone fits the truth-table tier");
+    return;
+  }
   core::DecomposeOptions o;
   o.engine = core::Engine::kMg;
   const core::BiDecomposer dec(o);
@@ -170,7 +185,7 @@ void bm_interpolation_extract(benchmark::State& state) {
     benchmark::DoNotOptimize(dec.decompose(cone));
   }
 }
-BENCHMARK(bm_interpolation_extract)->Arg(3)->Arg(5);
+BENCHMARK(bm_interpolation_extract)->Arg(12);
 
 void bm_aig_strash(benchmark::State& state) {
   const int gates = static_cast<int>(state.range(0));
@@ -195,45 +210,57 @@ void bm_tseitin_encode(benchmark::State& state) {
 }
 BENCHMARK(bm_tseitin_encode)->Arg(4)->Arg(8);
 
-/// The fixed per-cone cost of decoder-cones: the fresh one-shot solvers of
-/// one 15-input epfl_decoder(14) AND cone. Arg 0 builds the relaxation
-/// solver (Tseitin-encoded Φ), arg 1 extracts fA/fB (two interpolation
-/// solvers), arg 2 runs the verification miter. `allocs` is heap
-/// allocations per iteration.
+/// The fixed per-cone cost of decoder-cones: one 15-input
+/// epfl_decoder(14) AND cone on the truth-table path. Arg 0 builds the
+/// cone's RelaxationTable, arg 1 runs MG on it, arg 2 extracts fA/fB from
+/// it, arg 3 verifies it (tables of f and of the recombination). Arg 4 builds the RelaxationSolver
+/// (Tseitin-encoded Φ) that cones above aig::kTtMaxSupport inputs and QBF
+/// searches still need. `allocs` is heap allocations per iteration.
 void bm_fresh_cone_solvers(benchmark::State& state) {
   const int stage = static_cast<int>(state.range(0));
   const aig::Aig dec = benchgen::epfl_decoder(14);
   const core::Cone cone = core::extract_po_cone(dec, 0);
   const core::RelaxationMatrix m =
       core::build_relaxation_matrix(cone, core::GateOp::kAnd);
-  core::Partition p;  // {x0 | x1..x14}: valid for an AND of literals
-  p.cls.assign(static_cast<std::size_t>(cone.n()), core::VarClass::kB);
-  p.cls[0] = core::VarClass::kA;
+  const core::RelaxationTable table(cone, core::GateOp::kAnd, nullptr);
+  // {x0 | x1..x14}: MG's partition of an AND of literals.
+  const core::Partition p = core::mg_on_table(table).partition;
   const core::ExtractedFunctions fns =
-      core::extract_functions(cone, core::GateOp::kAnd, p);
+      core::extract_functions(cone, core::GateOp::kAnd, p, nullptr, &table);
   const long before = g_allocations.load();
   for (auto _ : state) {
     switch (stage) {
       case 0: {
+        const core::RelaxationTable t(cone, core::GateOp::kAnd, nullptr);
+        benchmark::DoNotOptimize(t.words());
+        break;
+      }
+      case 1:
+        benchmark::DoNotOptimize(core::mg_on_table(table));
+        break;
+      case 2:
+        benchmark::DoNotOptimize(core::extract_functions(
+            cone, core::GateOp::kAnd, p, nullptr, &table));
+        break;
+      case 3:
+        benchmark::DoNotOptimize(
+            core::verify_decomposition(cone, fns));
+        break;
+      default: {
         core::RelaxationSolver rs(m);
         benchmark::DoNotOptimize(rs.solver().num_vars());
         break;
       }
-      case 1:
-        benchmark::DoNotOptimize(
-            core::extract_functions(cone, core::GateOp::kAnd, p));
-        break;
-      default:
-        benchmark::DoNotOptimize(core::verify_decomposition(cone, fns));
-        break;
     }
   }
   state.counters["allocs"] =
       benchmark::Counter(static_cast<double>(g_allocations.load() - before),
                          benchmark::Counter::kAvgIterations);
-  state.SetLabel(stage == 0 ? "relaxation" : stage == 1 ? "extract" : "verify");
+  static const char* const kLabels[] = {"table", "mg", "extract", "verify",
+                                        "relaxation_solver"};
+  state.SetLabel(kLabels[stage]);
 }
-BENCHMARK(bm_fresh_cone_solvers)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(bm_fresh_cone_solvers)->DenseRange(0, 4);
 
 /// The truth-table tier for small cones. Arg 0 NPN-canonicalizes one
 /// 6-input table (the DecCache key), arg 1 runs aig::functional_support on
@@ -256,7 +283,7 @@ void bm_small_cone_kernels(benchmark::State& state) {
         benchmark::DoNotOptimize(aig::functional_support(cone.aig, cone.root));
         break;
       default:
-        benchmark::DoNotOptimize(core::SeedPairTable(m).any_valid());
+        benchmark::DoNotOptimize(core::RelaxationTable(m).any_pair_valid());
         break;
     }
   }

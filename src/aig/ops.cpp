@@ -1,5 +1,7 @@
 #include "aig/ops.h"
 
+#include <algorithm>
+
 namespace step::aig {
 
 namespace {
@@ -103,19 +105,65 @@ Lit cofactor(const Aig& src, Lit root, Aig& dst,
 
 namespace {
 
-Lit build_from_tt_rec(Aig& dst, const std::vector<std::uint64_t>& tt,
-                      const std::vector<Lit>& inputs, std::size_t var,
-                      std::size_t row_base) {
-  if (var == 0) {
-    return ((tt[row_base >> 6] >> (row_base & 63)) & 1ULL) != 0 ? kLitTrue
-                                                                : kLitFalse;
+/// Shannon expansion of a packed table, one variable per level. A block
+/// of rows that is constant, or whose halves are equal, stops the
+/// descent early, so a function that ignores some variables costs
+/// nothing for them.
+class TtBuilder {
+ public:
+  TtBuilder(Aig& dst, const std::vector<std::uint64_t>& tt,
+            const std::vector<Lit>& inputs)
+      : dst_(dst), tt_(tt), inputs_(inputs) {}
+
+  /// The function of rows [base, base + 2^var) over inputs[0..var).
+  Lit build(std::size_t var, std::size_t base) {
+    const std::size_t half = var == 0 ? 0 : std::size_t{1} << (var - 1);
+    if (var <= 6) {
+      const std::size_t rows = std::size_t{1} << var;
+      const std::uint64_t mask = rows == 64 ? ~0ULL : (1ULL << rows) - 1;
+      const std::uint64_t bits = (tt_[base >> 6] >> (base & 63)) & mask;
+      if (bits == 0) return kLitFalse;
+      if (bits == mask) return kLitTrue;
+      const std::uint64_t half_mask = (1ULL << half) - 1;
+      if ((bits & half_mask) == ((bits >> half) & half_mask)) {
+        return build(var - 1, base);
+      }
+    } else {
+      const std::size_t w0 = base >> 6;
+      const std::size_t nw = std::size_t{1} << (var - 6);
+      bool all0 = true, all1 = true;
+      for (std::size_t w = w0; w < w0 + nw && (all0 || all1); ++w) {
+        all0 = all0 && tt_[w] == 0;
+        all1 = all1 && tt_[w] == ~0ULL;
+      }
+      if (all0) return kLitFalse;
+      if (all1) return kLitTrue;
+      const auto lo = tt_.begin() + static_cast<std::ptrdiff_t>(w0);
+      const auto mid = lo + static_cast<std::ptrdiff_t>(nw / 2);
+      if (std::equal(lo, mid, mid)) return build(var - 1, base);
+    }
+    const Lit lo = build(var - 1, base);
+    const Lit hi = build(var - 1, base + half);
+    return combine(inputs_[var - 1], hi, lo);
   }
-  const std::size_t half = std::size_t{1} << (var - 1);
-  const Lit lo = build_from_tt_rec(dst, tt, inputs, var - 1, row_base);
-  const Lit hi = build_from_tt_rec(dst, tt, inputs, var - 1, row_base + half);
-  if (lo == hi) return lo;
-  return dst.lmux(inputs[var - 1], hi, lo);
-}
+
+ private:
+  /// x ? hi : lo, with constant and complementary children folded into a
+  /// single AND / OR (one AND node) or an XOR instead of a full mux.
+  Lit combine(Lit x, Lit hi, Lit lo) {
+    if (lo == hi) return lo;
+    if (lo == kLitFalse) return dst_.land(x, hi);
+    if (hi == kLitFalse) return dst_.land(lnot(x), lo);
+    if (lo == kLitTrue) return dst_.lor(lnot(x), hi);
+    if (hi == kLitTrue) return dst_.lor(x, lo);
+    if (lo == lnot(hi)) return dst_.lxor(x, lo);
+    return dst_.lmux(x, hi, lo);
+  }
+
+  Aig& dst_;
+  const std::vector<std::uint64_t>& tt_;
+  const std::vector<Lit>& inputs_;
+};
 
 }  // namespace
 
@@ -124,7 +172,7 @@ Lit build_from_tt(Aig& dst, const std::vector<std::uint64_t>& tt,
   const std::size_t n = inputs.size();
   STEP_CHECK(n <= 20);
   STEP_CHECK(tt.size() >= (n >= 6 ? (std::size_t{1} << (n - 6)) : 1));
-  return build_from_tt_rec(dst, tt, inputs, n, 0);
+  return TtBuilder(dst, tt, inputs).build(n, 0);
 }
 
 Aig sweep_dead(const Aig& src) {

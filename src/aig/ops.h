@@ -35,8 +35,11 @@ Lit cofactor(const Aig& src, Lit root, Aig& dst,
 /// Builds the function of a packed truth table (bit r = value on row r,
 /// row bit j = value of inputs[j]) into `dst` by Shannon expansion on the
 /// highest variable; strashing folds shared cofactors. inputs.size() <= 20.
-/// Used by the don't-care windows (care sets are enumerated as tables) and
-/// by tests that need arbitrary functions as AIGs.
+/// A variable the function ignores costs no node, and a cofactor pair
+/// with a constant child costs one AND, so an AND or OR of k literals
+/// takes k − 1 ANDs. Used by the don't-care windows (care sets are
+/// enumerated as tables), by table-based extraction of fA/fB (core/
+/// extract.h) and by tests that need arbitrary functions as AIGs.
 Lit build_from_tt(Aig& dst, const std::vector<std::uint64_t>& tt,
                   const std::vector<Lit>& inputs);
 

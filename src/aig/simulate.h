@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -39,7 +40,10 @@ std::vector<std::uint64_t> simulate_nodes(
 /// construction and refunded on destruction.
 class ConeSimulator {
  public:
-  ConeSimulator(const Aig& a, Lit root, MemTracker* mem = nullptr);
+  /// `block_words` bounds the words per position one run_block() call
+  /// may evaluate (the value buffer holds that many per cone node).
+  ConeSimulator(const Aig& a, Lit root, MemTracker* mem = nullptr,
+                std::size_t block_words = 1);
   ~ConeSimulator();
   ConeSimulator(const ConeSimulator&) = delete;
   ConeSimulator& operator=(const ConeSimulator&) = delete;
@@ -53,6 +57,19 @@ class ConeSimulator {
   /// support()), returning the root's word.
   std::uint64_t run(const std::vector<std::uint64_t>& support_words);
 
+  /// Block evaluation, node-major: each AND is computed over a block of
+  /// `words` (<= block_words) words before the next, so its fanins are
+  /// decoded once per block rather than once per word. The caller fills
+  /// the block inputs in place; they persist across run_block() calls with
+  /// the same `words`, so patterns shared by every block are written once.
+  /// Word w of support position i (aligned with support()).
+  std::uint64_t* block_input(std::size_t i, std::size_t words) {
+    return val_.data() + (1 + i) * words;
+  }
+  /// Evaluates the cone on the block inputs; out[w] receives the root's
+  /// word w for w < words.
+  void run_block(std::size_t words, std::uint64_t* out);
+
  private:
   MemTracker* mem_;
   std::size_t charged_ = 0;
@@ -62,10 +79,12 @@ class ConeSimulator {
   /// slots 1..|support| the support words, then one slot per cone AND in
   /// topological order. local_f0_/local_f1_ hold each AND's fanins as
   /// local literals (2*slot + complement), so run() is a tight loop with
-  /// no per-step id translation.
+  /// no per-step id translation. Slot k occupies `words` consecutive
+  /// entries of val_ during a run_block() call.
   std::vector<Lit> local_f0_;
   std::vector<Lit> local_f1_;
   Lit local_root_ = kLitFalse;
+  std::size_t block_words_ = 1;
   std::vector<std::uint64_t> val_;
 };
 
@@ -73,8 +92,14 @@ class ConeSimulator {
 /// (src input indices); support.size() <= 20. Bit b of the table is the
 /// function value when support input j takes bit j of b.
 /// Packed in 64-bit words, so table[b >> 6] >> (b & 63) & 1 is the value.
+/// `support` may be a superset of the cone's support, in any order, and
+/// may name indices the AIG does not have: the root ignores them. The
+/// cone is simulated node-major over blocks of at most 32 words; the
+/// simulator's buffers (32 words per cone node) are charged to `mem`
+/// while the table is built.
 std::vector<std::uint64_t> truth_table(const Aig& a, Lit root,
-                                       const std::vector<std::uint32_t>& support);
+                                       const std::vector<std::uint32_t>& support,
+                                       MemTracker* mem = nullptr);
 
 /// Number of 64-bit words a truth table over n variables occupies.
 constexpr std::size_t tt_words(std::size_t n_vars) {
@@ -107,6 +132,30 @@ inline std::uint64_t tt_flip_word(const std::uint64_t* tt, std::size_t w,
   const int s = 1 << j;
   const std::uint64_t m = kTtVarMask[j];
   return ((tt[w] & m) >> s) | ((tt[w] << s) & m);
+}
+
+/// dst = ∃x_j·src over tables of `words` words: every row becomes
+/// row ∨ row^e_j. dst may be src. A table masked to its 2^n rows stays
+/// masked for every j < n.
+inline void tt_exists(const std::uint64_t* src, std::uint64_t* dst,
+                      std::size_t words, int j) {
+  if (j >= 6) {
+    const std::size_t stride = std::size_t{1} << (j - 6);
+    for (std::size_t base = 0; base < words; base += 2 * stride) {
+      for (std::size_t w = base; w < base + stride; ++w) {
+        const std::uint64_t v = src[w] | src[w + stride];
+        dst[w] = v;
+        dst[w + stride] = v;
+      }
+    }
+    return;
+  }
+  const int s = 1 << j;
+  const std::uint64_t m = kTtVarMask[j];
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::uint64_t x = src[w];
+    dst[w] = x | ((x & m) >> s) | ((x << s) & m);
+  }
 }
 
 }  // namespace step::aig

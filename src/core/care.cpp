@@ -1,6 +1,9 @@
 #include "core/care.h"
 
+#include <algorithm>
+
 #include "aig/ops.h"
+#include "aig/simulate.h"
 #include "cnf/cnf.h"
 #include "cnf/tseitin.h"
 #include "sat/solver.h"
@@ -120,6 +123,28 @@ bool cones_equivalent_on_care(const Cone& a, const Cone& b,
 }
 
 bool roots_equivalent_on_care(const aig::Aig& a, aig::Lit root_a,
+                              const aig::Aig& b, aig::Lit root_b,
+                              const CareSet* care) {
+  if (care_is_trivial(care)) care = nullptr;
+  std::uint32_t n = std::max(a.num_inputs(), b.num_inputs());
+  if (care != nullptr) n = std::max(n, care->aig.num_inputs());
+  if (n > static_cast<std::uint32_t>(aig::kTtMaxSupport)) {
+    return miter_equivalent_on_care(a, root_a, b, root_b, care);
+  }
+  std::vector<std::uint32_t> sup(n);
+  for (std::uint32_t i = 0; i < n; ++i) sup[i] = i;
+  const std::vector<std::uint64_t> ta = aig::truth_table(a, root_a, sup);
+  const std::vector<std::uint64_t> tb = aig::truth_table(b, root_b, sup);
+  std::vector<std::uint64_t> tc;
+  if (care != nullptr) tc = aig::truth_table(care->aig, care->root, sup);
+  for (std::size_t w = 0; w < ta.size(); ++w) {
+    const std::uint64_t diff = ta[w] ^ tb[w];
+    if ((care != nullptr ? diff & tc[w] : diff) != 0) return false;
+  }
+  return true;
+}
+
+bool miter_equivalent_on_care(const aig::Aig& a, aig::Lit root_a,
                               const aig::Aig& b, aig::Lit root_b,
                               const CareSet* care) {
   sat::Solver solver;

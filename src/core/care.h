@@ -66,15 +66,23 @@ std::optional<CareSet> care_project(const CareSet& care,
 /// (an empty care set reports constant false), nullopt otherwise.
 std::optional<bool> constant_on_care(const Cone& cone, const CareSet& care);
 
-/// SAT miter restricted to the care set: a ≡ b on every care minterm.
-/// Inputs are identified positionally, as in cones_equivalent().
+/// a ≡ b on every care minterm, inputs identified positionally (as in
+/// cones_equivalent()). Decided as roots_equivalent_on_care() decides it.
 bool cones_equivalent_on_care(const Cone& a, const Cone& b,
                               const CareSet* care);
 
-/// The same miter over two roots, so callers need not copy an AIG into a
-/// Cone. `a` fixes the input count. Like Cones, the AIGs should hold
-/// little beyond the roots' logic: their sizes size the solver.
+/// The same check over two roots, so callers need not copy an AIG into a
+/// Cone. When no AIG has more than aig::kTtMaxSupport inputs it compares
+/// truth tables on the care set; otherwise it runs
+/// miter_equivalent_on_care().
 bool roots_equivalent_on_care(const aig::Aig& a, aig::Lit root_a,
+                              const aig::Aig& b, aig::Lit root_b,
+                              const CareSet* care);
+
+/// SAT miter of the same check, at any size. `a` fixes the input count.
+/// Like Cones, the AIGs should hold little beyond the roots' logic: their
+/// sizes size the solver.
+bool miter_equivalent_on_care(const aig::Aig& a, aig::Lit root_a,
                               const aig::Aig& b, aig::Lit root_b,
                               const CareSet* care);
 

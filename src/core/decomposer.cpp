@@ -1,5 +1,7 @@
 #include "core/decomposer.h"
 
+#include "aig/simulate.h"
+
 namespace step::core {
 
 namespace {
@@ -21,20 +23,45 @@ struct SearchStrand {
   sat::Solver::Stats solver_stats;
 };
 
-/// Runs one engine's partition search on a prebuilt relaxation matrix.
-/// Every solver the strand builds (relaxation, LJH, CEGAR pair) is private
-/// to the call and dies with it. `opts` supplies the engine sub-options
+/// Runs one engine's partition search on one cone. An OR/AND cone with a
+/// RelaxationTable runs MG on it (engine MG, or a QBF engine's bootstrap);
+/// the relaxation matrix is built only for what stays on SAT: LJH, XOR and
+/// wide cones, and a QBF search whose bootstrap costs more than 0 (at
+/// cost 0 OptimumSearch would prove it optimal with no query). Every
+/// solver the strand builds (relaxation, LJH, CEGAR pair) is private to
+/// the call and dies with it. `opts` supplies the engine, its sub-options
 /// and the SAT configuration (including the memory account via
-/// opts.sat.mem); opts.engine is ignored in favour of `engine`.
-SearchStrand run_search_strand(const RelaxationMatrix& matrix, Engine engine,
+/// opts.sat.mem).
+SearchStrand run_search_strand(const Cone& cone, const CareSet* care,
+                               const RelaxationTable* table,
                                const DecomposeOptions& opts,
                                const Deadline* deadline) {
   SearchStrand res;
-  RelaxationSolver rs(matrix, opts.sat);
+  const Engine engine = opts.engine;
+  const QbfModel model = engine == Engine::kQbfDisjoint   ? QbfModel::kQD
+                         : engine == Engine::kQbfBalanced ? QbfModel::kQB
+                                                          : QbfModel::kQDB;
+  const bool runs_mg = engine == Engine::kMg ||
+                       (is_qbf_engine(engine) && opts.bootstrap_with_mg);
+
+  // MG's answer, from the table when the cone has one.
+  std::optional<PartitionSearchResult> mg;
+  if (runs_mg && table != nullptr &&
+      mg_on_table_eligible(opts.op, cone.n(), opts.mg)) {
+    mg = mg_on_table(*table, deadline);
+  }
+  std::optional<RelaxationMatrix> matrix;
+  std::optional<RelaxationSolver> rs;
+  if (runs_mg && !mg) {
+    matrix.emplace(build_relaxation_matrix(cone, opts.op, care));
+    rs.emplace(*matrix, opts.sat);
+    mg = MgDecomposer(*rs, opts.mg).find_partition(deadline);
+  }
 
   switch (engine) {
     case Engine::kLjh: {
-      LjhDecomposer ljh(matrix, opts.ljh, opts.sat);
+      matrix.emplace(build_relaxation_matrix(cone, opts.op, care));
+      LjhDecomposer ljh(*matrix, opts.ljh, opts.sat);
       const PartitionSearchResult r = ljh.find_partition(deadline);
       res.solver_stats += ljh.solver_stats();
       if (r.found) {
@@ -48,41 +75,40 @@ SearchStrand run_search_strand(const RelaxationMatrix& matrix, Engine engine,
       break;
     }
     case Engine::kMg: {
-      MgDecomposer mg(rs, opts.mg);
-      const PartitionSearchResult r = mg.find_partition(deadline);
-      if (r.found) {
+      if (mg->found) {
         res.status = DecomposeStatus::kDecomposed;
-        res.partition = r.partition;
+        res.partition = mg->partition;
       } else {
-        res.status = r.exhausted ? DecomposeStatus::kNotDecomposable
-                                 : DecomposeStatus::kUnknown;
-        res.reason = r.reason;
+        res.status = mg->exhausted ? DecomposeStatus::kNotDecomposable
+                                   : DecomposeStatus::kUnknown;
+        res.reason = mg->reason;
       }
       break;
     }
     case Engine::kQbfDisjoint:
     case Engine::kQbfBalanced:
     case Engine::kQbfCombined: {
-      const QbfModel model = engine == Engine::kQbfDisjoint
-                                 ? QbfModel::kQD
-                                 : engine == Engine::kQbfBalanced
-                                       ? QbfModel::kQB
-                                       : QbfModel::kQDB;
       std::optional<Partition> bootstrap;
-      if (opts.bootstrap_with_mg) {
-        MgDecomposer mg(rs, opts.mg);
-        const PartitionSearchResult r = mg.find_partition(deadline);
-        if (r.found) {
-          bootstrap = r.partition;
-        } else if (r.exhausted) {
+      if (mg) {
+        if (mg->found) {
+          bootstrap = mg->partition;
+        } else if (mg->exhausted) {
           // MG's seed sweep is exact on decomposability: nothing to do.
           res.status = DecomposeStatus::kNotDecomposable;
           break;
         }
       }
+      if (bootstrap &&
+          metric_cost(Metrics::of(*bootstrap), metric_of(model)) == 0) {
+        res.status = DecomposeStatus::kDecomposed;
+        res.partition = *bootstrap;
+        res.proven_optimal = true;
+        break;
+      }
+      if (!matrix) matrix.emplace(build_relaxation_matrix(cone, opts.op, care));
       QbfFinderOptions qbf_opts = opts.qbf;
       qbf_opts.cegar.sat = opts.sat;
-      QbfPartitionFinder finder(matrix, qbf_opts);
+      QbfPartitionFinder finder(*matrix, qbf_opts);
       OptimumSearch search(finder, model, opts.optimum);
       const OptimumResult r = search.run(bootstrap, deadline);
       res.qbf_calls = r.qbf_calls;
@@ -108,8 +134,10 @@ SearchStrand run_search_strand(const RelaxationMatrix& matrix, Engine engine,
     }
   }
 
-  res.sat_calls = rs.sat_calls();
-  res.solver_stats += rs.solver().stats();
+  if (rs) {
+    res.sat_calls = rs->sat_calls();
+    res.solver_stats += rs->solver().stats();
+  }
 
   // Classification safety net + refinement. Any kUnknown leaves with a
   // typed reason: engines that could not name one get the deadline's
@@ -155,7 +183,13 @@ DecomposeResult BiDecomposer::decompose(const Cone& cone,
     return res;
   }
 
-  const RelaxationMatrix matrix = build_relaxation_matrix(cone, opts_.op, care);
+  // Small OR/AND cones: one table serves MG and extraction (verification
+  // recomputes f's table from the cone).
+  std::optional<RelaxationTable> table;
+  if (opts_.op != GateOp::kXor && cone.n() <= aig::kTtMaxSupport) {
+    table.emplace(cone, opts_.op, care, opts_.mem);
+  }
+  const RelaxationTable* tp = table ? &*table : nullptr;
 
   auto finish_with_partition = [&](Partition p, bool proven) {
     res.status = DecomposeStatus::kDecomposed;
@@ -163,7 +197,8 @@ DecomposeResult BiDecomposer::decompose(const Cone& cone,
     res.proven_optimal = proven;
     res.partition = std::move(p);
     if (opts_.extract) {
-      res.functions = extract_functions(cone, opts_.op, res.partition, care);
+      res.functions =
+          extract_functions(cone, opts_.op, res.partition, care, tp);
       if (opts_.verify) {
         bool ok = verify_decomposition(cone, *res.functions, care);
         // An injected verification flip is handled exactly like a real
@@ -174,7 +209,7 @@ DecomposeResult BiDecomposer::decompose(const Cone& cone,
         res.verified = ok;
         if (!ok) {
           // Never return a wrong answer: a decomposition that fails its
-          // SAT verification is discarded wholesale and reported as a
+          // verification is discarded wholesale and reported as a
           // classified failure, not trusted because the search found it.
           res.functions.reset();
           res.partition = Partition{};
@@ -189,8 +224,7 @@ DecomposeResult BiDecomposer::decompose(const Cone& cone,
 
   // The search strand does everything up to (but excluding) extraction
   // and verification; it also classifies its own kUnknown reasons.
-  const SearchStrand s = run_search_strand(matrix, opts_.engine, opts_,
-                                           &deadline);
+  const SearchStrand s = run_search_strand(cone, care, tp, opts_, &deadline);
   res.sat_calls = s.sat_calls;
   res.qbf_calls = s.qbf_calls;
   res.qbf_iterations = s.qbf_iterations;

@@ -48,7 +48,8 @@ struct DecomposeOptions {
   bool bootstrap_with_mg = true;
   /// Compute fA/fB after the partition (interpolation / cofactoring).
   bool extract = true;
-  /// SAT-verify f ≡ fA <OP> fB after extraction.
+  /// Verify f ≡ fA <OP> fB after extraction (verify_decomposition: a table
+  /// compare up to aig::kTtMaxSupport inputs, a SAT miter above).
   bool verify = true;
   LjhOptions ljh;
   MgOptions mg;
@@ -91,7 +92,7 @@ enum class DecomposeStatus : std::uint8_t {
 struct DecomposeResult {
   DecomposeStatus status = DecomposeStatus::kUnknown;
   /// Why no conclusion was reached (kOk when status != kUnknown). A
-  /// result that fails SAT verification — injected or real — is discarded
+  /// result that fails verification — injected or real — is discarded
   /// and reported here as kVerificationFailed, never returned as an
   /// unverified "success".
   OutcomeReason reason = OutcomeReason::kOk;

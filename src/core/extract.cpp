@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "aig/ops.h"
+#include "aig/simulate.h"
 #include "cnf/cnf.h"
 #include "cnf/tseitin.h"
 #include "itp/interpolant.h"
@@ -127,11 +128,55 @@ std::pair<aig::Lit, aig::Lit> or_extract(
   return {fa, fb};
 }
 
+/// fA/fB from the cone's OR/AND table, or nullopt when they are larger
+/// than the cone itself. With off = ¬f ∧ care (OR) the largest valid
+/// fA(XA,XC) is ¬∃XB·off; for AND off = f ∧ care and fA = ∃XB·off is the
+/// smallest. Both ignore XB, so build_from_tt spends no node on it.
+std::optional<ExtractedFunctions> table_functions(const Cone& cone,
+                                                  const RelaxationTable& t,
+                                                  const Partition& p) {
+  std::uint32_t xa = 0, xb = 0;
+  for (int i = 0; i < p.size(); ++i) {
+    if (p.cls[i] == VarClass::kA) xa |= 1U << i;
+    if (p.cls[i] == VarClass::kB) xb |= 1U << i;
+  }
+  ExtractedFunctions out;
+  std::vector<aig::Lit> inputs(cone.n());
+  for (int i = 0; i < cone.n(); ++i) {
+    inputs[i] = out.aig.add_input(cone.aig.input_name(i));
+  }
+  const bool is_or = t.op() == GateOp::kOr;
+  const aig::Lit ea = aig::build_from_tt(out.aig, t.exists_off(xb), inputs);
+  const aig::Lit eb = aig::build_from_tt(out.aig, t.exists_off(xa), inputs);
+  out.fa = is_or ? aig::lnot(ea) : ea;
+  out.fb = is_or ? aig::lnot(eb) : eb;
+  if (out.aig.cone_size(out.fa) + out.aig.cone_size(out.fb) >
+      cone.aig.cone_size(cone.root)) {
+    return std::nullopt;
+  }
+  out.combined =
+      is_or ? out.aig.lor(out.fa, out.fb) : out.aig.land(out.fa, out.fb);
+  out.aig.add_output(out.fa, "fa");
+  out.aig.add_output(out.fb, "fb");
+  out.aig.add_output(out.combined, "combined");
+  return out;
+}
+
 }  // namespace
 
 ExtractedFunctions extract_functions(const Cone& cone, GateOp op,
-                                     const Partition& p, const CareSet* care) {
+                                     const Partition& p, const CareSet* care,
+                                     const RelaxationTable* table) {
   STEP_CHECK(p.size() == cone.n());
+  if (op != GateOp::kXor && cone.n() <= aig::kTtMaxSupport) {
+    std::optional<RelaxationTable> own;
+    if (table == nullptr) table = &own.emplace(cone, op, care);
+    STEP_CHECK(table->op() == op && table->n() == cone.n());
+    if (std::optional<ExtractedFunctions> fns =
+            table_functions(cone, *table, p)) {
+      return std::move(*fns);
+    }
+  }
   ExtractedFunctions out;
   std::vector<aig::Lit> inputs(cone.n());
   for (int i = 0; i < cone.n(); ++i) {

@@ -4,6 +4,7 @@
 
 #include "core/bidec_types.h"
 #include "core/care.h"
+#include "core/relaxation.h"
 
 namespace step::core {
 
@@ -24,6 +25,13 @@ struct ExtractedFunctions {
 /// first; an invalid partition trips a STEP_CHECK via the interpolation
 /// engine's UNSAT requirement).
 ///
+/// OR/AND cones of at most aig::kTtMaxSupport inputs are first built from
+/// the cone's RelaxationTable (`table`, or one built here): fA = ¬∃XB·off
+/// and fB = ¬∃XA·off through aig::build_from_tt (for AND, off = f ∧ care
+/// and fA = ∃XB·off, fB = ∃XA·off by duality). These are kept when
+/// |fA| + |fB| (ANDs in each cone) is at most the cone's own AND count;
+/// otherwise, and for wider cones, the functions are interpolants:
+///
 /// OR: two sequential Craig interpolation queries (Section III.B /
 /// Lee-Jiang-Hung):
 ///   fA = ITP( f(X) ∧ ¬f(XA',XB,XC) ,  ¬f(XA,XB',XC) )     over XA ∪ XC
@@ -36,18 +44,23 @@ struct ExtractedFunctions {
 /// keeps them refutable and yields fA/fB correct *on the care set*:
 /// fa <OP> fb ≡ f on every care minterm, free elsewhere. XOR partitions
 /// are exact by construction, so cofactoring needs no care handling.
+/// A given `table` must be the cone's own, built for `op` and `care`.
 ExtractedFunctions extract_functions(const Cone& cone, GateOp op,
                                      const Partition& p,
-                                     const CareSet* care = nullptr);
+                                     const CareSet* care = nullptr,
+                                     const RelaxationTable* table = nullptr);
 
-/// SAT check that f ≡ fa <OP> fb (miter unsatisfiability), restricted to
-/// the care minterms when `care` is non-trivial.
+/// Check that f ≡ fa <OP> fb, restricted to the care minterms when `care`
+/// is non-trivial (roots_equivalent_on_care: tables of f, of the
+/// recombination and of care up to aig::kTtMaxSupport inputs, a SAT miter
+/// above). f is recomputed from the cone, so the check does not trust
+/// the tables extraction read.
 bool verify_decomposition(const Cone& cone, const ExtractedFunctions& fns,
                           const CareSet* care = nullptr);
 
-/// SAT miter over shared inputs: true iff two cones with the same input
-/// count (inputs identified positionally) compute the same function.
-/// Shared by decomposition verification and the cache's hit confirmation.
+/// True iff two cones with the same input count (inputs identified
+/// positionally) compute the same function: tables up to
+/// aig::kTtMaxSupport inputs, a SAT miter above.
 bool cones_equivalent(const Cone& a, const Cone& b);
 
 }  // namespace step::core

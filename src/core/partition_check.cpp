@@ -37,10 +37,11 @@ TtView make_view(const Cone& cone, const CareSet* care) {
   return v;
 }
 
-/// Enumerates all assignments to the positions in `mask_positions`,
-/// replacing those bits of `row`; calls fn(row') for each.
-template <typename Fn>
-void for_each_patch(std::size_t row, const std::vector<int>& positions, Fn fn) {
+/// True iff some assignment to `positions` (replacing those bits of
+/// `row`) gives a row for which `is_offset` holds; stops at the first.
+template <typename IsOffset>
+bool orbit_has_offset(std::size_t row, const std::vector<int>& positions,
+                      IsOffset is_offset) {
   const std::size_t k = positions.size();
   for (std::size_t combo = 0; combo < (std::size_t{1} << k); ++combo) {
     std::size_t r = row;
@@ -52,8 +53,9 @@ void for_each_patch(std::size_t row, const std::vector<int>& positions, Fn fn) {
         r &= ~bit;
       }
     }
-    fn(r);
+    if (is_offset(r)) return true;
   }
+  return false;
 }
 
 bool or_valid(const TtView& v, const std::vector<int>& a_pos,
@@ -62,21 +64,21 @@ bool or_valid(const TtView& v, const std::vector<int>& a_pos,
   // (∀b' care: f(a,b',c)) — a care offset in the XA-orbit forces gB(b,c)
   // to 0 and one in the XB-orbit forces gA(a,c) to 0; don't-care rows
   // impose nothing. `complement` flips the function (the AND case
-  // decomposes ¬f).
+  // decomposes ¬f). The smaller block's orbit is tried first and each
+  // orbit stops at its first care offset row, so a row whose small orbit
+  // is clean costs 2^min(|XA|,|XB|) lookups.
   auto fv = [&](std::size_t rr) { return v.value(rr) != complement; };
+  auto is_offset = [&](std::size_t rr) { return v.in_care(rr) && !fv(rr); };
+  const bool a_first = a_pos.size() <= b_pos.size();
+  const std::vector<int>& first = a_first ? a_pos : b_pos;
+  const std::vector<int>& second = a_first ? b_pos : a_pos;
   const std::size_t rows = std::size_t{1} << v.n;
   for (std::size_t r = 0; r < rows; ++r) {
     if (!v.in_care(r) || !fv(r)) continue;  // offset/DC rows impose nothing
-    bool all_a = true;
-    for_each_patch(r, a_pos, [&](std::size_t rr) {
-      if (v.in_care(rr) && !fv(rr)) all_a = false;
-    });
-    if (all_a) continue;
-    bool all_b = true;
-    for_each_patch(r, b_pos, [&](std::size_t rr) {
-      if (v.in_care(rr) && !fv(rr)) all_b = false;
-    });
-    if (!all_b) return false;
+    if (orbit_has_offset(r, first, is_offset) &&
+        orbit_has_offset(r, second, is_offset)) {
+      return false;
+    }
   }
   return true;
 }

@@ -93,65 +93,157 @@ RelaxationMatrix build_relaxation_matrix(const Cone& cone, GateOp op,
   return m;
 }
 
-SeedPairTable::SeedPairTable(const RelaxationMatrix& m)
-    : op_(m.op), n_(m.n) {
+namespace {
+
+/// Identity support 0..n-1: table variable i is input position i.
+std::vector<std::uint32_t> positions(int n) {
+  std::vector<std::uint32_t> v(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) v[static_cast<std::size_t>(i)] = i;
+  return v;
+}
+
+}  // namespace
+
+RelaxationTable::RelaxationTable(const Cone& cone, GateOp op,
+                                 const CareSet* care, MemTracker* mem)
+    : op_(op), n_(cone.n()), mem_(mem) {
   STEP_CHECK(n_ <= aig::kTtMaxSupport);
-  const std::vector<std::uint64_t> f = aig::truth_table(m.aig, m.fx, m.x);
-  if (op_ == GateOp::kXor) {
-    on_ = f;
+  if (op_ == GateOp::kXor || care_is_trivial(care)) care = nullptr;
+  const std::vector<std::uint32_t> sup = positions(n_);
+  const std::vector<std::uint64_t> f =
+      aig::truth_table(cone.aig, cone.root, sup, mem_);
+  if (care == nullptr) {
+    init(f, nullptr);
     return;
   }
-  const std::size_t rows = std::size_t{1} << n_;
-  const std::uint64_t mask = rows >= 64 ? ~0ULL : (1ULL << rows) - 1;
-  const std::vector<std::uint64_t> care =
-      m.care_x == aig::kLitTrue
-          ? std::vector<std::uint64_t>(f.size(), mask)
-          : aig::truth_table(m.aig, m.care_x, m.x);
-  // AND bi-decomposition is the OR bi-decomposition of ¬f.
-  const std::uint64_t flip = op_ == GateOp::kAnd ? mask : 0;
-  on_.resize(f.size());
-  off_.resize(f.size());
-  for (std::size_t w = 0; w < f.size(); ++w) {
-    on_[w] = (f[w] ^ flip) & care[w];
-    off_[w] = (f[w] ^ flip ^ mask) & care[w];
-  }
+  const std::vector<std::uint64_t> c =
+      aig::truth_table(care->aig, care->root, sup, mem_);
+  init(f, &c);
 }
 
-void SeedPairTable::build_base(int j, std::vector<std::uint64_t>& base) const {
+RelaxationTable::RelaxationTable(const RelaxationMatrix& m, MemTracker* mem)
+    : op_(m.op), n_(m.n), mem_(mem) {
+  STEP_CHECK(n_ <= aig::kTtMaxSupport);
+  const std::vector<std::uint64_t> f =
+      aig::truth_table(m.aig, m.fx, m.x, mem_);
+  if (op_ == GateOp::kXor || m.care_x == aig::kLitTrue) {
+    init(f, nullptr);
+    return;
+  }
+  const std::vector<std::uint64_t> c =
+      aig::truth_table(m.aig, m.care_x, m.x, mem_);
+  init(f, &c);
+}
+
+RelaxationTable::~RelaxationTable() {
+  if (mem_ != nullptr) mem_->release(charged_);
+}
+
+void RelaxationTable::init(const std::vector<std::uint64_t>& f,
+                           const std::vector<std::uint64_t>* care) {
+  if (op_ == GateOp::kXor) {
+    on_ = f;
+  } else {
+    const std::size_t rows = std::size_t{1} << n_;
+    const std::uint64_t mask = rows >= 64 ? ~0ULL : (1ULL << rows) - 1;
+    // AND bi-decomposition is the OR bi-decomposition of ¬f.
+    const std::uint64_t flip = op_ == GateOp::kAnd ? mask : 0;
+    on_.resize(f.size());
+    off_.resize(f.size());
+    for (std::size_t w = 0; w < f.size(); ++w) {
+      const std::uint64_t c = care != nullptr ? (*care)[w] : mask;
+      on_[w] = (f[w] ^ flip) & c;
+      off_[w] = (f[w] ^ flip ^ mask) & c;
+    }
+  }
+  charged_ = (on_.capacity() + off_.capacity()) * sizeof(std::uint64_t);
+  if (mem_ != nullptr) mem_->charge(charged_);
+}
+
+void RelaxationTable::build_base(int j,
+                                 std::vector<std::uint64_t>& base) const {
   base.resize(on_.size());
-  for (std::size_t w = 0; w < on_.size(); ++w) {
-    base[w] = op_ == GateOp::kXor
-                  ? on_[w] ^ aig::tt_flip_word(on_.data(), w, j)
-                  : on_[w] & aig::tt_flip_word(off_.data(), w, j);
+  const std::uint64_t* f = on_.data();
+  if (op_ == GateOp::kXor) {
+    for (std::size_t w = 0; w < base.size(); ++w) {
+      base[w] = f[w] ^ aig::tt_flip_word(f, w, j);
+    }
+    return;
+  }
+  const std::uint64_t* off = off_.data();
+  for (std::size_t w = 0; w < base.size(); ++w) {
+    base[w] = f[w] & aig::tt_flip_word(off, w, j);
   }
 }
 
-bool SeedPairTable::hits(const std::vector<std::uint64_t>& base, int l) const {
+bool RelaxationTable::hits(const std::vector<std::uint64_t>& base,
+                           int l) const {
+  // The other flipped operand: base itself (XOR) or off (OR/AND).
+  const std::uint64_t* g = op_ == GateOp::kXor ? base.data() : off_.data();
+  const bool is_xor = op_ == GateOp::kXor;
   for (std::size_t w = 0; w < base.size(); ++w) {
-    const std::uint64_t v =
-        op_ == GateOp::kXor ? base[w] ^ aig::tt_flip_word(base.data(), w, l)
-                            : base[w] & aig::tt_flip_word(off_.data(), w, l);
-    if (v != 0) return true;
+    const std::uint64_t fl = aig::tt_flip_word(g, w, l);
+    if ((is_xor ? base[w] ^ fl : base[w] & fl) != 0) return true;
   }
   return false;
 }
 
-bool SeedPairTable::valid(int j, int l) const {
+bool RelaxationTable::pair_valid(int j, int l) const {
   STEP_CHECK(j != l && j >= 0 && l >= 0 && j < n_ && l < n_);
   std::vector<std::uint64_t> base;
   build_base(j, base);
   return !hits(base, l);
 }
 
-bool SeedPairTable::any_valid() const {
+int RelaxationTable::first_valid_partner(
+    int j, std::vector<std::uint64_t>& scratch) const {
+  if (op_ == GateOp::kXor) {
+    build_base(j, scratch);
+    for (int l = j + 1; l < n_; ++l) {
+      if (!hits(scratch, l)) return l;
+    }
+    return -1;
+  }
+  // OR/AND: base = on ∧ flip_j(off), and base ∧ flip_l(off) reads only
+  // base's nonzero words, listed while base is built.
+  const std::size_t words = on_.size();
+  scratch.resize(words);
+  std::vector<std::uint32_t> nz;
+  nz.reserve(words);
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::uint64_t v = on_[w] & aig::tt_flip_word(off_.data(), w, j);
+    scratch[w] = v;
+    if (v != 0) nz.push_back(static_cast<std::uint32_t>(w));
+  }
+  for (int l = j + 1; l < n_; ++l) {
+    bool hit = false;
+    for (const std::uint32_t w : nz) {
+      if ((scratch[w] & aig::tt_flip_word(off_.data(), w, l)) != 0) {
+        hit = true;
+        break;
+      }
+    }
+    if (!hit) return l;
+  }
+  return -1;
+}
+
+bool RelaxationTable::any_pair_valid() const {
   std::vector<std::uint64_t> base;
   for (int j = 0; j < n_; ++j) {
-    build_base(j, base);
-    for (int l = j + 1; l < n_; ++l) {
-      if (!hits(base, l)) return true;
-    }
+    if (first_valid_partner(j, base) >= 0) return true;
   }
   return false;
+}
+
+std::vector<std::uint64_t> RelaxationTable::exists_off(
+    std::uint32_t vars) const {
+  STEP_CHECK(op_ != GateOp::kXor);
+  std::vector<std::uint64_t> e = off_;
+  for (int i = 0; i < n_; ++i) {
+    if ((vars >> i) & 1U) aig::tt_exists(e.data(), e.data(), e.size(), i);
+  }
+  return e;
 }
 
 RelaxationSolver::RelaxationSolver(const RelaxationMatrix& m,

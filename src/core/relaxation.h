@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "aig/aig.h"
+#include "common/resource.h"
 #include "common/timer.h"
 #include "core/bidec_types.h"
 #include "core/care.h"
@@ -60,27 +61,52 @@ struct RelaxationMatrix {
 RelaxationMatrix build_relaxation_matrix(const Cone& cone, GateOp op,
                                          const CareSet* care = nullptr);
 
-/// Truth-table view of MG's seed pairs for n <= aig::kTtMaxSupport: decides
-/// whether the pair partition ({j},{l}) (every other variable in XC) is
-/// valid exactly as Φ would, without SAT.
-///   OR : invalid iff  on ∧ flip_j(off) ∧ flip_l(off) ≠ 0,
-///        with on = f ∧ care and off = ¬f ∧ care;
-///   AND: the same on ¬f;
-///   XOR: invalid iff  f ⊕ f^j ⊕ f^l ⊕ f^{jl} ≠ 0 (care is ignored, as in
-///        build_relaxation_matrix).
-/// Only f (XOR) or the on/off tables (OR/AND) are stored; flipped words
-/// are read on the fly.
-class SeedPairTable {
+/// Truth-table view of Φ for cones of at most aig::kTtMaxSupport inputs:
+/// one table of the cone's function (with its care set) decides what the
+/// SAT view decides, without a solver.
+///   OR : on = f ∧ care, off = ¬f ∧ care. A group state — Sα the inputs
+///        whose α-group is dropped, Sβ those whose β-group is — is valid
+///        (Φ unsatisfiable under it) iff  on ∧ ∃Sα·off ∧ ∃Sβ·off = 0.
+///   AND: the same on ¬f (on = ¬f ∧ care, off = f ∧ care).
+///   XOR: only f is stored (on()), care is ignored as in
+///        build_relaxation_matrix, and only seed pairs are decided: the
+///        pair ({j},{l}) is invalid iff f ⊕ f^j ⊕ f^l ⊕ f^{jl} ≠ 0.
+/// The tables are charged to `mem` for the object's lifetime.
+class RelaxationTable {
  public:
-  explicit SeedPairTable(const RelaxationMatrix& m);
+  /// Tables of the cone itself (input positions are table variables).
+  RelaxationTable(const Cone& cone, GateOp op, const CareSet* care,
+                  MemTracker* mem = nullptr);
+  /// Tables read back from the matrix's first copy fx and care_x.
+  explicit RelaxationTable(const RelaxationMatrix& m,
+                           MemTracker* mem = nullptr);
+  ~RelaxationTable();
+  RelaxationTable(const RelaxationTable&) = delete;
+  RelaxationTable& operator=(const RelaxationTable&) = delete;
 
-  /// True iff the pair partition ({j},{l}) is valid; j != l.
-  bool valid(int j, int l) const;
+  GateOp op() const { return op_; }
+  int n() const { return n_; }
+  std::size_t words() const { return on_.size(); }
+  /// The on/off tables of the OR form (f for XOR; off is then empty).
+  const std::vector<std::uint64_t>& on() const { return on_; }
+  const std::vector<std::uint64_t>& off() const { return off_; }
+  MemTracker* mem() const { return mem_; }
+
+  /// True iff the pair partition ({j},{l}) (every other variable in XC)
+  /// is valid; j != l.
+  bool pair_valid(int j, int l) const;
   /// True iff some pair j < l is valid — i.e. MG's seed scan would find a
-  /// seed. False proves the cone undecomposable under the matrix's op.
-  bool any_valid() const;
+  /// seed. False proves the cone undecomposable under the table's op.
+  bool any_pair_valid() const;
+  /// The first l > j with ({j},{l}) valid, or -1. `scratch` is reused.
+  int first_valid_partner(int j, std::vector<std::uint64_t>& scratch) const;
+
+  /// OR/AND: ∃vars·off, with `vars` a bit mask over the inputs.
+  std::vector<std::uint64_t> exists_off(std::uint32_t vars) const;
 
  private:
+  void init(const std::vector<std::uint64_t>& f,
+            const std::vector<std::uint64_t>* care);
   /// base = on ∧ flip_j(off) (OR/AND) or f ⊕ f^j (XOR).
   void build_base(int j, std::vector<std::uint64_t>& base) const;
   /// True iff base ∧ flip_l(off) (OR/AND) or base ⊕ flip_l(base) (XOR)
@@ -90,7 +116,9 @@ class SeedPairTable {
   GateOp op_;
   int n_;
   std::vector<std::uint64_t> on_;   ///< f for XOR
-  std::vector<std::uint64_t> off_;  ///< unused for XOR
+  std::vector<std::uint64_t> off_;  ///< empty for XOR
+  MemTracker* mem_;
+  std::size_t charged_ = 0;
 };
 
 /// Incremental SAT view of the matrix: Φ is Tseitin-encoded once, and a

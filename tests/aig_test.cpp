@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "aig/ops.h"
 #include "aig/simulate.h"
 #include "aig/support.h"
@@ -209,6 +211,129 @@ TEST(AigSim, TruthTableWideSupport) {
   ASSERT_EQ(tt.size(), tt_words(8));
   for (int row = 0; row < 256; ++row) {
     EXPECT_EQ(tt_bit(tt, row), row == 255);
+  }
+}
+
+/// Random table over n variables, masked to its 2^n rows. Some variables
+/// are made irrelevant (their cofactors copied) and some blocks constant,
+/// so the builder's early exits are exercised.
+std::vector<std::uint64_t> random_table(int n, Rng& rng) {
+  std::vector<std::uint64_t> tt(tt_words(n));
+  for (auto& w : tt) w = rng.next();
+  const std::size_t rows = std::size_t{1} << n;
+  for (int j = 0; j < n; ++j) {
+    if (rng.next_int(0, 3) != 0) continue;
+    for (std::size_t r = 0; r < rows; ++r) {  // f := f|xj=0
+      if ((r >> j) & 1U) {
+        const std::size_t r0 = r & ~(std::size_t{1} << j);
+        const std::uint64_t bit = (tt[r0 >> 6] >> (r0 & 63)) & 1ULL;
+        tt[r >> 6] = (tt[r >> 6] & ~(1ULL << (r & 63))) | (bit << (r & 63));
+      }
+    }
+  }
+  if (n >= 8 && rng.next_bool()) {
+    const std::uint64_t fill = rng.next_bool() ? ~0ULL : 0ULL;
+    for (std::size_t w = 0; w < tt.size() / 2; ++w) tt[w] = fill;
+  }
+  if (n < 6) tt[0] &= (1ULL << rows) - 1;
+  return tt;
+}
+
+TEST(AigOps, BuildFromTtSimulatesBackToItsTable) {
+  Rng rng(90210);
+  for (int iter = 0; iter < 60; ++iter) {
+    const int n = iter < 17 ? iter : rng.next_int(0, 16);
+    const std::vector<std::uint64_t> tt = random_table(n, rng);
+    Aig a;
+    std::vector<Lit> inputs(n);
+    std::vector<std::uint32_t> support(n);
+    for (int i = 0; i < n; ++i) {
+      inputs[i] = a.add_input();
+      support[i] = i;
+    }
+    const Lit root = build_from_tt(a, tt, inputs);
+    EXPECT_EQ(truth_table(a, root, support), tt) << "n=" << n;
+  }
+}
+
+TEST(AigOps, BuildFromTtAndOrOfLiteralsTakesOneAndPerLiteralPair) {
+  for (int n = 1; n <= 16; ++n) {
+    for (const bool is_and : {true, false}) {
+      std::vector<std::uint64_t> tt(tt_words(n), is_and ? 0ULL : ~0ULL);
+      const std::size_t rows = std::size_t{1} << n;
+      // AND: only the all-ones row; OR: every row but the all-zeros one.
+      if (is_and) {
+        tt[(rows - 1) >> 6] |= 1ULL << ((rows - 1) & 63);
+      } else {
+        tt[0] &= ~1ULL;
+        if (n < 6) tt[0] &= (1ULL << rows) - 1;
+      }
+      Aig a;
+      std::vector<Lit> inputs(n);
+      for (int i = 0; i < n; ++i) inputs[i] = a.add_input();
+      build_from_tt(a, tt, inputs);
+      EXPECT_EQ(a.num_ands(), static_cast<std::uint32_t>(n - 1))
+          << (is_and ? "AND" : "OR") << " of " << n;
+    }
+  }
+}
+
+TEST(AigSim, TruthTableMatchesSimulation) {
+  // Node-major tables against word-level simulation of the whole AIG on
+  // random rows: complemented and constant roots, supports that are
+  // supersets of the cone's (in shuffled order, with indices the AIG
+  // does not have), 2 to 16 variables.
+  Rng rng(31337);
+  for (int iter = 0; iter < 40; ++iter) {
+    Aig a;
+    const int num_inputs = rng.next_int(2, 18);
+    std::vector<Lit> pool;
+    for (int i = 0; i < num_inputs; ++i) pool.push_back(a.add_input());
+    const int gates = rng.next_int(1, 120);
+    for (int g = 0; g < gates; ++g) {
+      const Lit f0 = pool[rng.next_below(pool.size())] ^ (rng.next() & 1U);
+      const Lit f1 = pool[rng.next_below(pool.size())] ^ (rng.next() & 1U);
+      pool.push_back(a.land(f0, f1));
+    }
+    Lit root = pool[rng.next_below(pool.size())] ^ (rng.next() & 1U);
+    if (iter % 10 == 9) root = rng.next_bool() ? kLitTrue : kLitFalse;
+    std::vector<std::uint32_t> support = structural_support(a, root);
+    if (support.size() > 16) continue;
+    // Pad with inputs outside the cone (and one the AIG lacks) up to 16.
+    for (std::uint32_t i = 0;
+         i < static_cast<std::uint32_t>(num_inputs) + 1 && support.size() < 16;
+         ++i) {
+      if (std::find(support.begin(), support.end(), i) == support.end() &&
+          rng.next_bool()) {
+        support.push_back(i);
+      }
+    }
+    for (std::size_t k = support.size(); k > 1; --k) {
+      std::swap(support[k - 1], support[rng.next_below(k)]);
+    }
+    const int n = static_cast<int>(support.size());
+    const std::vector<std::uint64_t> tt = truth_table(a, root, support);
+    ASSERT_EQ(tt.size(), tt_words(static_cast<std::size_t>(n)));
+    // 64 random rows per simulation word.
+    for (int round = 0; round < 4; ++round) {
+      std::vector<std::size_t> rows(64);
+      for (auto& r : rows) r = rng.next_below(std::size_t{1} << n);
+      std::vector<std::uint64_t> words(static_cast<std::size_t>(num_inputs));
+      for (auto& w : words) w = rng.next();  // inputs outside the support
+      for (int j = 0; j < n; ++j) {
+        if (support[j] >= static_cast<std::uint32_t>(num_inputs)) continue;
+        std::uint64_t w = 0;
+        for (int lane = 0; lane < 64; ++lane) {
+          w |= static_cast<std::uint64_t>((rows[lane] >> j) & 1U) << lane;
+        }
+        words[support[j]] = w;
+      }
+      const std::uint64_t sim = simulate_cone(a, root, words);
+      for (int lane = 0; lane < 64; ++lane) {
+        ASSERT_EQ(tt_bit(tt, rows[lane]), ((sim >> lane) & 1ULL) != 0)
+            << "iter " << iter << " n=" << n << " row " << rows[lane];
+      }
+    }
   }
 }
 

@@ -16,9 +16,10 @@ namespace step {
 namespace {
 
 TEST(ItpContainment, InterpolantUsesOnlySharedVariables) {
-  // Structural support of every computed interpolant must stay within the
-  // mapped (shared) variables — McMillan's containment property, checked
-  // on the real extraction queries through fA/fB support restrictions.
+  // Structural support of fA/fB must respect the partition. At these
+  // sizes (at most aig::kTtMaxSupport inputs) OR extraction reads the
+  // truth table; the next test checks McMillan's containment property on
+  // the interpolation queries of wider cones.
   Rng rng(13579);
   int checked = 0;
   for (int iter = 0; iter < 80 && checked < 12; ++iter) {
@@ -39,6 +40,48 @@ TEST(ItpContainment, InterpolantUsesOnlySharedVariables) {
     }
   }
   EXPECT_GT(checked, 3);
+}
+
+TEST(ItpContainment, InterpolantUsesOnlySharedVariablesAboveTheTableTier) {
+  // Cones of at most aig::kTtMaxSupport inputs may take fA/fB from their
+  // truth table; above it they come from the interpolation queries. The
+  // cases above, padded with unused inputs to 17-20, plus OR/AND cones
+  // that use most of their inputs.
+  Rng rng(97531);
+  auto check = [](const core::Cone& cone, core::GateOp op,
+                  const core::Partition& p) {
+    ASSERT_GT(cone.n(), aig::kTtMaxSupport);
+    const core::ExtractedFunctions fns = core::extract_functions(cone, op, p);
+    for (std::uint32_t i : aig::structural_support(fns.aig, fns.fa)) {
+      EXPECT_NE(p.cls[i], core::VarClass::kB);
+    }
+    for (std::uint32_t i : aig::structural_support(fns.aig, fns.fb)) {
+      EXPECT_NE(p.cls[i], core::VarClass::kA);
+    }
+    EXPECT_TRUE(core::miter_equivalent_on_care(cone.aig, cone.root, fns.aig,
+                                               fns.combined, nullptr));
+  };
+  int checked = 0;
+  for (int iter = 0; iter < 80 && checked < 12; ++iter) {
+    const int n = rng.next_int(3, 7);
+    core::Cone cone =
+        testutil::random_cone(n, rng.next_int(5, 24), rng.next());
+    core::Partition p = testutil::random_partition(n, rng);
+    if (!p.non_trivial()) continue;
+    if (!core::check_partition_exhaustive(cone, core::GateOp::kOr, p)) continue;
+    ++checked;
+    testutil::pad_inputs(
+        cone, p, rng.next_int(aig::kTtMaxSupport + 1, aig::kTtMaxSupport + 4),
+        rng);
+    check(cone, core::GateOp::kOr, p);
+  }
+  EXPECT_GT(checked, 3);
+  for (int iter = 0; iter < 6; ++iter) {
+    const core::GateOp op = iter % 2 == 0 ? core::GateOp::kOr : core::GateOp::kAnd;
+    const testutil::DecomposableCone d = testutil::decomposable_cone(
+        rng.next_int(aig::kTtMaxSupport + 1, aig::kTtMaxSupport + 4), op, rng);
+    check(d.cone, op, d.partition);
+  }
 }
 
 TEST(SynthesisOptions, FirstOpModeDiffersFromBestOpOnlyInStructure) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "aig/simulate.h"
 #include "core/ljh.h"
 #include "core/mg.h"
 #include "core/optimum.h"
@@ -179,6 +180,42 @@ TEST(Mg, AgreesWithOracleOnDecomposability) {
   EXPECT_FALSE(
       brute_force_optimum(parity, GateOp::kOr, MetricKind::kDisjointness)
           .decomposable);
+}
+
+TEST(MgSat, WideConesRunSeedScanAndGroupMusOnSat) {
+  // Above aig::kTtMaxSupport inputs OR/AND MG stays on SAT (seed scan and
+  // group MUS); at or below it the same cones would run on the table.
+  // g(X1) <op> h(X2) with a few shared inputs is decomposable by
+  // construction; the partition must pass a one-shot SAT check.
+  Rng rng(2718);
+  for (int iter = 0; iter < 6; ++iter) {
+    const GateOp op = iter % 2 == 0 ? GateOp::kOr : GateOp::kAnd;
+    const int n = rng.next_int(aig::kTtMaxSupport + 1, aig::kTtMaxSupport + 3);
+    const Cone cone = testutil::decomposable_cone(n, op, rng).cone;
+    const RelaxationMatrix m = build_relaxation_matrix(cone, op);
+    RelaxationSolver rs(m);
+    const PartitionSearchResult r = MgDecomposer(rs).find_partition();
+    ASSERT_TRUE(r.found) << to_string(op) << " iter " << iter;
+    EXPECT_GT(r.sat_calls, 0);
+    EXPECT_TRUE(r.partition.non_trivial());
+    EXPECT_TRUE(check_partition(cone, op, r.partition))
+        << to_string(op) << " " << r.partition.to_string();
+  }
+
+  // Parity of 17 inputs has no OR bi-decomposition: the SAT scan tries
+  // every pair and proves it.
+  Cone parity;
+  std::vector<aig::Lit> xs;
+  for (int i = 0; i < aig::kTtMaxSupport + 1; ++i) {
+    xs.push_back(parity.aig.add_input());
+  }
+  parity.root = parity.aig.lxor_many(xs);
+  const RelaxationMatrix pm = build_relaxation_matrix(parity, GateOp::kOr);
+  RelaxationSolver prs(pm);
+  const PartitionSearchResult pr = MgDecomposer(prs).find_partition();
+  EXPECT_FALSE(pr.found);
+  EXPECT_TRUE(pr.exhausted);
+  EXPECT_EQ(pr.sat_calls, 17 * 16 / 2);
 }
 
 // ---------- QBF bounded queries --------------------------------------------------

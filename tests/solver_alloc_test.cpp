@@ -1,23 +1,31 @@
-// Heap-allocation budget of solver set-up. Every decomposed cone builds
-// four fresh one-shot solvers (relaxation check, two interpolation
-// queries, verification miter), so their construction cost is mostly
-// allocator traffic. This executable replaces the global operator new with
-// a counting one and pins two facts:
+// Heap-allocation budget of per-cone set-up. A cone of more than
+// aig::kTtMaxSupport inputs builds fresh one-shot solvers (relaxation
+// check, two interpolation queries, verification miter), so their
+// construction cost is mostly allocator traffic; a smaller OR/AND cone is
+// decided from one truth table instead. This executable replaces the
+// global operator new with a counting one and pins three facts:
 //  - Solver::add_clause reuses member scratch buffers: once the clause
 //    arena and the watch lists have room, adding a clause allocates
 //    nothing;
-//  - building the RelaxationSolver of one epfl_decoder(14) cone stays
-//    within 1,000 heap allocations (extraction and verification of the
-//    same cone have budgets too).
+//  - building the RelaxationSolver of one epfl_decoder(14) cone (the
+//    matrix a QBF search still needs) stays within 1,000 heap
+//    allocations;
+//  - interpolation and the SAT miter on a 17-input decoder cone, and the
+//    table path of the 15-input one — table, MG, extraction and
+//    verification, and the whole BiDecomposer::decompose — have budgets.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
 
+#include "aig/simulate.h"
 #include "benchgen/epfl.h"
+#include "core/decomposer.h"
 #include "core/extract.h"
+#include "core/mg.h"
 #include "core/relaxation.h"
 #include "sat/solver.h"
 
@@ -118,10 +126,14 @@ TEST(SolverAlloc, DecoderConeRelaxationSolverStaysUnderBudget) {
 }
 
 TEST(SolverAlloc, DecoderConeExtractAndVerifyStayUnderBudget) {
-  const aig::Aig dec = benchgen::epfl_decoder(14);
+  // epfl_decoder(16): a 17-input AND cone, above aig::kTtMaxSupport, so
+  // extraction interpolates and verification runs the SAT miter.
+  const aig::Aig dec = benchgen::epfl_decoder(16);
   const core::Cone cone = core::extract_po_cone(dec, 0);
+  ASSERT_EQ(cone.n(), 17);
+  ASSERT_GT(cone.n(), aig::kTtMaxSupport);
   core::Partition p;
-  p.cls.assign(15, core::VarClass::kB);
+  p.cls.assign(17, core::VarClass::kB);
   p.cls[0] = core::VarClass::kA;
   core::ExtractedFunctions fns;
   const long ne = allocations_during(
@@ -136,6 +148,48 @@ TEST(SolverAlloc, DecoderConeExtractAndVerifyStayUnderBudget) {
   EXPECT_LE(nv, 200);
   RecordProperty("extract_allocations", static_cast<int>(ne));
   RecordProperty("verify_allocations", static_cast<int>(nv));
+}
+
+TEST(SolverAlloc, DecoderConeTablePathStaysUnderBudget) {
+  const aig::Aig dec = benchgen::epfl_decoder(14);
+  const core::Cone cone = core::extract_po_cone(dec, 0);
+  ASSERT_EQ(cone.n(), 15);
+  std::optional<core::RelaxationTable> table;
+  const long nt = allocations_during(
+      [&] { table.emplace(cone, core::GateOp::kAnd, nullptr); });
+  core::PartitionSearchResult mg;
+  const long nm = allocations_during([&] { mg = core::mg_on_table(*table); });
+  ASSERT_TRUE(mg.found);
+  EXPECT_EQ(mg.partition.to_string(), "ABBBBBBBBBBBBBB");
+  core::ExtractedFunctions fns;
+  const long ne = allocations_during([&] {
+    fns = core::extract_functions(cone, core::GateOp::kAnd, mg.partition,
+                                  nullptr, &*table);
+  });
+  bool ok = false;
+  const long nv = allocations_during(
+      [&] { ok = core::verify_decomposition(cone, fns); });
+  EXPECT_TRUE(ok);
+  core::DecomposeOptions opts;
+  opts.op = core::GateOp::kAnd;
+  core::DecomposeResult r;
+  const long nd = allocations_during(
+      [&] { r = core::BiDecomposer(opts).decompose(cone); });
+  EXPECT_TRUE(r.verified);
+  EXPECT_EQ(r.sat_calls, 0);
+  // A table is a handful of vectors (verification builds two: f and the
+  // recombination); the fA/fB AIG and the 15 input names are most of the
+  // rest. A solver or a per-word allocation would cost hundreds.
+  EXPECT_LE(nt, 20);
+  EXPECT_LE(nm, 12);
+  EXPECT_LE(ne, 80);
+  EXPECT_LE(nv, 30);
+  EXPECT_LE(nd, 130);
+  RecordProperty("table_allocations", static_cast<int>(nt));
+  RecordProperty("mg_allocations", static_cast<int>(nm));
+  RecordProperty("table_extract_allocations", static_cast<int>(ne));
+  RecordProperty("table_verify_allocations", static_cast<int>(nv));
+  RecordProperty("decompose_allocations", static_cast<int>(nd));
 }
 
 }  // namespace

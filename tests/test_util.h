@@ -96,6 +96,54 @@ inline core::Partition random_partition(int n, Rng& rng) {
   return p;
 }
 
+/// A cone with its known OR/AND bi-decomposition.
+struct DecomposableCone {
+  core::Cone cone;
+  core::Partition partition;
+};
+
+/// g(X1) <op> h(X2) over n >= 4 inputs, with h = n/2, X1 = x0..x(h+1) and
+/// X2 = xh..x(n-1): decomposable by construction under XA = x0..x(h-1),
+/// XC = {xh, x(h+1)} and XB the rest. g and h are 3h random AND/OR gates
+/// each over their inputs. `op` is kOr or kAnd.
+inline DecomposableCone decomposable_cone(int n, core::GateOp op, Rng& rng) {
+  auto random_logic = [&](aig::Aig& a, std::vector<aig::Lit> pool,
+                          int gates) {
+    for (int g = 0; g < gates; ++g) {
+      const aig::Lit f0 = pool[rng.next_below(pool.size())] ^ (rng.next() & 1U);
+      const aig::Lit f1 = pool[rng.next_below(pool.size())] ^ (rng.next() & 1U);
+      pool.push_back(rng.next_bool() ? a.land(f0, f1) : a.lor(f0, f1));
+    }
+    return pool.back();
+  };
+  DecomposableCone d;
+  std::vector<aig::Lit> xs;
+  for (int i = 0; i < n; ++i) xs.push_back(d.cone.aig.add_input());
+  const int half = n / 2;
+  const std::vector<aig::Lit> left(xs.begin(), xs.begin() + half + 2);
+  const std::vector<aig::Lit> right(xs.begin() + half, xs.end());
+  const aig::Lit g = random_logic(d.cone.aig, left, 3 * half);
+  const aig::Lit h = random_logic(d.cone.aig, right, 3 * half);
+  d.cone.root = op == core::GateOp::kOr ? d.cone.aig.lor(g, h)
+                                        : d.cone.aig.land(g, h);
+  d.partition.cls.assign(n, core::VarClass::kB);
+  for (int i = 0; i < half + 2; ++i) {
+    d.partition.cls[i] = i < half ? core::VarClass::kA : core::VarClass::kC;
+  }
+  return d;
+}
+
+/// Adds unused inputs to `cone` (and random classes for them to `p`)
+/// until it has n inputs: validity and f are unchanged, but the cone no
+/// longer fits the truth-table tier once n > aig::kTtMaxSupport.
+inline void pad_inputs(core::Cone& cone, core::Partition& p, int n,
+                       Rng& rng) {
+  while (cone.n() < n) {
+    cone.aig.add_input();
+    p.cls.push_back(static_cast<core::VarClass>(rng.next_int(0, 2)));
+  }
+}
+
 /// Exhaustive check that two literals in (possibly different) AIGs with
 /// the same number of inputs compute the same function (n <= 16).
 inline bool equivalent_by_simulation(const aig::Aig& a1, aig::Lit r1,
