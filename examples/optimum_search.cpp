@@ -31,10 +31,10 @@ void run_schedule(const step::core::RelaxationMatrix& matrix,
     std::printf("%-12s -> no decomposition found\n", label);
     return;
   }
-  std::printf("%-12s -> optimum |XC| = %d, proven %s, %d QBF calls"
-              " (pool kept %zu countermodels)\n",
+  std::printf("%-12s -> optimum |XC| = %d, proven %s, %d QBF calls,"
+              " %d CEGAR iterations\n",
               label, r.best_cost, r.proven_optimal ? "yes" : "no",
-              r.qbf_calls, finder.pool_size());
+              r.qbf_calls, finder.total_iterations());
 }
 
 }  // namespace

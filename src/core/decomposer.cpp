@@ -161,6 +161,29 @@ SearchStrand run_search_strand(const Cone& cone, const CareSet* care,
   return res;
 }
 
+/// Extracts fA/fB for `res.partition` and, when `verify`, checks them.
+/// Never returns a wrong answer: a decomposition that fails verification
+/// is discarded wholesale and reported as a classified failure, not
+/// trusted because the search found it. An injected verification flip
+/// takes the same path as a real mismatch, which is why injecting it is
+/// sound.
+void extract_and_verify(const Cone& cone, GateOp op, const CareSet* care,
+                        const RelaxationTable* table, bool verify,
+                        FaultStream* faults, DecomposeResult& res) {
+  res.functions = extract_functions(cone, op, res.partition, care, table);
+  if (!verify) return;
+  bool ok = verify_decomposition(cone, *res.functions, care);
+  if (ok && faults != nullptr && faults->fire_verification()) ok = false;
+  res.verified = ok;
+  if (ok) return;
+  res.functions.reset();
+  res.partition = Partition{};
+  res.metrics = Metrics{};
+  res.proven_optimal = false;
+  res.status = DecomposeStatus::kUnknown;
+  res.reason = OutcomeReason::kVerificationFailed;
+}
+
 }  // namespace
 
 DecomposeResult BiDecomposer::decompose(const Cone& cone,
@@ -191,37 +214,6 @@ DecomposeResult BiDecomposer::decompose(const Cone& cone,
   }
   const RelaxationTable* tp = table ? &*table : nullptr;
 
-  auto finish_with_partition = [&](Partition p, bool proven) {
-    res.status = DecomposeStatus::kDecomposed;
-    res.metrics = Metrics::of(p);
-    res.proven_optimal = proven;
-    res.partition = std::move(p);
-    if (opts_.extract) {
-      res.functions =
-          extract_functions(cone, opts_.op, res.partition, care, tp);
-      if (opts_.verify) {
-        bool ok = verify_decomposition(cone, *res.functions, care);
-        // An injected verification flip is handled exactly like a real
-        // mismatch, which is why injecting it is sound: the result below
-        // is discarded either way.
-        if (ok && opts_.faults != nullptr && opts_.faults->fire_verification())
-          ok = false;
-        res.verified = ok;
-        if (!ok) {
-          // Never return a wrong answer: a decomposition that fails its
-          // verification is discarded wholesale and reported as a
-          // classified failure, not trusted because the search found it.
-          res.functions.reset();
-          res.partition = Partition{};
-          res.metrics = Metrics{};
-          res.proven_optimal = false;
-          res.status = DecomposeStatus::kUnknown;
-          res.reason = OutcomeReason::kVerificationFailed;
-        }
-      }
-    }
-  };
-
   // The search strand does everything up to (but excluding) extraction
   // and verification; it also classifies its own kUnknown reasons.
   const SearchStrand s = run_search_strand(cone, care, tp, opts_, &deadline);
@@ -232,7 +224,14 @@ DecomposeResult BiDecomposer::decompose(const Cone& cone,
   res.qbf_verification_conflicts = s.qbf_verification_conflicts;
   res.solver_stats += s.solver_stats;
   if (s.status == DecomposeStatus::kDecomposed) {
-    finish_with_partition(s.partition, s.proven_optimal);
+    res.status = DecomposeStatus::kDecomposed;
+    res.metrics = Metrics::of(s.partition);
+    res.proven_optimal = s.proven_optimal;
+    res.partition = s.partition;
+    if (opts_.extract) {
+      extract_and_verify(cone, opts_.op, care, tp, opts_.verify, opts_.faults,
+                         res);
+    }
   } else {
     res.status = s.status;
     res.reason = s.reason;
@@ -245,8 +244,7 @@ DecomposeResult BiDecomposer::decompose(const Cone& cone,
 DecomposeResult decompose_with_partition(const Cone& cone, GateOp op,
                                          const Partition& partition,
                                          bool extract, bool verify,
-                                         const CareSet* care,
-                                         FaultStream* faults) {
+                                         const CareSet* care) {
   Timer timer;
   DecomposeResult res;
   STEP_CHECK(partition.size() == cone.n());
@@ -263,21 +261,7 @@ DecomposeResult decompose_with_partition(const Cone& cone, GateOp op,
   res.metrics = Metrics::of(partition);
   res.sat_calls = 1;
   if (extract) {
-    res.functions = extract_functions(cone, op, partition, care);
-    if (verify) {
-      bool ok = verify_decomposition(cone, *res.functions, care);
-      if (ok && faults != nullptr && faults->fire_verification()) ok = false;
-      res.verified = ok;
-      if (!ok) {
-        // Same contract as BiDecomposer::decompose: an unverified result
-        // is discarded, never returned.
-        res.functions.reset();
-        res.partition = Partition{};
-        res.metrics = Metrics{};
-        res.status = DecomposeStatus::kUnknown;
-        res.reason = OutcomeReason::kVerificationFailed;
-      }
-    }
+    extract_and_verify(cone, op, care, nullptr, verify, nullptr, res);
   }
   res.cpu_s = timer.elapsed_s();
   return res;

@@ -153,7 +153,6 @@ DecomposeResult decompose_with_partition(const Cone& cone, GateOp op,
                                          const Partition& partition,
                                          bool extract = true,
                                          bool verify = true,
-                                         const CareSet* care = nullptr,
-                                         FaultStream* faults = nullptr);
+                                         const CareSet* care = nullptr);
 
 }  // namespace step::core

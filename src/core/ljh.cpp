@@ -9,16 +9,9 @@ namespace step::core {
 bool LjhDecomposer::check(const Partition& p, const Deadline* deadline,
                           sat::Result* status) {
   ++sat_calls_;
-  if (opts_.incremental_sat) {
-    if (incremental_ == nullptr) {
-      incremental_ = std::make_unique<RelaxationSolver>(m_, sat_opts_);
-    }
-    return incremental_->is_valid(p, deadline, status);
-  }
-  // Faithful Bi-dec behaviour: a fresh CNF encoding per query.
   RelaxationSolver fresh(m_, sat_opts_);
   const bool valid = fresh.is_valid(p, deadline, status);
-  retired_stats_ += fresh.solver().stats();
+  stats_ += fresh.solver().stats();
   return valid;
 }
 

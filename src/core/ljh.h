@@ -1,7 +1,5 @@
 #pragma once
 
-#include <memory>
-
 #include "common/timer.h"
 #include "core/relaxation.h"
 
@@ -26,11 +24,6 @@ struct LjhOptions {
   /// which explores many seeds — and pays for it in CPU time, visibly so
   /// in the paper's Table III.
   int max_grown_seeds = 24;
-  /// Bi-dec re-encodes the validity formula for every check; that cost
-  /// profile is what Table III and Figure 1 show for LJH. Set true for a
-  /// modern incremental-assumptions mode instead (identical results,
-  /// much faster).
-  bool incremental_sat = false;
 };
 
 class LjhDecomposer {
@@ -43,23 +36,18 @@ class LjhDecomposer {
 
   int sat_calls() const { return sat_calls_; }
 
-  /// Low-level SAT statistics over every solver this decomposer used
-  /// (retired per-query solvers plus the live incremental one).
-  sat::Solver::Stats solver_stats() const {
-    sat::Solver::Stats s = retired_stats_;
-    if (incremental_ != nullptr) s += incremental_->solver().stats();
-    return s;
-  }
+  /// Low-level SAT statistics summed over every per-query solver.
+  const sat::Solver::Stats& solver_stats() const { return stats_; }
 
  private:
-  /// One validity check, honouring the encoding mode.
+  /// One validity check on a fresh CNF encoding, as Bi-dec does: that cost
+  /// profile is what Table III and Figure 1 show for LJH.
   bool check(const Partition& p, const Deadline* deadline, sat::Result* status);
 
   const RelaxationMatrix& m_;  ///< not owned; must outlive the decomposer
   LjhOptions opts_;
   sat::SolverOptions sat_opts_;
-  std::unique_ptr<RelaxationSolver> incremental_;
-  sat::Solver::Stats retired_stats_;  ///< from fresh-per-query solvers
+  sat::Solver::Stats stats_;
   int sat_calls_ = 0;
 };
 

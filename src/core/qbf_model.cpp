@@ -86,12 +86,6 @@ Partition QbfPartitionFinder::decode_partition(
   return p;
 }
 
-void QbfPartitionFinder::absorb_countermodel(
-    const std::vector<sat::Lbool>& cm) {
-  if (!pool_keys_.insert(sat::lbool_key(cm)).second) return;
-  pool_.push_back(cm);
-}
-
 QbfPartitionFinder::IncState& QbfPartitionFinder::state_for(QbfModel model) {
   auto& slot = inc_[static_cast<std::size_t>(model)];
   if (slot) return *slot;
@@ -142,9 +136,6 @@ QbfPartitionFinder::IncState& QbfPartitionFinder::state_for(QbfModel model) {
       if (!sym) add_bound({}, alpha_, /*halved=*/true);
       break;
   }
-
-  // Carry everything already learned about this matrix into the new pair.
-  for (const auto& cm : pool_) st.solver->seed_countermodel(cm);
   return st;
 }
 
@@ -180,10 +171,6 @@ QbfFindResult QbfPartitionFinder::find_incremental(QbfModel model, int k,
 
   abs_conflicts_ += solver.abstraction_stats().conflicts - abs0;
   ver_conflicts_ += solver.verification_stats().conflicts - ver0;
-  const auto& cms = solver.countermodels();
-  for (; st.pool_synced < cms.size(); ++st.pool_synced) {
-    absorb_countermodel(cms[st.pool_synced]);
-  }
 
   QbfFindResult result;
   result.status = r.status;
@@ -260,15 +247,11 @@ QbfFindResult QbfPartitionFinder::find_scratch(QbfModel model, int k,
     }
   }
 
-  // Replay previously discovered universal countermodels.
-  for (const auto& cm : pool_) solver.seed_countermodel(cm);
-
   const qbf::Qbf2Result r = solver.solve(deadline);
   abs_conflicts_ += solver.abstraction_stats().conflicts;
   ver_conflicts_ += solver.verification_stats().conflicts;
   scratch_stats_ += solver.abstraction_stats();
   scratch_stats_ += solver.verification_stats();
-  for (const auto& cm : solver.countermodels()) absorb_countermodel(cm);
 
   QbfFindResult result;
   result.status = r.status;

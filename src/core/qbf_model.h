@@ -3,8 +3,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "cnf/cardinality.h"
@@ -70,11 +68,8 @@ struct QbfFindResult {
 ///    counter,
 ///    so tightening k never re-encodes anything.
 ///  - *scratch*: the original rebuild-per-query path, kept behind
-///    `incremental = false` for A/B regression of answers and cost.
-/// Both modes share a deduplicated pool of inner countermodels (every
-/// refinement is sound at every bound and for every model: the matrix part
-/// does not depend on fT), seeding new solver instances with all prior
-/// learning.
+///    `incremental = false` for A/B regression of answers and cost. Each
+///    query builds a fresh solver pair and carries nothing from the last.
 struct QbfFinderOptions {
   /// Break the XA/XB symmetry with |XA| >= |XB| (Section IV.A.2: "reduces
   /// substantially the search space"). When off, the QB and QDB targets
@@ -98,7 +93,6 @@ class QbfPartitionFinder {
 
   const RelaxationMatrix& matrix() const { return m_; }
   int qbf_calls() const { return qbf_calls_; }
-  std::size_t pool_size() const { return pool_.size(); }
 
   /// Aggregated cost counters across all calls (both modes): CEGAR
   /// refinement rounds and conflicts on the two sides of the solver pair.
@@ -137,7 +131,6 @@ class QbfPartitionFinder {
   struct IncState {
     std::unique_ptr<qbf::ExistsForallSolver> solver;
     std::vector<BoundCounter> bounds;
-    std::size_t pool_synced = 0;  ///< countermodels already copied to pool_
   };
 
   IncState& state_for(QbfModel model);
@@ -152,7 +145,6 @@ class QbfPartitionFinder {
                                        bool want_shared) const;
 
   Partition decode_partition(const std::vector<sat::Lbool>& outer_model) const;
-  void absorb_countermodel(const std::vector<sat::Lbool>& cm);
 
   const RelaxationMatrix& m_;  ///< not owned; must outlive the finder
   QbfFinderOptions opts_;
@@ -169,10 +161,6 @@ class QbfPartitionFinder {
   sat::LitVec shared_lits_;
 
   std::array<std::unique_ptr<IncState>, 3> inc_;  ///< per QbfModel
-
-  /// Deduplicated inner-countermodel pool shared by every solver instance.
-  std::vector<std::vector<sat::Lbool>> pool_;
-  std::unordered_set<std::string> pool_keys_;
 
   int qbf_calls_ = 0;
   int total_iterations_ = 0;

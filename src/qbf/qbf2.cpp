@@ -79,10 +79,11 @@ ExistsForallSolver::ExistsForallSolver(const aig::Aig& matrix, aig::Lit root,
 void ExistsForallSolver::refine(
     const std::vector<sat::Lbool>& inner_assignment) {
   STEP_CHECK(inner_assignment.size() == inner_inputs_.size());
-  // Fast exit for an inner assignment already refined against: pool
-  // seeding and persistent multi-query solving replay countermodels whose
-  // refinement is already in the abstraction.
-  if (!seen_inner_.insert(sat::lbool_key(inner_assignment)).second) return;
+  // Every refinement is new: the candidate is a total model of an
+  // abstraction that already holds all earlier refinements, and this
+  // countermodel's cofactor is false under it. So neither the countermodel
+  // nor its clause can have been seen before.
+  //
   // Cofactor the matrix on the inner countermodel: the result is a
   // constraint purely over the outer inputs.
   aig::Aig dst;
@@ -111,28 +112,12 @@ void ExistsForallSolver::refine(
   std::vector<aig::Lit> leaves;
   if (opts_.clause_fast_path && collect_or_of_inputs(dst, cof, leaves)) {
     sat::LitVec clause;
-    bool tautology = false;
     for (aig::Lit l : leaves) {
       const int dst_idx = dst.input_index(aig::node_of(l));
       const sat::Var v = outer_vars_[dst_input_to_outer[dst_idx]];
       clause.push_back(sat::mk_lit(v, aig::is_complemented(l)));
     }
-    std::sort(clause.begin(), clause.end());
-    for (std::size_t i = 0; i + 1 < clause.size(); ++i) {
-      if (sat::var(clause[i]) == sat::var(clause[i + 1])) tautology = true;
-    }
-    if (!tautology) {
-      // Distinct countermodels frequently cofactor to the same clause;
-      // adding it again only bloats the abstraction's watch lists.
-      std::string key;
-      key.reserve(clause.size() * 4);
-      for (const sat::Lit l : clause) {
-        key.append(reinterpret_cast<const char*>(&l.x), sizeof(l.x));
-      }
-      if (seen_clauses_.insert(std::move(key)).second) {
-        abstraction_.add_clause(clause);
-      }
-    }
+    abstraction_.add_clause(clause);  // sorts it and drops a tautology
     return;
   }
 
@@ -143,11 +128,6 @@ void ExistsForallSolver::refine(
   }
   cnf::SolverSink sink(abstraction_);
   cnf::encode_cone_assert(dst, cof, input_sat, sink, /*value=*/true);
-}
-
-void ExistsForallSolver::seed_countermodel(
-    const std::vector<sat::Lbool>& inner_assignment) {
-  refine(inner_assignment);
 }
 
 Qbf2Result ExistsForallSolver::solve(const Deadline* deadline) {
@@ -204,7 +184,6 @@ Qbf2Result ExistsForallSolver::solve(std::span<const sat::Lit> assumptions,
       const sat::Var vv = ver_input_vars_[inner_inputs_[j]];
       if (vv != sat::kVarUndef) inner[j] = verification_.model_value(vv);
     }
-    countermodels_.push_back(inner);
     refine(inner);
     ++res.iterations;
   }

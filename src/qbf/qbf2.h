@@ -2,8 +2,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "aig/aig.h"
@@ -73,12 +71,6 @@ class ExistsForallSolver {
   /// SAT variable (in the abstraction) of outer input position i.
   sat::Var outer_var(std::size_t i) const { return outer_vars_[i]; }
 
-  /// Pre-seeds the abstraction with a previously discovered inner
-  /// countermodel (indexed like `inner_inputs`); lets a caller carry CEGAR
-  /// learning across a sequence of related queries (the optimum-k loop).
-  /// Duplicate seeds (and duplicate refinement clauses) are skipped.
-  void seed_countermodel(const std::vector<sat::Lbool>& inner_assignment);
-
   Qbf2Result solve(const Deadline* deadline = nullptr);
 
   /// Assumption-carrying solve: `assumptions` (over abstraction variables,
@@ -95,12 +87,6 @@ class ExistsForallSolver {
   /// (empty when the refutation is assumption-independent).
   const sat::LitVec& abstraction_core() const {
     return abstraction_.conflict_core();
-  }
-
-  /// Inner countermodels discovered during solve(), indexed like
-  /// `inner_inputs`; feed them to seed_countermodel() of a later instance.
-  const std::vector<std::vector<sat::Lbool>>& countermodels() const {
-    return countermodels_;
   }
 
   /// Cumulative SAT statistics of the two sides of the CEGAR loop.
@@ -126,13 +112,6 @@ class ExistsForallSolver {
   sat::Solver verification_;
   std::vector<sat::Var> ver_input_vars_;  ///< verification var per matrix input
   std::vector<int> input_role_;  ///< -1 free, 0 outer, 1 inner, per input index
-
-  std::vector<std::vector<sat::Lbool>> countermodels_;
-  /// Dedupe sets for refine(): already-processed inner assignments and
-  /// already-emitted fast-path clauses (persistent solving replays related
-  /// queries, which would otherwise re-derive the same refinements).
-  std::unordered_set<std::string> seen_inner_;
-  std::unordered_set<std::string> seen_clauses_;
 };
 
 }  // namespace step::qbf

@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -41,17 +39,6 @@ constexpr Lbool mk_lbool(bool b) { return b ? Lbool::kTrue : Lbool::kFalse; }
 constexpr Lbool operator^(Lbool a, bool flip) {
   if (a == Lbool::kUndef) return a;
   return mk_lbool((a == Lbool::kTrue) != flip);
-}
-
-/// Compact string key for an Lbool sequence — the common currency of the
-/// countermodel/refinement dedupe sets.
-inline std::string lbool_key(std::span<const Lbool> vals) {
-  std::string key;
-  key.reserve(vals.size());
-  for (const Lbool v : vals) {
-    key.push_back(static_cast<char>('0' + static_cast<int>(v)));
-  }
-  return key;
 }
 
 /// Solver verdicts. kUnknown is returned when a conflict/time budget ran out.

@@ -39,17 +39,6 @@ TEST_P(LjhRandom, FoundPartitionsAreValidElseProvenImpossible) {
       EXPECT_TRUE(r.exhausted);
       EXPECT_FALSE(oracle.decomposable);
     }
-
-    // Both encoding modes must agree on decomposability and quality.
-    LjhOptions inc;
-    inc.incremental_sat = true;
-    LjhDecomposer ljh2(m, inc);
-    const PartitionSearchResult r2 = ljh2.find_partition();
-    EXPECT_EQ(r.found, r2.found);
-    if (r.found && r2.found) {
-      EXPECT_EQ(Metrics::of(r.partition).shared,
-                Metrics::of(r2.partition).shared);
-    }
   }
 }
 
@@ -68,10 +57,8 @@ TEST(LjhDeadline, ExpiredChecksAbortWithTimeoutNotExclusion) {
   // (c) only returns partitions that were actually validated.
   const Cone cone = testutil::random_cone(5, 16, 0x11f5);
   const RelaxationMatrix m = build_relaxation_matrix(cone, GateOp::kOr);
-  LjhOptions inc;
-  inc.incremental_sat = true;
 
-  LjhDecomposer ref(m, inc);
+  LjhDecomposer ref(m);
   const PartitionSearchResult unlimited = ref.find_partition();
   ASSERT_TRUE(unlimited.found);
   EXPECT_FALSE(unlimited.timed_out);
@@ -80,7 +67,7 @@ TEST(LjhDeadline, ExpiredChecksAbortWithTimeoutNotExclusion) {
   for (int polls = 0; polls < 80; ++polls) {
     Deadline d;
     d.force_expire_after_polls(polls);
-    LjhDecomposer ljh(m, inc);
+    LjhDecomposer ljh(m);
     const PartitionSearchResult r = ljh.find_partition(&d);
     if (r.timed_out) {
       saw_timeout = true;
@@ -103,7 +90,7 @@ TEST(LjhDeadline, ExpiredChecksAbortWithTimeoutNotExclusion) {
   // Pre-expired deadline: the search must stop before any solver call.
   Deadline d0;
   d0.force_expire_after_polls(0);
-  LjhDecomposer ljh0(m, inc);
+  LjhDecomposer ljh0(m);
   const PartitionSearchResult r0 = ljh0.find_partition(&d0);
   EXPECT_TRUE(r0.timed_out);
   EXPECT_FALSE(r0.found);

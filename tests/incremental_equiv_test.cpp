@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "benchgen/suite.h"
 #include "core/optimum.h"
 #include "core/relaxation.h"
@@ -112,19 +114,58 @@ TEST(IncrementalEquivalence, CoreRaisesLowerBoundOnSharedSelect) {
   EXPECT_LE(r.refuted_below, oracle.best_cost);
 }
 
-TEST(IncrementalEquivalence, MixedModelsShareOnePool) {
-  // Countermodels discovered under one model seed the persistent solvers
-  // of the others (the matrix part is model-independent).
-  const Cone cone = testutil::random_cone(5, 16, 13579);
-  const RelaxationMatrix m = build_relaxation_matrix(cone, GateOp::kOr);
-  QbfPartitionFinder finder(m);
-  (void)finder.find_with_bound(QbfModel::kQD, 2);
-  const std::size_t after_qd = finder.pool_size();
-  (void)finder.find_with_bound(QbfModel::kQB, 2);
-  EXPECT_GE(finder.pool_size(), after_qd);
-  (void)finder.find_with_bound(QbfModel::kQDB, 2);
-  EXPECT_EQ(finder.qbf_calls(), 3);
-  EXPECT_GE(finder.total_iterations(), 0);
+TEST(IncrementalEquivalence, OneFinderAnswersEveryModelLikeFreshFinders) {
+  // One finder asked about QD, QB and QDB in turn keeps one solver pair
+  // per model (or none, in scratch mode) and shares nothing between them:
+  // its optima must be those of a fresh finder per model, and the true
+  // ones.
+  Rng rng(13579);
+  int found = 0;
+  for (int iter = 0; iter < 6; ++iter) {
+    const int n = rng.next_int(4, 6);
+    const Cone cone = testutil::random_cone(n, rng.next_int(8, 20), rng.next());
+    const RelaxationMatrix m = build_relaxation_matrix(cone, GateOp::kOr);
+    for (const bool incremental : {true, false}) {
+      QbfFinderOptions f;
+      f.incremental = incremental;
+      OptimumOptions o;
+      o.call_timeout_s = 30.0;  // generous: every optimum gets proven
+      QbfPartitionFinder shared(m, f);
+      int shared_calls = 0;
+      for (QbfModel model : {QbfModel::kQD, QbfModel::kQB, QbfModel::kQDB}) {
+        const BruteForceResult oracle =
+            brute_force_optimum(cone, GateOp::kOr, metric_of(model));
+        QbfPartitionFinder fresh(m, f);
+        const OptimumResult a =
+            OptimumSearch(shared, model, o).run(std::nullopt);
+        const OptimumResult b =
+            OptimumSearch(fresh, model, o).run(std::nullopt);
+        shared_calls += a.qbf_calls;
+        EXPECT_EQ(fresh.qbf_calls(), b.qbf_calls);
+        EXPECT_EQ(shared.qbf_calls(), shared_calls);
+
+        const std::string where = std::string(to_string(model)) +
+                                  (incremental ? " incremental" : " scratch") +
+                                  " iter " + std::to_string(iter);
+        ASSERT_EQ(static_cast<int>(a.outcome), static_cast<int>(b.outcome))
+            << where;
+        if (!oracle.decomposable) {
+          EXPECT_EQ(a.outcome, OptimumResult::Outcome::kNotDecomposable)
+              << where;
+          continue;
+        }
+        ASSERT_EQ(a.outcome, OptimumResult::Outcome::kFound) << where;
+        EXPECT_TRUE(a.proven_optimal) << where;
+        EXPECT_TRUE(b.proven_optimal) << where;
+        EXPECT_EQ(a.best_cost, oracle.best_cost) << where;
+        EXPECT_EQ(b.best_cost, oracle.best_cost) << where;
+        EXPECT_TRUE(check_partition_exhaustive(cone, GateOp::kOr, a.best))
+            << where;
+        if (a.qbf_calls > 0) ++found;
+      }
+    }
+  }
+  EXPECT_GT(found, 0);  // some optimum took real queries to prove
 }
 
 }  // namespace

@@ -551,6 +551,26 @@ TEST(CliExitCodes, UsageErrorExitsWith2) {
   EXPECT_EQ(run_cli("decompose x.blif --schedule hardness"), 2);
   EXPECT_EQ(run_cli("decompose x.blif --dc-stats"), 2);
   EXPECT_EQ(run_cli("decompose x.blif --cache-stats"), 2);
+  // Numeric values parse whole: garbage used to read as 0, which a
+  // -timeout turns into "no budget" and a -j into "all hardware threads".
+  EXPECT_EQ(run_cli("decompose x.blif -timeout abc"), 2);
+  EXPECT_EQ(run_cli("decompose x.blif -timeout nan"), 2);
+  EXPECT_EQ(run_cli("decompose x.blif -j abc"), 2);
+  EXPECT_EQ(run_cli("decompose x.blif -qbf-timeout 1s"), 2);
+  EXPECT_EQ(run_cli("decompose x.blif -lbd-core x"), 2);
+  EXPECT_EQ(run_cli("decompose x.blif -lbd-tier2 ''"), 2);
+  EXPECT_EQ(run_cli("decompose x.blif -conflicts 99999999999999999999"), 2);
+  EXPECT_EQ(run_cli("decompose x.blif -mem-limit 8MB"), 2);
+  // 2^44 MB is 2^64 bytes: the byte cap would wrap to 0.
+  EXPECT_EQ(run_cli("decompose x.blif -cone-mem-limit 17592186044416"), 2);
+  EXPECT_EQ(run_cli("decompose x.blif -dc-inputs 4.5"), 2);
+  // Well-formed values still run.
+  const std::string blif = testing::TempDir() + "/outcome_cli_numbers.blif";
+  std::ofstream(blif) << io::write_blif(benchgen::ripple_adder(2), "ok");
+  EXPECT_EQ(run_cli("decompose " + blif +
+                    " -timeout 2.5 -qbf-timeout 0.5 -j 1 -lbd-core 3"
+                    " -conflicts 100000 -mem-limit 512"),
+            0);
 }
 
 TEST(CliExitCodes, MemCappedRunCompletesSuccessfully) {

@@ -51,19 +51,6 @@ TEST(QbfEdge, ConstantMatrix) {
   }
 }
 
-TEST(QbfEdge, IterationCountMatchesCountermodels) {
-  aig::Aig m;
-  const aig::Lit a = m.add_input("a");
-  const aig::Lit b = m.add_input("b");
-  const aig::Lit x = m.add_input("x");
-  const aig::Lit y = m.add_input("y");
-  const aig::Lit root = m.lor(m.land(a, x), m.land(b, aig::lnot(x)));
-  (void)y;
-  ExistsForallSolver s(m, root, {0, 1}, {2, 3});
-  const Qbf2Result r = s.solve();
-  EXPECT_EQ(static_cast<std::size_t>(r.iterations), s.countermodels().size());
-}
-
 TEST(QbfEdge, GenericTseitinPathAgreesWithFastPath) {
   // Matrices whose cofactors are NOT plain clauses exercise the generic
   // refinement; both configurations must agree.
@@ -164,17 +151,6 @@ TEST(QbfFinderEdge, UnbrokenSymmetryEncodingsMatchBruteForce) {
       }
     }
   }
-}
-
-TEST(QbfFinderEdge, PoolAccumulatesAcrossBounds) {
-  const Cone cone = testutil::random_cone(5, 14, 1793);
-  const RelaxationMatrix m = build_relaxation_matrix(cone, GateOp::kOr);
-  QbfPartitionFinder finder(m);
-  (void)finder.find_with_bound(QbfModel::kQD, 3);
-  const std::size_t after_first = finder.pool_size();
-  (void)finder.find_with_bound(QbfModel::kQD, 2);
-  EXPECT_GE(finder.pool_size(), after_first);
-  EXPECT_EQ(finder.qbf_calls(), 2);
 }
 
 }  // namespace

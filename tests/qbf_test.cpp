@@ -101,29 +101,6 @@ TEST(Qbf2, UnsatisfiableSideConstraintsGiveFalse) {
   EXPECT_EQ(s.solve().status, Qbf2Status::kFalse);
 }
 
-TEST(Qbf2, CountermodelSeedingPreservesAnswers) {
-  // Solve once, seed a second instance with the discovered countermodels,
-  // and check the second answers identically (in fewer iterations).
-  Aig m;
-  const aig::Lit a = m.add_input("a");
-  const aig::Lit b = m.add_input("b");
-  const aig::Lit x = m.add_input("x");
-  const aig::Lit y = m.add_input("y");
-  // ∃a,b ∀x,y. (a∧(x∨y)) ∨ (b∧¬x) ∨ (¬x∧¬y) — needs a=b=1.
-  const aig::Lit root =
-      m.lor(m.lor(m.land(a, m.lor(x, y)), m.land(b, aig::lnot(x))),
-            m.land(aig::lnot(x), aig::lnot(y)));
-  ExistsForallSolver s1(m, root, {0, 1}, {2, 3});
-  const Qbf2Result r1 = s1.solve();
-  ASSERT_EQ(r1.status, Qbf2Status::kTrue);
-
-  ExistsForallSolver s2(m, root, {0, 1}, {2, 3});
-  for (const auto& cm : s1.countermodels()) s2.seed_countermodel(cm);
-  const Qbf2Result r2 = s2.solve();
-  ASSERT_EQ(r2.status, Qbf2Status::kTrue);
-  EXPECT_LE(r2.iterations, r1.iterations);
-}
-
 TEST(Qbf2, ExpiredDeadlineIsUnknown) {
   Aig m;
   const aig::Lit a = m.add_input("a");

@@ -11,13 +11,17 @@
 // complete flag list; the two are kept in sync by tests/cli_reference_test.
 
 #include <atomic>
+#include <charconv>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "analysis/lint.h"
@@ -172,6 +176,28 @@ constexpr const char kHelpText[] =
   std::exit(exit_code);
 }
 
+/// A numeric flag value, parsed whole and range-checked: no digits
+/// ("abc"), trailing text ("1s"), NaN, infinity or a value outside
+/// [lo, hi] is a usage error, never a silent 0.
+template <typename T>
+T parse_number(const std::string& flag, const char* text,
+               const char* expects = "a number",
+               T lo = std::numeric_limits<T>::lowest(),
+               T hi = std::numeric_limits<T>::max()) {
+  T v{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec == std::errc{} && ptr == end && v >= lo && v <= hi) return v;
+  std::fprintf(stderr, "step: %s expects %s, got '%s'\n", flag.c_str(),
+               expects, text);
+  usage();
+}
+
+/// make_governor shifts a MB cap left by 20 bits; a larger one would wrap.
+constexpr std::size_t kMaxMb = std::numeric_limits<std::size_t>::max() >> 20;
+constexpr const char* kMbExpects =
+    "a size in MB >= 1 whose byte count fits in size_t";
+
 CliOptions parse_args(int argc, char** argv) {
   CliOptions cli;
   for (int i = 1; i < argc; ++i) {
@@ -229,9 +255,9 @@ CliOptions parse_args(int argc, char** argv) {
         usage();
       }
     } else if (flag == "-timeout") {
-      cli.timeout_s = std::atof(value());
+      cli.timeout_s = parse_number<double>(flag, value());
     } else if (flag == "-qbf-timeout") {
-      cli.qbf_timeout_s = std::atof(value());
+      cli.qbf_timeout_s = parse_number<double>(flag, value());
     } else if (flag == "-scratch") {
       cli.incremental = false;
     } else if (flag == "--stats" || flag == "-stats") {
@@ -247,47 +273,28 @@ CliOptions parse_args(int argc, char** argv) {
     } else if (flag == "--no-dc" || flag == "-no-dc") {
       cli.use_dc = false;
     } else if (flag == "-dc-depth") {
-      cli.window.max_depth = std::atoi(value());
-      if (cli.window.max_depth < 1) {
-        std::fprintf(stderr, "step: -dc-depth expects a level count >= 1\n");
-        usage();
-      }
+      cli.window.max_depth =
+          parse_number<int>(flag, value(), "a level count >= 1", 1);
     } else if (flag == "-dc-inputs") {
-      cli.window.max_inputs = std::atoi(value());
-      if (cli.window.max_inputs < 2 || cli.window.max_inputs > 16) {
-        std::fprintf(stderr, "step: -dc-inputs expects a cut width in"
-                             " [2, 16]\n");
-        usage();
-      }
+      cli.window.max_inputs =
+          parse_number<int>(flag, value(), "a cut width in [2, 16]", 2, 16);
     } else if (flag == "-j") {
-      cli.num_threads = std::atoi(value());
+      cli.num_threads = parse_number<int>(flag, value());
     } else if (flag == "-o") {
       cli.output = value();
     } else if (flag == "-lbd-core") {
-      cli.sat.core_lbd_cut = std::atoi(value());
+      cli.sat.core_lbd_cut = parse_number<int>(flag, value());
     } else if (flag == "-lbd-tier2") {
-      cli.sat.tier2_lbd_cut = std::atoi(value());
+      cli.sat.tier2_lbd_cut = parse_number<int>(flag, value());
     } else if (flag == "-conflicts") {
-      cli.sat.conflict_budget = std::atoll(value());
-      if (cli.sat.conflict_budget < 0) {
-        std::fprintf(stderr, "step: -conflicts expects a budget >= 0\n");
-        usage();
-      }
+      cli.sat.conflict_budget =
+          parse_number<std::int64_t>(flag, value(), "a budget >= 0", 0);
     } else if (flag == "-mem-limit") {
-      const long long mb = std::atoll(value());
-      if (mb < 1) {
-        std::fprintf(stderr, "step: -mem-limit expects a size in MB >= 1\n");
-        usage();
-      }
-      cli.mem_limit_mb = static_cast<std::size_t>(mb);
+      cli.mem_limit_mb = parse_number<std::size_t>(flag, value(), kMbExpects,
+                                                   1, kMaxMb);
     } else if (flag == "-cone-mem-limit") {
-      const long long mb = std::atoll(value());
-      if (mb < 1) {
-        std::fprintf(stderr,
-                     "step: -cone-mem-limit expects a size in MB >= 1\n");
-        usage();
-      }
-      cli.cone_mem_limit_mb = static_cast<std::size_t>(mb);
+      cli.cone_mem_limit_mb = parse_number<std::size_t>(
+          flag, value(), kMbExpects, 1, kMaxMb);
     } else if (flag == "--degrade" || flag == "-degrade") {
       cli.degrade = true;
     } else if (flag == "-faults") {
