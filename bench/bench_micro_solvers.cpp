@@ -266,7 +266,8 @@ BENCHMARK(bm_fresh_cone_solvers)->DenseRange(0, 4);
 /// 6-input table (the DecCache key), arg 1 runs aig::functional_support on
 /// the 16-input parity_tree(16) cone (support reduction), arg 2 decides
 /// MG's seed-pair exhaustion on the same cone under OR, where no pair is
-/// valid, so every pair is scanned.
+/// valid, so every pair is scanned; arg 3 runs XOR MG on the same cone:
+/// its RelaxationTable (the interaction masks) plus mg_on_table.
 void bm_small_cone_kernels(benchmark::State& state) {
   const int kernel = static_cast<int>(state.range(0));
   const aig::Aig par = benchgen::parity_tree(16);
@@ -282,16 +283,21 @@ void bm_small_cone_kernels(benchmark::State& state) {
       case 1:
         benchmark::DoNotOptimize(aig::functional_support(cone.aig, cone.root));
         break;
-      default:
+      case 2:
         benchmark::DoNotOptimize(core::RelaxationTable(m).any_pair_valid());
+        break;
+      default:
+        benchmark::DoNotOptimize(core::mg_on_table(
+            core::RelaxationTable(cone, core::GateOp::kXor, nullptr)));
         break;
     }
   }
   state.SetLabel(kernel == 0   ? "npn_canonicalize n=6"
                  : kernel == 1 ? "functional_support n=16"
-                               : "seed_pair_exhaustion parity16 OR");
+                 : kernel == 2 ? "seed_pair_exhaustion parity16 OR"
+                               : "xor_mg_on_table parity16");
 }
-BENCHMARK(bm_small_cone_kernels)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(bm_small_cone_kernels)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 }  // namespace
 

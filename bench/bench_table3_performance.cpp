@@ -92,11 +92,15 @@ int main(int argc, char** argv) {
   const Engine qbf_engines[] = {Engine::kQbfDisjoint, Engine::kQbfBalanced,
                                 Engine::kQbfCombined};
 
-  // cells[c][e]: full run result, kept for the JSON artifact.
+  // cells[c][e]: full run result, kept for the JSON artifact. Each cell is
+  // the fastest of kTableRepeats runs (answers are deterministic, CPU time
+  // is not), so totals[e] sums per-circuit minima.
+  constexpr int kTableRepeats = 3;
   std::vector<std::vector<EngineCell>> cells(suite.size());
   double totals[5] = {};
   int dec_totals[5] = {};
   if (!ab_only) {
+    std::printf("# CPU per cell: min of %d runs\n", kTableRepeats);
     std::printf("%-10s %-10s %5s %5s |", "Circuit", "(standin)", "#In", "#InM");
     for (Engine e : engines) {
       std::printf(" %8s %9s |", core::to_string(e), "CPU(s)");
@@ -109,10 +113,17 @@ int main(int argc, char** argv) {
                   circ.standin_for.c_str(), circ.aig.num_inputs());
       bool first = true;
       for (int e = 0; e < 5; ++e) {
-        core::CircuitRunResult r = core::run_circuit(
-            circ.aig, circ.name,
-            bench::engine_options(engines[e], core::GateOp::kOr, budgets),
-            budgets.circuit_s, par);
+        const core::DecomposeOptions opts =
+            bench::engine_options(engines[e], core::GateOp::kOr, budgets);
+        auto run = [&] {
+          return core::run_circuit(circ.aig, circ.name, opts,
+                                   budgets.circuit_s, par);
+        };
+        core::CircuitRunResult r = run();
+        for (int rep = 1; rep < kTableRepeats; ++rep) {
+          core::CircuitRunResult again = run();
+          if (again.total_cpu_s < r.total_cpu_s) r = std::move(again);
+        }
         if (first) {
           std::printf(" %5d |", r.max_support());
           first = false;
@@ -293,6 +304,7 @@ int main(int argc, char** argv) {
     j.kv("bench", "table3_performance");
     j.kv("scale", bench::scale_name(scale));
     j.kv("threads", par.num_threads);
+    j.kv("table_repeats", kTableRepeats);
     j.kv("op", "or");
     j.key("circuits");
     j.begin_array();

@@ -23,11 +23,18 @@ struct SearchStrand {
   sat::Solver::Stats solver_stats;
 };
 
-/// Runs one engine's partition search on one cone. An OR/AND cone with a
-/// RelaxationTable runs MG on it (engine MG, or a QBF engine's bootstrap);
-/// the relaxation matrix is built only for what stays on SAT: LJH, XOR and
-/// wide cones, and a QBF search whose bootstrap costs more than 0 (at
-/// cost 0 OptimumSearch would prove it optimal with no query). Every
+/// True iff the engine runs STEP-MG: engine MG, or a QBF engine's
+/// bootstrap.
+bool runs_mg(const DecomposeOptions& opts) {
+  return opts.engine == Engine::kMg ||
+         (is_qbf_engine(opts.engine) && opts.bootstrap_with_mg);
+}
+
+/// Runs one engine's partition search on one cone. A cone with a
+/// RelaxationTable runs MG on it (see runs_mg); the relaxation matrix is
+/// built only for what stays on SAT: LJH, wide cones, and a QBF search
+/// whose bootstrap costs more than 0 (at cost 0 OptimumSearch would prove
+/// it optimal with no query). Every
 /// solver the strand builds (relaxation, LJH, CEGAR pair) is private to
 /// the call and dies with it. `opts` supplies the engine, its sub-options
 /// and the SAT configuration (including the memory account via
@@ -41,18 +48,16 @@ SearchStrand run_search_strand(const Cone& cone, const CareSet* care,
   const QbfModel model = engine == Engine::kQbfDisjoint   ? QbfModel::kQD
                          : engine == Engine::kQbfBalanced ? QbfModel::kQB
                                                           : QbfModel::kQDB;
-  const bool runs_mg = engine == Engine::kMg ||
-                       (is_qbf_engine(engine) && opts.bootstrap_with_mg);
+  const bool mg_runs = runs_mg(opts);
 
   // MG's answer, from the table when the cone has one.
   std::optional<PartitionSearchResult> mg;
-  if (runs_mg && table != nullptr &&
-      mg_on_table_eligible(opts.op, cone.n(), opts.mg)) {
+  if (mg_runs && table != nullptr && mg_on_table_eligible(cone.n(), opts.mg)) {
     mg = mg_on_table(*table, deadline);
   }
   std::optional<RelaxationMatrix> matrix;
   std::optional<RelaxationSolver> rs;
-  if (runs_mg && !mg) {
+  if (mg_runs && !mg) {
     matrix.emplace(build_relaxation_matrix(cone, opts.op, care));
     rs.emplace(*matrix, opts.sat);
     mg = MgDecomposer(*rs, opts.mg).find_partition(deadline);
@@ -206,10 +211,13 @@ DecomposeResult BiDecomposer::decompose(const Cone& cone,
     return res;
   }
 
-  // Small OR/AND cones: one table serves MG and extraction (verification
-  // recomputes f's table from the cone).
+  // Small cones: one table serves MG and OR/AND extraction (verification
+  // recomputes f's table from the cone). XOR extracts by cofactoring, so
+  // its table is built only for MG.
   std::optional<RelaxationTable> table;
-  if (opts_.op != GateOp::kXor && cone.n() <= aig::kTtMaxSupport) {
+  if (cone.n() <= aig::kTtMaxSupport &&
+      (opts_.op != GateOp::kXor ||
+       (runs_mg(opts_) && mg_on_table_eligible(cone.n(), opts_.mg)))) {
     table.emplace(cone, opts_.op, care, opts_.mem);
   }
   const RelaxationTable* tp = table ? &*table : nullptr;

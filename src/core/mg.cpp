@@ -42,73 +42,23 @@ Partition partition_of_groups(const std::vector<char>& alpha_enforced,
   return p;
 }
 
-}  // namespace
-
-bool mg_on_table_eligible(GateOp op, int n, const MgOptions& opts) {
-  return op != GateOp::kXor && n <= aig::kTtMaxSupport &&
-         n * (n - 1) / 2 <= opts.max_seed_attempts;
-}
-
-PartitionSearchResult mg_on_table(const RelaxationTable& t,
-                                  const Deadline* deadline,
-                                  MgGroupState* state) {
-  STEP_CHECK(t.op() != GateOp::kXor);
-  PartitionSearchResult result;
+/// mg_on_table's deletion pass on an OR/AND table, from the seed state
+/// (α_j and β_l dropped). While one side's groups are tried the other
+/// side's E = ∃S·off is fixed, and so is q = on ∧ E_other. The state is
+/// valid (q ∧ E = 0), so dropping group i keeps it valid iff
+/// q ∧ flip_i(E) = 0, which reads only q's nonzero words; an accepted
+/// drop updates E := ∃xi·E. A deadline expiry stops the pass.
+void drop_groups_or(const RelaxationTable& t, const Deadline* deadline,
+                    int seed_j, int seed_l, std::vector<char>& alpha_enforced,
+                    std::vector<char>& beta_enforced) {
   const int n = t.n();
-  if (n < 2) {
-    result.exhausted = true;
-    return result;
-  }
-  auto out_of_time = [&] { return deadline != nullptr && deadline->expired(); };
   const std::size_t words = t.words();
-  // Eα, Eβ, q and q's nonzero word list (at most one table's worth).
-  const std::size_t scratch_bytes = 4 * words * sizeof(std::uint64_t);
-  if (t.mem() != nullptr) t.mem()->charge(scratch_bytes);
-  struct Refund {
-    MemTracker* mem;
-    std::size_t bytes;
-    ~Refund() {
-      if (mem != nullptr) mem->release(bytes);
-    }
-  } refund{t.mem(), scratch_bytes};
-
-  // Seed scan in the SAT path's (j, l) order.
-  std::vector<std::uint64_t> ea, eb, q;
-  int seed_j = -1, seed_l = -1;
-  for (int j = 0; j < n - 1 && seed_j < 0; ++j) {
-    if (out_of_time()) {
-      result.timed_out = true;
-      result.reason = reason_of_unknown(deadline);
-      return result;
-    }
-    const int l = t.first_valid_partner(j, ea);
-    if (l >= 0) {
-      seed_j = j;
-      seed_l = l;
-    }
-  }
-  if (seed_j < 0) {
-    result.exhausted = true;
-    return result;
-  }
-
-  // One deletion pass from the seed state (α_j and β_l dropped), β-groups
-  // first. While one side's groups are tried the other side's E is fixed,
-  // and so is q = on ∧ E_other. The state is valid (q ∧ E = 0), so
-  // dropping group i keeps it valid iff q ∧ flip_i(E) = 0, which reads
-  // only q's nonzero words; an accepted drop updates E := ∃xi·E.
-  std::vector<char> alpha_enforced(n, 1), beta_enforced(n, 1);
-  alpha_enforced[seed_j] = 0;
-  beta_enforced[seed_l] = 0;
   const std::vector<std::uint64_t>& on = t.on();
-  ea.resize(words);
-  eb.resize(words);
-  q.resize(words);
+  std::vector<std::uint64_t> ea(words), eb(words), q(words);
   aig::tt_exists(t.off().data(), ea.data(), words, seed_j);
   aig::tt_exists(t.off().data(), eb.data(), words, seed_l);
   std::vector<std::size_t> nz;
   nz.reserve(words);
-  bool stopped = false;
   for (const bool beta : {true, false}) {
     std::vector<std::uint64_t>& e = beta ? eb : ea;
     const std::vector<std::uint64_t>& other = beta ? ea : eb;
@@ -118,12 +68,9 @@ PartitionSearchResult mg_on_table(const RelaxationTable& t,
       q[w] = on[w] & other[w];
       if (q[w] != 0) nz.push_back(w);
     }
-    for (int i = 0; i < n && !stopped; ++i) {
+    for (int i = 0; i < n; ++i) {
       if (!enforced[i]) continue;
-      if (out_of_time()) {
-        stopped = true;  // the state reached so far is valid
-        break;
-      }
+      if (deadline != nullptr && deadline->expired()) return;
       bool hit = false;
       for (const std::size_t w : nz) {
         if ((q[w] & aig::tt_flip_word(e.data(), w, i)) != 0) {
@@ -136,6 +83,97 @@ PartitionSearchResult mg_on_table(const RelaxationTable& t,
         enforced[i] = 0;
       }
     }
+  }
+}
+
+/// The same pass on an XOR table. With the other side's dropped set
+/// fixed, dropping group i keeps the state valid iff i is not dependent
+/// while its other group is dropped and i interacts with no input whose
+/// other-side group is dropped: two mask tests per group.
+void drop_groups_xor(const RelaxationTable& t, const Deadline* deadline,
+                     int seed_j, int seed_l, std::vector<char>& alpha_enforced,
+                     std::vector<char>& beta_enforced) {
+  const int n = t.n();
+  std::uint32_t alpha_dropped = 1U << seed_j, beta_dropped = 1U << seed_l;
+  for (const bool beta : {true, false}) {
+    std::uint32_t& dropped = beta ? beta_dropped : alpha_dropped;
+    const std::uint32_t other = beta ? alpha_dropped : beta_dropped;
+    std::vector<char>& enforced = beta ? beta_enforced : alpha_enforced;
+    for (int i = 0; i < n; ++i) {
+      if (!enforced[i]) continue;
+      if (deadline != nullptr && deadline->expired()) return;
+      const std::uint32_t bit = 1U << i;
+      if ((other & bit & t.xor_dependent()) == 0 &&
+          (t.xor_interacting(i) & other) == 0) {
+        dropped |= bit;
+        enforced[i] = 0;
+      }
+    }
+  }
+}
+
+}  // namespace
+
+bool mg_on_table_eligible(int n, const MgOptions& opts) {
+  return n <= aig::kTtMaxSupport && n * (n - 1) / 2 <= opts.max_seed_attempts;
+}
+
+PartitionSearchResult mg_on_table(const RelaxationTable& t,
+                                  const Deadline* deadline,
+                                  MgGroupState* state) {
+  PartitionSearchResult result;
+  const int n = t.n();
+  if (n < 2) {
+    result.exhausted = true;
+    return result;
+  }
+  const bool is_xor = t.op() == GateOp::kXor;
+  // OR/AND scratch: the seed scan's row, then Eα, Eβ, q and q's nonzero
+  // word list (at most one table's worth). XOR reads only its masks.
+  const std::size_t scratch_bytes =
+      is_xor ? 0 : 4 * t.words() * sizeof(std::uint64_t);
+  if (t.mem() != nullptr) t.mem()->charge(scratch_bytes);
+  struct Refund {
+    MemTracker* mem;
+    std::size_t bytes;
+    ~Refund() {
+      if (mem != nullptr) mem->release(bytes);
+    }
+  } refund{t.mem(), scratch_bytes};
+
+  // Seed scan in the SAT path's (j, l) order.
+  int seed_j = -1, seed_l = -1;
+  {
+    std::vector<std::uint64_t> row;
+    for (int j = 0; j < n - 1 && seed_j < 0; ++j) {
+      if (deadline != nullptr && deadline->expired()) {
+        result.timed_out = true;
+        result.reason = reason_of_unknown(deadline);
+        return result;
+      }
+      const int l = t.first_valid_partner(j, row);
+      if (l >= 0) {
+        seed_j = j;
+        seed_l = l;
+      }
+    }
+  }
+  if (seed_j < 0) {
+    result.exhausted = true;
+    return result;
+  }
+
+  // One deletion pass from the seed state (α_j and β_l dropped), β-groups
+  // first. A deadline stop keeps the state reached so far: it is valid.
+  std::vector<char> alpha_enforced(n, 1), beta_enforced(n, 1);
+  alpha_enforced[seed_j] = 0;
+  beta_enforced[seed_l] = 0;
+  if (is_xor) {
+    drop_groups_xor(t, deadline, seed_j, seed_l, alpha_enforced,
+                    beta_enforced);
+  } else {
+    drop_groups_or(t, deadline, seed_j, seed_l, alpha_enforced,
+                   beta_enforced);
   }
 
   if (state != nullptr) {
@@ -152,7 +190,7 @@ PartitionSearchResult mg_on_table(const RelaxationTable& t,
 
 PartitionSearchResult MgDecomposer::find_partition(const Deadline* deadline) {
   const int n = rs_.matrix().n;
-  if (mg_on_table_eligible(rs_.matrix().op, n, opts_)) {
+  if (mg_on_table_eligible(n, opts_)) {
     return mg_on_table(RelaxationTable(rs_.matrix()), deadline);
   }
   PartitionSearchResult result;
@@ -171,11 +209,6 @@ PartitionSearchResult MgDecomposer::find_partition(const Deadline* deadline) {
   for (int i = 0; i < n; ++i) enable.push_back(~sat::mk_lit(rs_.alpha_var(i)));
   for (int i = 0; i < n; ++i) enable.push_back(~sat::mk_lit(rs_.beta_var(i)));
 
-  // Small cones whose every pair fits the attempt budget (XOR here: such
-  // OR/AND cones ran on mg_on_table) can have the whole scan decided from
-  // one truth table (RelaxationTable::any_pair_valid).
-  const bool tt_exhaustion = n <= aig::kTtMaxSupport &&
-                             n * (n - 1) / 2 <= opts_.max_seed_attempts;
   Partition seed;
   int attempts = 0;
   bool all_pairs_tried = true;
@@ -203,15 +236,6 @@ PartitionSearchResult MgDecomposer::find_partition(const Deadline* deadline) {
       if (status == sat::Result::kUnknown) {
         all_pairs_tried = false;
         result.timed_out = true;
-        j = n;
-        break;
-      }
-      // The first seed is invalid: when no pair is valid, the table proves
-      // the scan exhausted with no further SAT call. When some pair is
-      // valid the SAT scan goes on unchanged, since the learnt state it
-      // leaves behind steers the group MUS below.
-      if (attempts == 1 && tt_exhaustion &&
-          !RelaxationTable(rs_.matrix()).any_pair_valid()) {
         j = n;
         break;
       }

@@ -18,13 +18,12 @@ namespace step::core {
 /// of XA and XB so the partition is non-trivial; the first valid seed is
 /// used (MG is the paper's "fastest mode").
 ///
-/// An OR/AND cone of at most aig::kTtMaxSupport inputs whose every seed
-/// pair fits max_seed_attempts runs the same algorithm on its
-/// RelaxationTable with no SAT call (mg_on_table): the seed scan in the
-/// SAT path's (j, l) order, then one deletion pass over the groups
-/// β0..βn−1, α0..αn−1. XOR and wider cones run on SAT; a small XOR cone
-/// whose first seed is invalid and that has no valid pair at all is
-/// reported undecomposable from the table after that one SAT call.
+/// A cone of at most aig::kTtMaxSupport inputs whose every seed pair fits
+/// max_seed_attempts runs the same algorithm on its RelaxationTable with
+/// no SAT call (mg_on_table): the seed scan in the SAT path's (j, l)
+/// order, then one deletion pass over the groups β0..βn−1, α0..αn−1. On
+/// an XOR table both are mask tests (RelaxationTable::xor_interacting).
+/// Other cones run the seed scan and the group MUS on SAT.
 struct MgOptions {
   /// Seed pairs tested before giving up (covers all pairs by default).
   int max_seed_attempts = 4096;
@@ -32,8 +31,8 @@ struct MgOptions {
   std::int64_t conflict_budget = -1;
 };
 
-/// True iff MG runs on the truth table for this op, support and budget.
-bool mg_on_table_eligible(GateOp op, int n, const MgOptions& opts);
+/// True iff MG runs on the truth table for this support and budget.
+bool mg_on_table_eligible(int n, const MgOptions& opts);
 
 /// A group state of the table MG: bit i of alpha_dropped / beta_dropped
 /// is set when input i's α- / β-group is dropped. Only tests read it: the
@@ -44,7 +43,7 @@ struct MgGroupState {
   std::uint32_t beta_dropped = 0;
 };
 
-/// STEP-MG on an OR/AND table (see above). The deadline is polled once
+/// STEP-MG on a RelaxationTable (see above). The deadline is polled once
 /// per seed row j and once per MUS group; an expiry during the MUS pass
 /// returns the (valid, possibly non-minimal) partition reached so far.
 /// `state`, when given (a test seam), receives the final group state of a

@@ -1,5 +1,8 @@
 #include "core/relaxation.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "aig/ops.h"
 #include "aig/simulate.h"
 #include "cnf/cnf.h"
@@ -143,6 +146,23 @@ void RelaxationTable::init(const std::vector<std::uint64_t>& f,
                            const std::vector<std::uint64_t>* care) {
   if (op_ == GateOp::kXor) {
     on_ = f;
+    // An input f does not depend on interacts with nothing.
+    interacting_.assign(static_cast<std::size_t>(n_), 0);
+    std::vector<std::uint64_t> base;
+    for (int j = 0; j < n_; ++j) {
+      build_base(j, base);
+      if (std::all_of(base.begin(), base.end(),
+                      [](std::uint64_t w) { return w == 0; })) {
+        continue;
+      }
+      dependent_ |= 1U << j;
+      for (int l = j + 1; l < n_; ++l) {
+        if (hits(base, l)) {
+          interacting_[j] |= 1U << l;
+          interacting_[l] |= 1U << j;
+        }
+      }
+    }
   } else {
     const std::size_t rows = std::size_t{1} << n_;
     const std::uint64_t mask = rows >= 64 ? ~0ULL : (1ULL << rows) - 1;
@@ -156,7 +176,8 @@ void RelaxationTable::init(const std::vector<std::uint64_t>& f,
       off_[w] = (f[w] ^ flip ^ mask) & c;
     }
   }
-  charged_ = (on_.capacity() + off_.capacity()) * sizeof(std::uint64_t);
+  charged_ = (on_.capacity() + off_.capacity()) * sizeof(std::uint64_t) +
+             interacting_.capacity() * sizeof(std::uint32_t);
   if (mem_ != nullptr) mem_->charge(charged_);
 }
 
@@ -190,6 +211,7 @@ bool RelaxationTable::hits(const std::vector<std::uint64_t>& base,
 
 bool RelaxationTable::pair_valid(int j, int l) const {
   STEP_CHECK(j != l && j >= 0 && l >= 0 && j < n_ && l < n_);
+  if (op_ == GateOp::kXor) return ((interacting_[j] >> l) & 1U) == 0;
   std::vector<std::uint64_t> base;
   build_base(j, base);
   return !hits(base, l);
@@ -198,11 +220,9 @@ bool RelaxationTable::pair_valid(int j, int l) const {
 int RelaxationTable::first_valid_partner(
     int j, std::vector<std::uint64_t>& scratch) const {
   if (op_ == GateOp::kXor) {
-    build_base(j, scratch);
-    for (int l = j + 1; l < n_; ++l) {
-      if (!hits(scratch, l)) return l;
-    }
-    return -1;
+    const std::uint32_t later = ~((2U << j) - 1) & ((1U << n_) - 1);
+    const std::uint32_t free = later & ~interacting_[j];
+    return free == 0 ? -1 : std::countr_zero(free);
   }
   // OR/AND: base = on ∧ flip_j(off), and base ∧ flip_l(off) reads only
   // base's nonzero words, listed while base is built.

@@ -69,8 +69,11 @@ RelaxationMatrix build_relaxation_matrix(const Cone& cone, GateOp op,
 ///        (Φ unsatisfiable under it) iff  on ∧ ∃Sα·off ∧ ∃Sβ·off = 0.
 ///   AND: the same on ¬f (on = ¬f ∧ care, off = f ∧ care).
 ///   XOR: only f is stored (on()), care is ignored as in
-///        build_relaxation_matrix, and only seed pairs are decided: the
-///        pair ({j},{l}) is invalid iff f ⊕ f^j ⊕ f^l ⊕ f^{jl} ≠ 0.
+///        build_relaxation_matrix. Validity is pairwise, so the table
+///        keeps two masks: input i is dependent iff f ⊕ f^i ≠ 0, and i
+///        interacts with l iff f ⊕ f^i ⊕ f^l ⊕ f^{il} ≠ 0. A group state
+///        is valid iff no input of Sα ∩ Sβ is dependent and no i ∈ Sα
+///        interacts with any l ∈ Sβ.
 /// The tables are charged to `mem` for the object's lifetime.
 class RelaxationTable {
  public:
@@ -104,6 +107,11 @@ class RelaxationTable {
   /// OR/AND: ∃vars·off, with `vars` a bit mask over the inputs.
   std::vector<std::uint64_t> exists_off(std::uint32_t vars) const;
 
+  /// XOR: bit i is set iff f depends on input i.
+  std::uint32_t xor_dependent() const { return dependent_; }
+  /// XOR: bit l is set iff inputs i and l interact (∂²f/∂xi∂xl ≠ 0).
+  std::uint32_t xor_interacting(int i) const { return interacting_[i]; }
+
  private:
   void init(const std::vector<std::uint64_t>& f,
             const std::vector<std::uint64_t>* care);
@@ -115,8 +123,10 @@ class RelaxationTable {
 
   GateOp op_;
   int n_;
-  std::vector<std::uint64_t> on_;   ///< f for XOR
-  std::vector<std::uint64_t> off_;  ///< empty for XOR
+  std::vector<std::uint64_t> on_;           ///< f for XOR
+  std::vector<std::uint64_t> off_;          ///< empty for XOR
+  std::uint32_t dependent_ = 0;             ///< XOR only
+  std::vector<std::uint32_t> interacting_;  ///< XOR only, one row per input
   MemTracker* mem_;
   std::size_t charged_ = 0;
 };

@@ -233,15 +233,17 @@ TEST(OutcomeReach, MemLimitAbandonsConeWhileSiblingsConclude) {
   // The parity cone's solvers blow the soft per-cone cap; the adder cones
   // stay far under it. Exactly the offender must come back kMemLimit and
   // every sibling must still conclude — the clean-abandonment contract.
+  // The offender sits above the truth-table tier (18 inputs): a smaller
+  // XOR cone is settled from its table and builds no solver.
   const aig::Aig circ = benchgen::merge(
-      {benchgen::parity_tree(16), benchgen::ripple_adder(3)});
+      {benchgen::parity_tree(18), benchgen::ripple_adder(3)});
   const auto opts = base_opts(core::Engine::kQbfCombined, core::GateOp::kXor);
   ResourceGovernor gov({/*soft_cone_bytes=*/256u << 10, /*hard=*/0});
   core::ParallelDriverOptions par;
   par.governor = &gov;
   const auto r = core::run_circuit(circ, "mix", opts, 600.0, par);
   ASSERT_GE(r.pos.size(), 2u);
-  EXPECT_EQ(r.pos[0].support, 16);
+  EXPECT_EQ(r.pos[0].support, 18);
   EXPECT_EQ(r.pos[0].status, core::DecomposeStatus::kUnknown);
   EXPECT_EQ(r.pos[0].reason, core::OutcomeReason::kMemLimit);
   for (std::size_t i = 1; i < r.pos.size(); ++i) {

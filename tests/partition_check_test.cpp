@@ -163,17 +163,13 @@ TEST_P(SeedPairAgreement, EveryPairMatchesExhaustiveCheck) {
     }
     EXPECT_EQ(table.any_pair_valid(), any)
         << to_string(op) << " seed=" << seed << " iter=" << iter;
-    // MG itself: a seed exists iff some pair is valid. OR/AND cones run on
-    // the truth table with no SAT call; an XOR cone with no valid pair is
-    // proven undecomposable after the first seed's SAT call.
+    // MG itself: a seed exists iff some pair is valid. Every op runs on
+    // the truth table with no SAT call.
     RelaxationSolver rs(m);
     const PartitionSearchResult r = MgDecomposer(rs).find_partition();
     EXPECT_EQ(r.found, any);
-    if (op != GateOp::kXor) EXPECT_EQ(r.sat_calls, 0);
-    if (!any) {
-      EXPECT_TRUE(r.exhausted);
-      EXPECT_EQ(r.sat_calls, op == GateOp::kXor ? 1 : 0);
-    }
+    EXPECT_EQ(r.sat_calls, 0);
+    if (!any) EXPECT_TRUE(r.exhausted);
   }
 }
 
@@ -264,9 +260,20 @@ bool sat_state_valid(RelaxationSolver& rs, int n, std::uint32_t alpha_dropped,
 }
 
 /// Table validity of a group state (Sα, Sβ as bit masks over the
-/// inputs): on ∧ ∃Sα·off ∧ ∃Sβ·off = 0.
+/// inputs). OR/AND: on ∧ ∃Sα·off ∧ ∃Sβ·off = 0. XOR: no input of Sα ∩ Sβ
+/// is dependent and no i ∈ Sα interacts with an input of Sβ.
 bool table_state_valid(const RelaxationTable& t, std::uint32_t alpha_dropped,
                        std::uint32_t beta_dropped) {
+  if (t.op() == GateOp::kXor) {
+    if ((alpha_dropped & beta_dropped & t.xor_dependent()) != 0) return false;
+    for (int i = 0; i < t.n(); ++i) {
+      if (((alpha_dropped >> i) & 1U) != 0 &&
+          (t.xor_interacting(i) & beta_dropped) != 0) {
+        return false;
+      }
+    }
+    return true;
+  }
   const std::vector<std::uint64_t> ea = t.exists_off(alpha_dropped);
   const std::vector<std::uint64_t> eb = t.exists_off(beta_dropped);
   for (std::size_t w = 0; w < t.words(); ++w) {
@@ -281,11 +288,20 @@ TEST_P(TableTierFuzz, AgreesWithSatOnStatesMgAndExtraction) {
   const auto [op, seed] = GetParam();
   Rng rng(seed * 7919 + 3);
   for (int iter = 0; iter < 24; ++iter) {
-    const int n = rng.next_int(2, 12);
-    const Cone cone = iter % 3 == 2
-                          ? testutil::random_tt_cone(n, rng)
-                          : testutil::random_cone(n, rng.next_int(n, 4 * n),
-                                                  rng.next());
+    int n = rng.next_int(2, 12);
+    Cone cone;
+    if (iter % 4 == 2) {
+      cone = testutil::random_tt_cone(n, rng);
+    } else if (iter % 4 == 3 && n >= 4) {
+      cone = testutil::decomposable_cone(n, op, rng).cone;
+    } else {
+      cone = testutil::random_cone(n, rng.next_int(n, 4 * n), rng.next());
+    }
+    // Irrelevant inputs: f is unchanged, the table gains variables.
+    if (iter % 5 == 4) {
+      for (int k = rng.next_int(1, 2); k > 0; --k) cone.aig.add_input();
+      n = cone.n();
+    }
     const bool with_care = iter % 2 == 1;
     const CareSet care = testutil::random_care(n, rng, 0.6);
     const CareSet* c = with_care ? &care : nullptr;
@@ -311,14 +327,23 @@ TEST_P(TableTierFuzz, AgreesWithSatOnStatesMgAndExtraction) {
           << where << " alpha=" << a << " beta=" << b;
     }
 
+    // Table MG finds a seed iff some pair is SAT-valid.
+    bool sat_any = false;
+    for (int j = 0; j < n && !sat_any; ++j) {
+      for (int l = j + 1; l < n && !sat_any; ++l) {
+        sat_any = sat_state_valid(rs, n, 1U << j, 1U << l);
+      }
+    }
+
     // Table MG: its partition and its final group state are SAT-valid, and
     // the state is a group MUS: dropping any group it keeps is SAT.
     MgGroupState st;
     const PartitionSearchResult r = mg_on_table(table, nullptr, &st);
     EXPECT_EQ(r.sat_calls, 0);
+    EXPECT_EQ(r.found, sat_any) << where;
+    EXPECT_EQ(r.found, table.any_pair_valid()) << where;
     if (!r.found) {
       EXPECT_TRUE(r.exhausted) << where;
-      EXPECT_FALSE(table.any_pair_valid()) << where;
       continue;
     }
     ASSERT_TRUE(r.partition.non_trivial()) << where;
@@ -361,7 +386,8 @@ TEST_P(TableTierFuzz, AgreesWithSatOnStatesMgAndExtraction) {
 INSTANTIATE_TEST_SUITE_P(
     Ops, TableTierFuzz,
     ::testing::Values(OpSeed{GateOp::kOr, 0}, OpSeed{GateOp::kOr, 1},
-                      OpSeed{GateOp::kAnd, 0}, OpSeed{GateOp::kAnd, 1}));
+                      OpSeed{GateOp::kAnd, 0}, OpSeed{GateOp::kAnd, 1},
+                      OpSeed{GateOp::kXor, 0}, OpSeed{GateOp::kXor, 1}));
 
 TEST(TableTier, EquivalenceTablesAgreeWithMiter) {
   // roots_equivalent_on_care decides ≤ 16 inputs from tables; the SAT

@@ -96,7 +96,7 @@ inline core::Partition random_partition(int n, Rng& rng) {
   return p;
 }
 
-/// A cone with its known OR/AND bi-decomposition.
+/// A cone with its known bi-decomposition.
 struct DecomposableCone {
   core::Cone cone;
   core::Partition partition;
@@ -105,7 +105,7 @@ struct DecomposableCone {
 /// g(X1) <op> h(X2) over n >= 4 inputs, with h = n/2, X1 = x0..x(h+1) and
 /// X2 = xh..x(n-1): decomposable by construction under XA = x0..x(h-1),
 /// XC = {xh, x(h+1)} and XB the rest. g and h are 3h random AND/OR gates
-/// each over their inputs. `op` is kOr or kAnd.
+/// each over their inputs.
 inline DecomposableCone decomposable_cone(int n, core::GateOp op, Rng& rng) {
   auto random_logic = [&](aig::Aig& a, std::vector<aig::Lit> pool,
                           int gates) {
@@ -124,8 +124,9 @@ inline DecomposableCone decomposable_cone(int n, core::GateOp op, Rng& rng) {
   const std::vector<aig::Lit> right(xs.begin() + half, xs.end());
   const aig::Lit g = random_logic(d.cone.aig, left, 3 * half);
   const aig::Lit h = random_logic(d.cone.aig, right, 3 * half);
-  d.cone.root = op == core::GateOp::kOr ? d.cone.aig.lor(g, h)
-                                        : d.cone.aig.land(g, h);
+  d.cone.root = op == core::GateOp::kOr    ? d.cone.aig.lor(g, h)
+                : op == core::GateOp::kAnd ? d.cone.aig.land(g, h)
+                                           : d.cone.aig.lxor(g, h);
   d.partition.cls.assign(n, core::VarClass::kB);
   for (int i = 0; i < half + 2; ++i) {
     d.partition.cls[i] = i < half ? core::VarClass::kA : core::VarClass::kC;
