@@ -20,6 +20,7 @@
 #include "common/rng.h"
 #include "core/decomposer.h"
 #include "core/npn.h"
+#include "core/qbf_model.h"
 #include "core/relaxation.h"
 #include "itp/interpolant.h"
 #include "mus/group_mus.h"
@@ -264,10 +265,13 @@ BENCHMARK(bm_fresh_cone_solvers)->DenseRange(0, 4);
 
 /// The truth-table tier for small cones. Arg 0 NPN-canonicalizes one
 /// 6-input table (the DecCache key), arg 1 runs aig::functional_support on
-/// the 16-input parity_tree(16) cone (support reduction), arg 2 decides
-/// MG's seed-pair exhaustion on the same cone under OR, where no pair is
-/// valid, so every pair is scanned; arg 3 runs XOR MG on the same cone:
-/// its RelaxationTable (the interaction masks) plus mg_on_table.
+/// the 16-input parity_tree(16) cone (support reduction), arg 2 runs OR MG
+/// on the same cone: its RelaxationTable plus mg_on_table, whose seed-pair
+/// scan finds no valid pair and so reads every pair; arg 3 runs XOR MG on
+/// the same cone: its RelaxationTable (the interaction masks) plus
+/// mg_on_table; arg 4 is one check of the CEGAR search's table ∀-side on
+/// the OR table: the candidate XA = x0..x7, XB = x8..x15 is refuted and
+/// its refinement clause built.
 void bm_small_cone_kernels(benchmark::State& state) {
   const int kernel = static_cast<int>(state.range(0));
   const aig::Aig par = benchgen::parity_tree(16);
@@ -275,6 +279,14 @@ void bm_small_cone_kernels(benchmark::State& state) {
   const core::RelaxationMatrix m =
       core::build_relaxation_matrix(cone, core::GateOp::kOr);
   const core::TruthTable tt6{0x6996e81717e86996ULL};
+  const core::RelaxationTable or_table(m);
+  qbf::ForallSide forall = core::table_forall_side(or_table);
+  std::vector<sat::Lbool> cand(32, sat::Lbool::kFalse);
+  for (int i = 0; i < 8; ++i) {
+    cand[i] = sat::Lbool::kTrue;           // α: x0..x7 in XA
+    cand[16 + 8 + i] = sat::Lbool::kTrue;  // β: x8..x15 in XB
+  }
+  sat::LitVec refinement;
   for (auto _ : state) {
     switch (kernel) {
       case 0:
@@ -284,20 +296,25 @@ void bm_small_cone_kernels(benchmark::State& state) {
         benchmark::DoNotOptimize(aig::functional_support(cone.aig, cone.root));
         break;
       case 2:
-        benchmark::DoNotOptimize(core::RelaxationTable(m).any_pair_valid());
+        benchmark::DoNotOptimize(core::mg_on_table(core::RelaxationTable(m)));
         break;
-      default:
+      case 3:
         benchmark::DoNotOptimize(core::mg_on_table(
             core::RelaxationTable(cone, core::GateOp::kXor, nullptr)));
         break;
+      default:
+        refinement.clear();
+        benchmark::DoNotOptimize(forall(cand, refinement, nullptr));
+        break;
     }
   }
-  state.SetLabel(kernel == 0   ? "npn_canonicalize n=6"
-                 : kernel == 1 ? "functional_support n=16"
-                 : kernel == 2 ? "seed_pair_exhaustion parity16 OR"
-                               : "xor_mg_on_table parity16");
+  static const char* const kLabels[] = {
+      "npn_canonicalize n=6", "functional_support n=16",
+      "or_mg_on_table parity16", "xor_mg_on_table parity16",
+      "table_forall_check parity16 OR"};
+  state.SetLabel(kLabels[kernel]);
 }
-BENCHMARK(bm_small_cone_kernels)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(bm_small_cone_kernels)->DenseRange(0, 4);
 
 }  // namespace
 

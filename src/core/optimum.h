@@ -62,7 +62,7 @@ struct OptimumResult {
 /// than the bootstrap partition (the paper bootstraps with STEP-MG).
 ///
 /// With the finder's default incremental mode, the whole MD/Bin/MI walk
-/// drives a single persistent CEGAR solver pair: each query only changes
+/// drives a single persistent CEGAR solver: each query only changes
 /// the assumption set activating the bound, and a refuted query's UNSAT
 /// core (QbfFindResult::refuted_below) may raise `lo` past k+1, skipping
 /// queries outright.

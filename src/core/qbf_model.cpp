@@ -2,9 +2,36 @@
 
 #include <algorithm>
 
+#include "aig/simulate.h"
 #include "cnf/cnf.h"
 
 namespace step::core {
+
+qbf::ForallSide table_forall_side(const RelaxationTable& table) {
+  return [&table, scratch = std::vector<std::uint64_t>{}](
+             std::span<const sat::Lbool> cand, sat::LitVec& refinement,
+             const Deadline*) mutable {
+    const int n = table.n();
+    std::uint32_t a = 0, b = 0;
+    for (int i = 0; i < n; ++i) {
+      if (cand[i] != sat::Lbool::kFalse) a |= 1U << i;
+      if (cand[n + i] != sat::Lbool::kFalse) b |= 1U << i;
+    }
+    TableCountermodel cm;
+    if (table.forall_holds(a, b, cm, scratch)) {
+      return qbf::ForallVerdict::kHolds;
+    }
+    for (int i = 0; i < n; ++i) {
+      if (((cm.x ^ cm.xa) >> i) & 1U) {
+        refinement.push_back(~sat::mk_lit(static_cast<sat::Var>(i)));
+      }
+      if (((cm.x ^ cm.xb) >> i) & 1U) {
+        refinement.push_back(~sat::mk_lit(static_cast<sat::Var>(n + i)));
+      }
+    }
+    return qbf::ForallVerdict::kRefuted;
+  };
+}
 
 QbfPartitionFinder::QbfPartitionFinder(const RelaxationMatrix& m,
                                        QbfFinderOptions opts)
@@ -86,14 +113,25 @@ Partition QbfPartitionFinder::decode_partition(
   return p;
 }
 
+std::unique_ptr<qbf::ExistsForallSolver> QbfPartitionFinder::make_solver() {
+  if (m_.n > aig::kTtMaxSupport || m_.op == GateOp::kXor) {
+    return std::make_unique<qbf::ExistsForallSolver>(
+        m_.aig, aig::lnot(m_.phi), outer_, inner_, opts_.cegar);
+  }
+  if (table_ == nullptr) {
+    table_ = std::make_unique<RelaxationTable>(m_, opts_.cegar.sat.mem);
+  }
+  return std::make_unique<qbf::ExistsForallSolver>(
+      outer_.size(), table_forall_side(*table_), opts_.cegar);
+}
+
 QbfPartitionFinder::IncState& QbfPartitionFinder::state_for(QbfModel model) {
   auto& slot = inc_[static_cast<std::size_t>(model)];
   if (slot) return *slot;
 
   slot = std::make_unique<IncState>();
   IncState& st = *slot;
-  st.solver = std::make_unique<qbf::ExistsForallSolver>(
-      m_.aig, aig::lnot(m_.phi), outer_, inner_, opts_.cegar);
+  st.solver = make_solver();
 
   const bool sym = opts_.symmetry_breaking;
   const sat::LitVec t =
@@ -206,8 +244,8 @@ QbfFindResult QbfPartitionFinder::find_incremental(QbfModel model, int k,
 
 QbfFindResult QbfPartitionFinder::find_scratch(QbfModel model, int k,
                                                const Deadline* deadline) {
-  qbf::ExistsForallSolver solver(m_.aig, aig::lnot(m_.phi), outer_, inner_,
-                                 opts_.cegar);
+  const std::unique_ptr<qbf::ExistsForallSolver> owned = make_solver();
+  qbf::ExistsForallSolver& solver = *owned;
   const bool sym = opts_.symmetry_breaking;
   const sat::LitVec t =
       install_side_constraints(solver, model != QbfModel::kQB);

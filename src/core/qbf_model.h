@@ -53,6 +53,15 @@ struct QbfFindResult {
   int refuted_below = 0;
 };
 
+/// The truth-table ∀-side of the CEGAR search on an OR/AND relaxation
+/// matrix of ≤ aig::kTtMaxSupport inputs, for a solver whose outer inputs
+/// are α then β (α_i at variable i, β_i at n + i). A candidate holds iff
+/// the table says so (RelaxationTable::forall_holds, an α or β left
+/// undefined counting as relaxed); otherwise the refinement is the
+/// clause of its countermodel rows: ∨ ¬α_i where x′ differs from x and
+/// ∨ ¬β_i where x″ does. `table` must outlive the returned callback.
+qbf::ForallSide table_forall_side(const RelaxationTable& table);
+
 /// Decides, via the 2QBF formulation (9), whether a non-trivial valid
 /// partition with fT-cost <= k exists — and produces it if so.
 ///
@@ -60,23 +69,29 @@ struct QbfFindResult {
 ///   ∃α,β ∀X,X',X''.  ¬Φ ∧ fN(α,β) ∧ fT(α,β)
 /// whose ∃-witness (AReQS counterexample for (9)) is the partition.
 ///
+/// The ∀-side is chosen from the matrix alone. An OR/AND matrix of
+/// ≤ aig::kTtMaxSupport inputs checks candidates on one RelaxationTable,
+/// built at the first query and charged to `cegar.sat.mem`
+/// (table_forall_side): no verification solver, no Tseitin encoding. XOR
+/// and wider cones keep the SAT ∀-side over ¬Φ's cone copies.
+///
 /// Two execution modes share this interface:
-///  - *incremental* (default): one persistent CEGAR solver pair per model
-///    carries the matrix CNF, fN, every refinement, all learned clauses
-///    and heuristic state across every bound query; fT bounds are
-///    activated purely through assumptions on an incremental cardinality
-///    counter,
-///    so tightening k never re-encodes anything.
+///  - *incremental* (default): one persistent CEGAR solver per model
+///    carries fN, every refinement, all learned clauses and heuristic
+///    state (and, on the SAT ∀-side, the matrix CNF) across every bound
+///    query; fT bounds are activated purely through assumptions on an
+///    incremental cardinality counter, so tightening k never re-encodes
+///    anything.
 ///  - *scratch*: the original rebuild-per-query path, kept behind
 ///    `incremental = false` for A/B regression of answers and cost. Each
-///    query builds a fresh solver pair and carries nothing from the last.
+///    query builds a fresh CEGAR solver and carries nothing from the last.
 struct QbfFinderOptions {
   /// Break the XA/XB symmetry with |XA| >= |XB| (Section IV.A.2: "reduces
   /// substantially the search space"). When off, the QB and QDB targets
   /// bound the *absolute* size difference instead, which is equivalent on
   /// partitions but doubles the witness space.
   bool symmetry_breaking = true;
-  /// Keep one solver pair alive across all bound queries of a model and
+  /// Keep one CEGAR solver alive across all bound queries of a model and
   /// drive the bounds with counter-output assumptions. Off = rebuild per query.
   bool incremental = true;
   /// Forwarded to the CEGAR solver.
@@ -95,7 +110,8 @@ class QbfPartitionFinder {
   int qbf_calls() const { return qbf_calls_; }
 
   /// Aggregated cost counters across all calls (both modes): CEGAR
-  /// refinement rounds and conflicts on the two sides of the solver pair.
+  /// refinement rounds and conflicts on the two sides of the loop (the
+  /// verification side's stay 0 on the table ∀-side).
   int total_iterations() const { return total_iterations_; }
   std::uint64_t abstraction_conflicts() const { return abs_conflicts_; }
   std::uint64_t verification_conflicts() const { return ver_conflicts_; }
@@ -127,6 +143,9 @@ class QbfPartitionFinder {
       return halved ? 2 * j - offset : j - offset;
     }
   };
+  /// A CEGAR solver over α ++ β with the ∀-side the matrix selects.
+  std::unique_ptr<qbf::ExistsForallSolver> make_solver();
+
   /// Persistent incremental solver state for one QBF model.
   struct IncState {
     std::unique_ptr<qbf::ExistsForallSolver> solver;
@@ -160,6 +179,9 @@ class QbfPartitionFinder {
   std::vector<sat::LitVec> shared_clauses_;
   sat::LitVec shared_lits_;
 
+  /// The table ∀-side's table; null until the first query, and for XOR
+  /// and wide matrices. Declared before the solvers that read it.
+  std::unique_ptr<RelaxationTable> table_;
   std::array<std::unique_ptr<IncState>, 3> inc_;  ///< per QbfModel
 
   int qbf_calls_ = 0;

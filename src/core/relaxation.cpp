@@ -148,18 +148,24 @@ void RelaxationTable::init(const std::vector<std::uint64_t>& f,
     on_ = f;
     // An input f does not depend on interacts with nothing.
     interacting_.assign(static_cast<std::size_t>(n_), 0);
-    std::vector<std::uint64_t> base;
+    std::vector<std::uint64_t> base(f.size());
     for (int j = 0; j < n_; ++j) {
-      build_base(j, base);
-      if (std::all_of(base.begin(), base.end(),
-                      [](std::uint64_t w) { return w == 0; })) {
-        continue;
+      // base = f ⊕ f^j is nonzero iff f depends on input j; j interacts
+      // with l iff base ⊕ flip_l(base) is nonzero.
+      bool dependent = false;
+      for (std::size_t w = 0; w < base.size(); ++w) {
+        base[w] = f[w] ^ aig::tt_flip_word(f.data(), w, j);
+        dependent = dependent || base[w] != 0;
       }
+      if (!dependent) continue;
       dependent_ |= 1U << j;
       for (int l = j + 1; l < n_; ++l) {
-        if (hits(base, l)) {
-          interacting_[j] |= 1U << l;
-          interacting_[l] |= 1U << j;
+        for (std::size_t w = 0; w < base.size(); ++w) {
+          if ((base[w] ^ aig::tt_flip_word(base.data(), w, l)) != 0) {
+            interacting_[j] |= 1U << l;
+            interacting_[l] |= 1U << j;
+            break;
+          }
         }
       }
     }
@@ -179,42 +185,6 @@ void RelaxationTable::init(const std::vector<std::uint64_t>& f,
   charged_ = (on_.capacity() + off_.capacity()) * sizeof(std::uint64_t) +
              interacting_.capacity() * sizeof(std::uint32_t);
   if (mem_ != nullptr) mem_->charge(charged_);
-}
-
-void RelaxationTable::build_base(int j,
-                                 std::vector<std::uint64_t>& base) const {
-  base.resize(on_.size());
-  const std::uint64_t* f = on_.data();
-  if (op_ == GateOp::kXor) {
-    for (std::size_t w = 0; w < base.size(); ++w) {
-      base[w] = f[w] ^ aig::tt_flip_word(f, w, j);
-    }
-    return;
-  }
-  const std::uint64_t* off = off_.data();
-  for (std::size_t w = 0; w < base.size(); ++w) {
-    base[w] = f[w] & aig::tt_flip_word(off, w, j);
-  }
-}
-
-bool RelaxationTable::hits(const std::vector<std::uint64_t>& base,
-                           int l) const {
-  // The other flipped operand: base itself (XOR) or off (OR/AND).
-  const std::uint64_t* g = op_ == GateOp::kXor ? base.data() : off_.data();
-  const bool is_xor = op_ == GateOp::kXor;
-  for (std::size_t w = 0; w < base.size(); ++w) {
-    const std::uint64_t fl = aig::tt_flip_word(g, w, l);
-    if ((is_xor ? base[w] ^ fl : base[w] & fl) != 0) return true;
-  }
-  return false;
-}
-
-bool RelaxationTable::pair_valid(int j, int l) const {
-  STEP_CHECK(j != l && j >= 0 && l >= 0 && j < n_ && l < n_);
-  if (op_ == GateOp::kXor) return ((interacting_[j] >> l) & 1U) == 0;
-  std::vector<std::uint64_t> base;
-  build_base(j, base);
-  return !hits(base, l);
 }
 
 int RelaxationTable::first_valid_partner(
@@ -248,22 +218,79 @@ int RelaxationTable::first_valid_partner(
   return -1;
 }
 
-bool RelaxationTable::any_pair_valid() const {
-  std::vector<std::uint64_t> base;
-  for (int j = 0; j < n_; ++j) {
-    if (first_valid_partner(j, base) >= 0) return true;
-  }
-  return false;
-}
-
 std::vector<std::uint64_t> RelaxationTable::exists_off(
     std::uint32_t vars) const {
-  STEP_CHECK(op_ != GateOp::kXor);
-  std::vector<std::uint64_t> e = off_;
-  for (int i = 0; i < n_; ++i) {
-    if ((vars >> i) & 1U) aig::tt_exists(e.data(), e.data(), e.size(), i);
-  }
+  std::vector<std::uint64_t> e(off_.size());
+  exists_off_into(vars, e.data());
   return e;
+}
+
+void RelaxationTable::exists_off_into(std::uint32_t vars,
+                                      std::uint64_t* dst) const {
+  STEP_CHECK(op_ != GateOp::kXor);
+  std::copy(off_.begin(), off_.end(), dst);
+  for (int i = 0; i < n_; ++i) {
+    if ((vars >> i) & 1U) aig::tt_exists(dst, dst, off_.size(), i);
+  }
+}
+
+bool RelaxationTable::forall_holds(std::uint32_t a, std::uint32_t b,
+                                   TableCountermodel& cm,
+                                   std::vector<std::uint64_t>& scratch) const {
+  const std::size_t words = on_.size();
+  scratch.resize(2 * words);
+  std::uint64_t* ea = scratch.data();
+  std::uint64_t* eb = ea + words;
+  // on ∧ ∃a·off first: when it is empty, ∃b·off is never built.
+  exists_off_into(a, ea);
+  bool any = false;
+  for (std::size_t w = 0; w < words; ++w) {
+    ea[w] &= on_[w];
+    any = any || ea[w] != 0;
+  }
+  if (!any) return true;
+  exists_off_into(b, eb);
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::uint64_t hit = ea[w] & eb[w];
+    if (hit == 0) continue;
+    cm.x = static_cast<std::uint32_t>(64 * w) +
+           static_cast<std::uint32_t>(std::countr_zero(hit));
+    cm.xa = nearest_off(cm.x, a);
+    cm.xb = nearest_off(cm.x, b);
+    return false;
+  }
+  return true;
+}
+
+std::uint32_t RelaxationTable::nearest_off(std::uint32_t x,
+                                           std::uint32_t vars) const {
+  auto is_off = [&](std::uint32_t r) {
+    return ((off_[r >> 6] >> (r & 63)) & 1ULL) != 0;
+  };
+  // x is an on-row, so s = ∅ never qualifies. Non-empty subsets of `vars`
+  // by increasing size, each size in increasing order:
+  // `s` walks the k-bit index masks of one size (Gosper's hack) and is
+  // deposited onto the bits of `vars`.
+  int pos[32];
+  int k = 0;
+  for (int i = 0; i < n_; ++i) {
+    if ((vars >> i) & 1U) pos[k++] = i;
+  }
+  const std::uint64_t limit = std::uint64_t{1} << k;
+  for (int c = 1; c <= k; ++c) {
+    for (std::uint64_t s = (std::uint64_t{1} << c) - 1; s < limit;) {
+      std::uint32_t flip = 0;
+      for (std::uint64_t t = s; t != 0; t &= t - 1) {
+        flip |= 1U << pos[std::countr_zero(t)];
+      }
+      if (is_off(x ^ flip)) return x ^ flip;
+      const std::uint64_t low = s & (~s + 1);
+      const std::uint64_t ripple = s + low;
+      s = ripple | (((ripple ^ s) >> 2) / low);
+    }
+  }
+  STEP_CHECK(false);  // x ∈ ∃vars·off
+  return x;
 }
 
 RelaxationSolver::RelaxationSolver(const RelaxationMatrix& m,

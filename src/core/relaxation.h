@@ -61,6 +61,14 @@ struct RelaxationMatrix {
 RelaxationMatrix build_relaxation_matrix(const Cone& cone, GateOp op,
                                          const CareSet* care = nullptr);
 
+/// The rows that refute a CEGAR candidate on a RelaxationTable (OR/AND,
+/// rows over the table's inputs): x is an on-row, x′ (xa) and x″ (xb) are
+/// off-rows; x′ differs from x only on XA and x″ only on XB. The
+/// refinement clause is ∨ ¬αi over x ⊕ x′ and ∨ ¬βi over x ⊕ x″.
+struct TableCountermodel {
+  std::uint32_t x = 0, xa = 0, xb = 0;
+};
+
 /// Truth-table view of Φ for cones of at most aig::kTtMaxSupport inputs:
 /// one table of the cone's function (with its care set) decides what the
 /// SAT view decides, without a solver.
@@ -95,17 +103,20 @@ class RelaxationTable {
   const std::vector<std::uint64_t>& off() const { return off_; }
   MemTracker* mem() const { return mem_; }
 
-  /// True iff the pair partition ({j},{l}) (every other variable in XC)
-  /// is valid; j != l.
-  bool pair_valid(int j, int l) const;
-  /// True iff some pair j < l is valid — i.e. MG's seed scan would find a
-  /// seed. False proves the cone undecomposable under the table's op.
-  bool any_pair_valid() const;
   /// The first l > j with ({j},{l}) valid, or -1. `scratch` is reused.
   int first_valid_partner(int j, std::vector<std::uint64_t>& scratch) const;
 
   /// OR/AND: ∃vars·off, with `vars` a bit mask over the inputs.
   std::vector<std::uint64_t> exists_off(std::uint32_t vars) const;
+
+  /// OR/AND: the ∀-side of the CEGAR search. The candidate relaxes the
+  /// inputs of `a` (α true: XA) and `b` (β true: XB). Returns true iff it
+  /// is valid: on ∧ ∃a·off ∧ ∃b·off = 0. Otherwise `cm` gets the first
+  /// witness row x and, on each side, the off-row nearest to it (fewest
+  /// flipped inputs; ties to the smaller flip mask): x′ = x ⊕ s with s ⊆ a,
+  /// x″ = x ⊕ t with t ⊆ b. `scratch` is reused across calls.
+  bool forall_holds(std::uint32_t a, std::uint32_t b, TableCountermodel& cm,
+                    std::vector<std::uint64_t>& scratch) const;
 
   /// XOR: bit i is set iff f depends on input i.
   std::uint32_t xor_dependent() const { return dependent_; }
@@ -115,11 +126,10 @@ class RelaxationTable {
  private:
   void init(const std::vector<std::uint64_t>& f,
             const std::vector<std::uint64_t>* care);
-  /// base = on ∧ flip_j(off) (OR/AND) or f ⊕ f^j (XOR).
-  void build_base(int j, std::vector<std::uint64_t>& base) const;
-  /// True iff base ∧ flip_l(off) (OR/AND) or base ⊕ flip_l(base) (XOR)
-  /// has a set bit: the pair is invalid.
-  bool hits(const std::vector<std::uint64_t>& base, int l) const;
+  /// dst = ∃vars·off (words() words).
+  void exists_off_into(std::uint32_t vars, std::uint64_t* dst) const;
+  /// The off-row x ⊕ s, s ⊆ vars, with the fewest bits in s; one exists.
+  std::uint32_t nearest_off(std::uint32_t x, std::uint32_t vars) const;
 
   GateOp op_;
   int n_;

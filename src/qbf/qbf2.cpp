@@ -39,46 +39,90 @@ bool collect_or_of_inputs(const aig::Aig& a, aig::Lit root,
 
 }  // namespace
 
-ExistsForallSolver::ExistsForallSolver(const aig::Aig& matrix, aig::Lit root,
-                                       std::vector<std::uint32_t> outer_inputs,
-                                       std::vector<std::uint32_t> inner_inputs,
-                                       CegarOptions opts)
-    : matrix_(matrix),
-      root_(root),
-      outer_inputs_(std::move(outer_inputs)),
-      inner_inputs_(std::move(inner_inputs)),
-      opts_(opts),
-      abstraction_(opts.sat),
-      verification_(opts.sat) {
-  input_role_.assign(matrix_.num_inputs(), -1);
-  for (std::uint32_t i : outer_inputs_) input_role_[i] = 0;
-  for (std::uint32_t i : inner_inputs_) input_role_[i] = 1;
+/// The AIG form's ∀-side: ¬matrix over fresh variables for every input in
+/// the cone; a candidate arrives as assumptions on the outer ones.
+struct ExistsForallSolver::SatForall {
+  SatForall(const aig::Aig& m, aig::Lit r, std::vector<std::uint32_t> outer,
+            std::vector<std::uint32_t> inner, const CegarOptions& opts,
+            sat::Solver& abs);
 
+  ForallVerdict check(std::span<const sat::Lbool> cand,
+                      sat::LitVec& refinement, const Deadline* deadline);
+  /// The refinement of one inner countermodel: the matrix cofactored on it.
+  void refine(const std::vector<sat::Lbool>& inner_assignment,
+              sat::LitVec& refinement);
+
+  const aig::Aig& matrix;
+  aig::Lit root;
+  std::vector<std::uint32_t> outer_inputs;
+  std::vector<std::uint32_t> inner_inputs;
+  bool clause_fast_path;
+  sat::Solver verification;
+  std::vector<sat::Var> ver_input_vars;  ///< verification var per matrix input
+  /// Tseitin encodings of general (non-clause) refinements go straight
+  /// into the abstraction; check() returns their root as a unit clause.
+  sat::Solver& abstraction;
+};
+
+ExistsForallSolver::SatForall::SatForall(const aig::Aig& m, aig::Lit r,
+                                         std::vector<std::uint32_t> outer,
+                                         std::vector<std::uint32_t> inner,
+                                         const CegarOptions& opts,
+                                         sat::Solver& abs)
+    : matrix(m),
+      root(r),
+      outer_inputs(std::move(outer)),
+      inner_inputs(std::move(inner)),
+      clause_fast_path(opts.clause_fast_path),
+      verification(opts.sat),
+      abstraction(abs) {
   // Every matrix input the cone reaches must be quantified.
-  for (std::uint32_t i : aig::structural_support(matrix_, root_)) {
-    STEP_CHECK(input_role_[i] != -1);
-  }
+  std::vector<bool> quantified(matrix.num_inputs(), false);
+  for (std::uint32_t i : outer_inputs) quantified[i] = true;
+  for (std::uint32_t i : inner_inputs) quantified[i] = true;
+  const std::vector<std::uint32_t> support =
+      aig::structural_support(matrix, root);
+  for (std::uint32_t i : support) STEP_CHECK(quantified[i]);
 
-  outer_vars_.reserve(outer_inputs_.size());
-  for (std::size_t i = 0; i < outer_inputs_.size(); ++i) {
-    outer_vars_.push_back(abstraction_.new_var());
+  // Assert ¬matrix over fresh vars for all inputs in the cone.
+  ver_input_vars.assign(matrix.num_inputs(), sat::kVarUndef);
+  std::vector<sat::Lit> input_sat(matrix.num_inputs(), sat::kLitUndef);
+  for (std::uint32_t i : support) {
+    ver_input_vars[i] = verification.new_var();
+    input_sat[i] = sat::mk_lit(ver_input_vars[i]);
   }
-
-  // Verification solver: assert ¬matrix over fresh vars for all inputs in
-  // the cone; candidates arrive later as assumptions on the outer vars.
-  ver_input_vars_.assign(matrix_.num_inputs(), sat::kVarUndef);
-  std::vector<sat::Lit> input_sat(matrix_.num_inputs(), sat::kLitUndef);
-  for (std::uint32_t i : aig::structural_support(matrix_, root_)) {
-    ver_input_vars_[i] = verification_.new_var();
-    input_sat[i] = sat::mk_lit(ver_input_vars_[i]);
-  }
-  cnf::SolverSink sink(verification_);
-  cnf::encode_cone_assert(matrix_, root_, input_sat, sink, /*value=*/false);
+  cnf::SolverSink sink(verification);
+  cnf::encode_cone_assert(matrix, root, input_sat, sink, /*value=*/false);
 }
 
-void ExistsForallSolver::refine(
-    const std::vector<sat::Lbool>& inner_assignment) {
-  STEP_CHECK(inner_assignment.size() == inner_inputs_.size());
+ForallVerdict ExistsForallSolver::SatForall::check(
+    std::span<const sat::Lbool> cand, sat::LitVec& refinement,
+    const Deadline* deadline) {
+  sat::LitVec assumps;
+  for (std::size_t i = 0; i < outer_inputs.size(); ++i) {
+    const sat::Var vv = ver_input_vars[outer_inputs[i]];
+    if (vv != sat::kVarUndef && cand[i] != sat::Lbool::kUndef) {
+      assumps.push_back(sat::mk_lit(vv, cand[i] == sat::Lbool::kFalse));
+    }
+  }
+  const sat::Result rv = verification.solve_limited(assumps, -1, deadline);
+  if (rv == sat::Result::kUnknown) return ForallVerdict::kUnknown;
+  if (rv == sat::Result::kUnsat) return ForallVerdict::kHolds;
+
+  // Countermodel: inner assignment falsifying the matrix.
+  std::vector<sat::Lbool> inner(inner_inputs.size(), sat::Lbool::kFalse);
+  for (std::size_t j = 0; j < inner_inputs.size(); ++j) {
+    const sat::Var vv = ver_input_vars[inner_inputs[j]];
+    if (vv != sat::kVarUndef) inner[j] = verification.model_value(vv);
+  }
+  refine(inner, refinement);
+  return ForallVerdict::kRefuted;
+}
+
+void ExistsForallSolver::SatForall::refine(
+    const std::vector<sat::Lbool>& inner_assignment,
+    sat::LitVec& refinement) {
+  STEP_CHECK(inner_assignment.size() == inner_inputs.size());
   // Every refinement is new: the candidate is a total model of an
   // abstraction that already holds all earlier refinements, and this
   // countermodel's cofactor is false under it. So neither the countermodel
@@ -87,47 +131,76 @@ void ExistsForallSolver::refine(
   // Cofactor the matrix on the inner countermodel: the result is a
   // constraint purely over the outer inputs.
   aig::Aig dst;
-  std::vector<aig::Lit> free_map(matrix_.num_inputs(), aig::kLitInvalid);
+  std::vector<aig::Lit> free_map(matrix.num_inputs(), aig::kLitInvalid);
   std::vector<sat::Var> dst_input_to_outer;  // dst input pos -> outer pos
-  for (std::size_t i = 0; i < outer_inputs_.size(); ++i) {
-    free_map[outer_inputs_[i]] = dst.add_input();
+  for (std::size_t i = 0; i < outer_inputs.size(); ++i) {
+    free_map[outer_inputs[i]] = dst.add_input();
     dst_input_to_outer.push_back(static_cast<sat::Var>(i));
   }
-  std::vector<int> assignment(matrix_.num_inputs(), -1);
-  for (std::size_t j = 0; j < inner_inputs_.size(); ++j) {
-    assignment[inner_inputs_[j]] =
+  std::vector<int> assignment(matrix.num_inputs(), -1);
+  for (std::size_t j = 0; j < inner_inputs.size(); ++j) {
+    assignment[inner_inputs[j]] =
         inner_assignment[j] == sat::Lbool::kTrue ? 1 : 0;
   }
-  const aig::Lit cof = aig::cofactor(matrix_, root_, dst, assignment, free_map);
+  const aig::Lit cof = aig::cofactor(matrix, root, dst, assignment, free_map);
 
-  if (cof == aig::kLitTrue) return;  // candidate space unconstrained
-  if (cof == aig::kLitFalse) {
-    // No outer assignment survives: the formula is false.
-    abstraction_.add_clause(std::span<const sat::Lit>{});
-    return;
-  }
+  // The candidate falsifies the cofactor, so it is never constant true;
+  // constant false leaves the empty clause: no outer assignment survives.
+  STEP_CHECK(cof != aig::kLitTrue);
+  if (cof == aig::kLitFalse) return;
 
   // Fast path: the cofactor is a plain clause over outer inputs (always the
   // case for the relaxation matrices of Section IV).
   std::vector<aig::Lit> leaves;
-  if (opts_.clause_fast_path && collect_or_of_inputs(dst, cof, leaves)) {
-    sat::LitVec clause;
+  if (clause_fast_path && collect_or_of_inputs(dst, cof, leaves)) {
     for (aig::Lit l : leaves) {
       const int dst_idx = dst.input_index(aig::node_of(l));
-      const sat::Var v = outer_vars_[dst_input_to_outer[dst_idx]];
-      clause.push_back(sat::mk_lit(v, aig::is_complemented(l)));
+      refinement.push_back(
+          sat::mk_lit(dst_input_to_outer[dst_idx], aig::is_complemented(l)));
     }
-    abstraction_.add_clause(clause);  // sorts it and drops a tautology
     return;
   }
 
-  // General path: Tseitin-encode the cofactored cone into the abstraction.
+  // General path: Tseitin-encode the cofactored cone into the abstraction
+  // and assert its root.
   std::vector<sat::Lit> input_sat(dst.num_inputs(), sat::kLitUndef);
   for (std::uint32_t i = 0; i < dst.num_inputs(); ++i) {
-    input_sat[i] = sat::mk_lit(outer_vars_[dst_input_to_outer[i]]);
+    input_sat[i] = sat::mk_lit(dst_input_to_outer[i]);
   }
-  cnf::SolverSink sink(abstraction_);
-  cnf::encode_cone_assert(dst, cof, input_sat, sink, /*value=*/true);
+  cnf::SolverSink sink(abstraction);
+  refinement.push_back(cnf::encode_cone(dst, cof, input_sat, sink));
+}
+
+ExistsForallSolver::ExistsForallSolver(const aig::Aig& matrix, aig::Lit root,
+                                       std::vector<std::uint32_t> outer_inputs,
+                                       std::vector<std::uint32_t> inner_inputs,
+                                       CegarOptions opts)
+    : ExistsForallSolver(outer_inputs.size(), nullptr, opts) {
+  sat_forall_ = std::make_unique<SatForall>(
+      matrix, root, std::move(outer_inputs), std::move(inner_inputs), opts,
+      abstraction_);
+  forall_ = [f = sat_forall_.get()](std::span<const sat::Lbool> cand,
+                                    sat::LitVec& refinement,
+                                    const Deadline* deadline) {
+    return f->check(cand, refinement, deadline);
+  };
+}
+
+ExistsForallSolver::ExistsForallSolver(std::size_t num_outer,
+                                       ForallSide forall, CegarOptions opts)
+    : num_outer_(num_outer),
+      abstraction_(opts.sat),
+      forall_(std::move(forall)) {
+  for (std::size_t i = 0; i < num_outer_; ++i) {
+    STEP_CHECK(abstraction_.new_var() == static_cast<sat::Var>(i));
+  }
+}
+
+ExistsForallSolver::~ExistsForallSolver() = default;
+
+const sat::Solver::Stats& ExistsForallSolver::verification_stats() const {
+  static const sat::Solver::Stats kNone;
+  return sat_forall_ != nullptr ? sat_forall_->verification.stats() : kNone;
 }
 
 Qbf2Result ExistsForallSolver::solve(const Deadline* deadline) {
@@ -137,6 +210,8 @@ Qbf2Result ExistsForallSolver::solve(const Deadline* deadline) {
 Qbf2Result ExistsForallSolver::solve(std::span<const sat::Lit> assumptions,
                                      const Deadline* deadline) {
   Qbf2Result res;
+  std::vector<sat::Lbool> cand(num_outer_);
+  sat::LitVec refinement;
   for (;;) {
     if (deadline != nullptr && deadline->expired()) {
       res.status = Qbf2Status::kUnknown;
@@ -144,7 +219,7 @@ Qbf2Result ExistsForallSolver::solve(std::span<const sat::Lit> assumptions,
       return res;
     }
     const sat::Result ra =
-      abstraction_.solve_limited(assumptions, -1, deadline);
+        abstraction_.solve_limited(assumptions, -1, deadline);
     if (ra == sat::Result::kUnknown) {
       res.status = Qbf2Status::kUnknown;
       if (deadline != nullptr) res.stopped_by = deadline->trip();
@@ -156,36 +231,24 @@ Qbf2Result ExistsForallSolver::solve(std::span<const sat::Lit> assumptions,
     }
 
     // Candidate: outer assignment proposed by the abstraction.
-    std::vector<sat::Lbool> cand(outer_inputs_.size());
-    sat::LitVec assumps;
-    for (std::size_t i = 0; i < outer_inputs_.size(); ++i) {
-      cand[i] = abstraction_.model_value(outer_vars_[i]);
-      const sat::Var vv = ver_input_vars_[outer_inputs_[i]];
-      if (vv != sat::kVarUndef && cand[i] != sat::Lbool::kUndef) {
-        assumps.push_back(sat::mk_lit(vv, cand[i] == sat::Lbool::kFalse));
-      }
+    for (std::size_t i = 0; i < num_outer_; ++i) {
+      cand[i] = abstraction_.model_value(static_cast<sat::Var>(i));
     }
-
-    const sat::Result rv = verification_.solve_limited(assumps, -1, deadline);
-    if (rv == sat::Result::kUnknown) {
-      res.status = Qbf2Status::kUnknown;
-      if (deadline != nullptr) res.stopped_by = deadline->trip();
-      return res;
+    refinement.clear();
+    switch (forall_(cand, refinement, deadline)) {
+      case ForallVerdict::kUnknown:
+        res.status = Qbf2Status::kUnknown;
+        if (deadline != nullptr) res.stopped_by = deadline->trip();
+        return res;
+      case ForallVerdict::kHolds:
+        res.status = Qbf2Status::kTrue;
+        res.outer_model = std::move(cand);
+        return res;
+      case ForallVerdict::kRefuted:
+        abstraction_.add_clause(refinement);  // sorts it, drops a tautology
+        ++res.iterations;
+        break;
     }
-    if (rv == sat::Result::kUnsat) {
-      res.status = Qbf2Status::kTrue;
-      res.outer_model = std::move(cand);
-      return res;
-    }
-
-    // Countermodel: inner assignment falsifying the matrix.
-    std::vector<sat::Lbool> inner(inner_inputs_.size(), sat::Lbool::kFalse);
-    for (std::size_t j = 0; j < inner_inputs_.size(); ++j) {
-      const sat::Var vv = ver_input_vars_[inner_inputs_[j]];
-      if (vv != sat::kVarUndef) inner[j] = verification_.model_value(vv);
-    }
-    refine(inner);
-    ++res.iterations;
   }
 }
 

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -30,20 +32,43 @@ struct Qbf2Result {
   int iterations = 0;  ///< CEGAR refinement rounds
 };
 
+/// What the ∀-side of the CEGAR loop says about one candidate.
+enum class ForallVerdict : std::uint8_t {
+  kHolds,    ///< the matrix holds under every inner assignment
+  kRefuted,  ///< a countermodel exists; the refinement excludes it
+  kUnknown,  ///< the deadline (or a SAT budget) stopped the check
+};
+
+/// The ∀-side of the CEGAR loop. It gets a candidate (one value per outer
+/// input, indexed like the outer inputs) and returns kHolds, or kRefuted
+/// after appending to `refinement` a clause over abstraction literals
+/// (outer input i is abstraction variable i) that the candidate falsifies
+/// and every outer assignment the countermodel does not refute satisfies.
+using ForallSide = std::function<ForallVerdict(
+    std::span<const sat::Lbool> candidate, sat::LitVec& refinement,
+    const Deadline* deadline)>;
+
 /// Counterexample-guided solver for  ∃ outer ∀ inner . side(outer) ∧ matrix.
 ///
 /// This is the abstraction-refinement algorithm of AReQS (Janota &
 /// Marques-Silva, SAT'11), the solver the paper uses for its 2QBF models:
 ///  - an *abstraction* SAT solver over the outer variables proposes
 ///    candidates consistent with all counterexamples seen so far;
-///  - a *verification* SAT solver checks a candidate against ¬matrix;
-///    an inner countermodel refines the abstraction with the matrix
-///    cofactored on that countermodel.
+///  - a *∀-side* checks a candidate; a countermodel refines the
+///    abstraction with a constraint that excludes it.
 ///
-/// The matrix is an AIG cone; `outer_inputs` / `inner_inputs` partition
-/// (a subset of) its input indices. Side constraints purely over outer
-/// variables (the paper's fN and fT) are added through `abstraction()` /
-/// `outer_var()` before solve().
+/// The loop is one for every ∀-side. The AIG constructor builds the
+/// classic one: a *verification* SAT solver over ¬matrix takes the
+/// candidate as assumptions, and a countermodel's refinement is the matrix
+/// cofactored on it. The ForallSide constructor takes any other check;
+/// the relaxation matrices of ≤ aig::kTtMaxSupport inputs (OR/AND) use a
+/// truth-table one (core::table_forall_side) that builds no verification
+/// solver and Tseitin-encodes nothing.
+///
+/// In the AIG form the matrix is an AIG cone; `outer_inputs` /
+/// `inner_inputs` partition (a subset of) its input indices. Side
+/// constraints purely over outer variables (the paper's fN and fT) are
+/// added through `abstraction()` / `outer_var()` before solve().
 ///
 /// For the paper's formulation (9), validity of  ∀α,β ∃X. Φ ∨ ¬fN ∨ ¬fT
 /// is decided by giving this solver the *negation*:
@@ -52,30 +77,40 @@ struct Qbf2Result {
 struct CegarOptions {
   /// Emit a refinement as a single clause when the cofactored matrix is a
   /// disjunction of outer literals (always true for the Section IV
-  /// matrices). Off = always Tseitin-encode; ablation knob.
+  /// matrices). Off = always Tseitin-encode; ablation knob of the AIG
+  /// form only.
   bool clause_fast_path = true;
-  /// SAT configuration applied to both CEGAR-side solvers (LBD tiers,
+  /// SAT configuration applied to the CEGAR-side solvers (LBD tiers,
   /// conflict budget — see sat::SolverOptions / docs/SOLVER.md).
   sat::SolverOptions sat;
 };
 
 class ExistsForallSolver {
  public:
+  /// SAT ∀-side over an AIG matrix.
   ExistsForallSolver(const aig::Aig& matrix, aig::Lit root,
                      std::vector<std::uint32_t> outer_inputs,
                      std::vector<std::uint32_t> inner_inputs,
                      CegarOptions opts = {});
+  /// A given ∀-side over `num_outer` outer variables.
+  ExistsForallSolver(std::size_t num_outer, ForallSide forall,
+                     CegarOptions opts = {});
+  ~ExistsForallSolver();
 
   /// Abstraction solver handle for adding outer-only side constraints.
   sat::Solver& abstraction() { return abstraction_; }
-  /// SAT variable (in the abstraction) of outer input position i.
-  sat::Var outer_var(std::size_t i) const { return outer_vars_[i]; }
+  /// SAT variable (in the abstraction) of outer input position i: the
+  /// abstraction allocates the outer variables first, so it is i.
+  sat::Var outer_var(std::size_t i) const {
+    STEP_CHECK(i < num_outer_);
+    return static_cast<sat::Var>(i);
+  }
 
   Qbf2Result solve(const Deadline* deadline = nullptr);
 
   /// Assumption-carrying solve: `assumptions` (over abstraction variables,
   /// e.g. cardinality-counter outputs) are threaded through every
-  /// abstraction call of the CEGAR loop, so one persistent solver pair can
+  /// abstraction call of the CEGAR loop, so one persistent solver can
   /// answer a whole family of queries — different bounds are just
   /// different assumption sets, and refinements plus learned clauses
   /// accumulate in place across calls.
@@ -89,29 +124,20 @@ class ExistsForallSolver {
     return abstraction_.conflict_core();
   }
 
-  /// Cumulative SAT statistics of the two sides of the CEGAR loop.
+  /// Cumulative SAT statistics of the two sides of the CEGAR loop; the
+  /// verification side's are all zero unless it is the AIG form's solver.
   const sat::Solver::Stats& abstraction_stats() const {
     return abstraction_.stats();
   }
-  const sat::Solver::Stats& verification_stats() const {
-    return verification_.stats();
-  }
+  const sat::Solver::Stats& verification_stats() const;
 
  private:
-  void refine(const std::vector<sat::Lbool>& inner_assignment);
+  struct SatForall;  ///< the AIG form's verification solver and matrix
 
-  const aig::Aig& matrix_;
-  aig::Lit root_;
-  std::vector<std::uint32_t> outer_inputs_;
-  std::vector<std::uint32_t> inner_inputs_;
-  CegarOptions opts_;
-
+  std::size_t num_outer_;
   sat::Solver abstraction_;
-  std::vector<sat::Var> outer_vars_;  ///< abstraction var per outer input
-
-  sat::Solver verification_;
-  std::vector<sat::Var> ver_input_vars_;  ///< verification var per matrix input
-  std::vector<int> input_role_;  ///< -1 free, 0 outer, 1 inner, per input index
+  std::unique_ptr<SatForall> sat_forall_;  ///< null unless the AIG form
+  ForallSide forall_;
 };
 
 }  // namespace step::qbf

@@ -514,6 +514,19 @@ TEST(CliExitCodes, HostileAigerHeaderExitsWith3) {
   }
 }
 
+TEST(CliExitCodes, PlausibleHostileAigerHeaderUnderMemLimitExitsWith3) {
+  // A header within the plausibility rule (each count ≤ 8·bytes + 1024)
+  // still sizes the ASCII reader's tables at ~14 B per M: 1.5M variables
+  // from a 200 kB file. Under -mem-limit the run's tracker trips before
+  // those tables exist, a bounded io error; without a cap it parses.
+  const std::string aag =
+      testing::TempDir() + "/outcome_cli_plausible_header.aag";
+  std::ofstream(aag) << "aag 1500000 0 0 0 0\nc\n"
+                     << std::string(200000, 'x') << "\n";
+  EXPECT_EQ(run_cli("decompose " + aag + " -mem-limit 1"), 3);
+  EXPECT_EQ(run_cli("decompose " + aag), 0);
+}
+
 TEST(CliExitCodes, MissingInputExitsWith3) {
   EXPECT_EQ(run_cli("decompose /nonexistent/definitely_missing.blif"), 3);
 }

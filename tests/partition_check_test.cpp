@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "aig/support.h"
 #include "core/extract.h"
 #include "core/mg.h"
+#include "core/optimum.h"
+#include "core/qbf_model.h"
 #include "test_util.h"
 
 namespace step::core {
@@ -155,13 +159,13 @@ TEST_P(SeedPairAgreement, EveryPairMatchesExhaustiveCheck) {
         p.cls[j] = VarClass::kA;
         p.cls[l] = VarClass::kB;
         const bool oracle = check_partition_exhaustive(cone, op, p, c);
-        ASSERT_EQ(table.pair_valid(j, l), oracle)
+        ASSERT_EQ(testutil::table_pair_valid(table, j, l), oracle)
             << to_string(op) << " seed=" << seed << " iter=" << iter
             << " care=" << with_care << " pair=" << j << "," << l;
         any = any || oracle;
       }
     }
-    EXPECT_EQ(table.any_pair_valid(), any)
+    EXPECT_EQ(testutil::table_any_pair_valid(table), any)
         << to_string(op) << " seed=" << seed << " iter=" << iter;
     // MG itself: a seed exists iff some pair is valid. Every op runs on
     // the truth table with no SAT call.
@@ -341,7 +345,7 @@ TEST_P(TableTierFuzz, AgreesWithSatOnStatesMgAndExtraction) {
     const PartitionSearchResult r = mg_on_table(table, nullptr, &st);
     EXPECT_EQ(r.sat_calls, 0);
     EXPECT_EQ(r.found, sat_any) << where;
-    EXPECT_EQ(r.found, table.any_pair_valid()) << where;
+    EXPECT_EQ(r.found, testutil::table_any_pair_valid(table)) << where;
     if (!r.found) {
       EXPECT_TRUE(r.exhausted) << where;
       continue;
@@ -388,6 +392,155 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(OpSeed{GateOp::kOr, 0}, OpSeed{GateOp::kOr, 1},
                       OpSeed{GateOp::kAnd, 0}, OpSeed{GateOp::kAnd, 1},
                       OpSeed{GateOp::kXor, 0}, OpSeed{GateOp::kXor, 1}));
+
+// ---------- the CEGAR search's table ∀-side vs the SAT oracle ----------------
+
+class TableForallFuzz : public ::testing::TestWithParam<OpSeed> {};
+
+TEST_P(TableForallFuzz, AgreesWithSatAndRefinesWithNearestRows) {
+  // On random ≤ 16-input OR/AND cones (random, decomposable, padded with
+  // irrelevant inputs; some with care sets) and random fN-satisfying
+  // candidates: the table ∀-side holds iff the SAT view calls the
+  // partition valid, and a refutation's clause is false under the
+  // candidate and names exactly the flips of its countermodel rows, which
+  // are the nearest ones. Cones of ≤ 10 inputs without a care set also
+  // run the finder: its QD/QB/QDB optima match the brute-force oracle.
+  const auto [op, seed] = GetParam();
+  Rng rng(seed * 104729 + 11);
+  int finder_rows = 0;
+  for (int iter = 0; iter < 24; ++iter) {
+    int n = rng.next_int(2, 14);
+    Cone cone;
+    if (iter % 3 == 1 && n >= 4) {
+      cone = testutil::decomposable_cone(n, op, rng).cone;
+    } else {
+      cone = testutil::random_cone(n, rng.next_int(n, 4 * n), rng.next());
+    }
+    if (iter % 4 == 3) {
+      for (int k = rng.next_int(1, 2); k > 0; --k) cone.aig.add_input();
+      n = cone.n();
+    }
+    const bool with_care = iter % 2 == 1;
+    const CareSet care = testutil::random_care(n, rng, 0.6);
+    const CareSet* c = with_care ? &care : nullptr;
+    const std::string where = std::string(to_string(op)) + " seed=" +
+                              std::to_string(seed) + " iter=" +
+                              std::to_string(iter) + " n=" +
+                              std::to_string(n) +
+                              " care=" + std::to_string(with_care);
+    const RelaxationMatrix m = build_relaxation_matrix(cone, op, c);
+    RelaxationSolver rs(m);
+    const RelaxationTable table(m);
+    qbf::ForallSide forall = table_forall_side(table);
+
+    // On/off rows of the OR form, read from the cone, not the table.
+    std::vector<std::uint32_t> sup(n);
+    for (int i = 0; i < n; ++i) sup[i] = i;
+    const std::vector<std::uint64_t> ft =
+        aig::truth_table(cone.aig, cone.root, sup);
+    const std::vector<std::uint64_t> ct =
+        with_care ? aig::truth_table(care.aig, care.root, sup)
+                  : std::vector<std::uint64_t>{};
+    auto in_care = [&](std::uint32_t r) {
+      return !with_care || aig::tt_bit(ct, r);
+    };
+    auto on = [&](std::uint32_t r) {
+      return in_care(r) && aig::tt_bit(ft, r) != (op == GateOp::kAnd);
+    };
+    auto off = [&](std::uint32_t r) {
+      return in_care(r) && aig::tt_bit(ft, r) == (op == GateOp::kAnd);
+    };
+
+    for (int k = 0; k < 16; ++k) {
+      // fN: at least one input in XA and one in XB, none in both.
+      Partition p;
+      do {
+        p = testutil::random_partition(n, rng);
+      } while (!p.non_trivial());
+      std::uint32_t a = 0, b = 0;
+      std::vector<sat::Lbool> cand(2 * n, sat::Lbool::kFalse);
+      for (int i = 0; i < n; ++i) {
+        if (p.cls[i] == VarClass::kA) {
+          a |= 1U << i;
+          cand[i] = sat::Lbool::kTrue;
+        }
+        if (p.cls[i] == VarClass::kB) {
+          b |= 1U << i;
+          cand[n + i] = sat::Lbool::kTrue;
+        }
+      }
+      sat::LitVec clause;
+      const qbf::ForallVerdict v = forall(cand, clause, nullptr);
+      ASSERT_NE(v, qbf::ForallVerdict::kUnknown) << where;
+      const bool holds = v == qbf::ForallVerdict::kHolds;
+      ASSERT_EQ(holds, rs.is_valid(p)) << where << " " << p.to_string();
+      TableCountermodel cm;
+      std::vector<std::uint64_t> scratch;
+      ASSERT_EQ(table.forall_holds(a, b, cm, scratch), holds) << where;
+      if (holds) continue;
+
+      // The clause is false under the candidate and is the rows' clause.
+      std::uint32_t clause_a = 0, clause_b = 0;
+      for (const sat::Lit l : clause) {
+        ASSERT_TRUE(sat::sign(l)) << where;
+        const int var = static_cast<int>(sat::var(l));
+        ASSERT_LT(var, 2 * n) << where;
+        EXPECT_EQ(cand[var], sat::Lbool::kTrue) << where;
+        (var < n ? clause_a : clause_b) |= 1U << (var % n);
+      }
+      EXPECT_EQ(clause_a, cm.x ^ cm.xa) << where;
+      EXPECT_EQ(clause_b, cm.x ^ cm.xb) << where;
+
+      // The rows: f(x) = 1, f(x′) = f(x″) = 0 on the care set, x′ flips
+      // only α-inputs and x″ only β-inputs.
+      EXPECT_TRUE(on(cm.x)) << where;
+      EXPECT_TRUE(off(cm.xa)) << where;
+      EXPECT_TRUE(off(cm.xb)) << where;
+      EXPECT_EQ(clause_a & ~a, 0U) << where;
+      EXPECT_EQ(clause_b & ~b, 0U) << where;
+
+      // Nearest: no off-row within the same side flips fewer inputs.
+      auto nearest = [&](std::uint32_t side) {
+        int best = 32;
+        for (std::uint32_t s = side;; s = (s - 1) & side) {
+          if (off(cm.x ^ s)) best = std::min(best, std::popcount(s));
+          if (s == 0) break;
+        }
+        return best;
+      };
+      EXPECT_EQ(std::popcount(clause_a), nearest(a)) << where;
+      EXPECT_EQ(std::popcount(clause_b), nearest(b)) << where;
+    }
+
+    if (with_care || n > 10) continue;
+    ++finder_rows;
+    for (const QbfModel model :
+         {QbfModel::kQD, QbfModel::kQB, QbfModel::kQDB}) {
+      QbfPartitionFinder finder(m);
+      const OptimumResult r = OptimumSearch(finder, model).run(std::nullopt);
+      const BruteForceResult oracle =
+          brute_force_optimum(cone, op, metric_of(model));
+      EXPECT_EQ(finder.verification_conflicts(), 0U) << where;
+      if (!oracle.decomposable) {
+        EXPECT_EQ(r.outcome, OptimumResult::Outcome::kNotDecomposable)
+            << where;
+        continue;
+      }
+      ASSERT_EQ(r.outcome, OptimumResult::Outcome::kFound) << where;
+      EXPECT_TRUE(r.proven_optimal) << where << " " << to_string(model);
+      EXPECT_EQ(r.best_cost, oracle.best_cost)
+          << where << " " << to_string(model);
+      EXPECT_TRUE(check_partition_exhaustive(cone, op, r.best)) << where;
+    }
+  }
+  EXPECT_GT(finder_rows, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ops, TableForallFuzz,
+    ::testing::Values(OpSeed{GateOp::kOr, 0}, OpSeed{GateOp::kOr, 1},
+                      OpSeed{GateOp::kOr, 2}, OpSeed{GateOp::kAnd, 0},
+                      OpSeed{GateOp::kAnd, 1}, OpSeed{GateOp::kAnd, 2}));
 
 TEST(TableTier, EquivalenceTablesAgreeWithMiter) {
   // roots_equivalent_on_care decides ≤ 16 inputs from tables; the SAT

@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "core/bidec_types.h"
 #include "core/care.h"
+#include "core/relaxation.h"
 #include "sat/solver.h"
 
 namespace step::testutil {
@@ -152,6 +153,34 @@ inline bool equivalent_by_simulation(const aig::Aig& a1, aig::Lit r1,
   std::vector<std::uint32_t> support(n);
   for (int i = 0; i < n; ++i) support[i] = i;
   return aig::truth_table(a1, r1, support) == aig::truth_table(a2, r2, support);
+}
+
+/// Oracle: the pair partition ({j},{l}), every other input in XC, is valid
+/// on the table (j != l). OR/AND: on ∧ off^j ∧ off^l = 0. XOR: j and l do
+/// not interact.
+inline bool table_pair_valid(const core::RelaxationTable& t, int j, int l) {
+  if (t.op() == core::GateOp::kXor) {
+    return ((t.xor_interacting(j) >> l) & 1U) == 0;
+  }
+  const std::uint64_t* off = t.off().data();
+  for (std::size_t w = 0; w < t.words(); ++w) {
+    if ((t.on()[w] & aig::tt_flip_word(off, w, j) &
+         aig::tt_flip_word(off, w, l)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Oracle: some pair j < l is valid on the table, i.e. MG's seed scan
+/// finds a seed.
+inline bool table_any_pair_valid(const core::RelaxationTable& t) {
+  for (int j = 0; j < t.n(); ++j) {
+    for (int l = j + 1; l < t.n(); ++l) {
+      if (table_pair_valid(t, j, l)) return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace step::testutil

@@ -366,7 +366,7 @@ int cmd_stats(const io::Network& net, const aig::Aig& circuit) {
 }
 
 int cmd_decompose(const CliOptions& cli, const io::Network& net,
-                  const aig::Aig& circuit) {
+                  const aig::Aig& circuit, ResourceGovernor* gov) {
   core::DecomposeOptions opts;
   opts.op = cli.op;
   opts.engine = cli.engine;
@@ -375,9 +375,7 @@ int cmd_decompose(const CliOptions& cli, const io::Network& net,
   opts.sat = cli.sat;
   opts.use_dont_cares = cli.use_dc;
   opts.window = cli.window;
-  ResourceGovernor governor = make_governor(cli);
-  const core::ParallelDriverOptions par =
-      driver_options(cli, has_governor(cli) ? &governor : nullptr);
+  const core::ParallelDriverOptions par = driver_options(cli, gov);
   const core::CircuitRunResult run =
       core::run_circuit(circuit, net.name, opts, cli.timeout_s, par);
 
@@ -426,10 +424,10 @@ int cmd_decompose(const CliOptions& cli, const io::Network& net,
                       run.total_window_sdc_minterms()),
                   run.total_window_sat_completions());
     }
-    if (has_governor(cli)) {
+    if (gov != nullptr) {
       std::printf("# mem: peak=%zu bytes cones_tripped=%llu\n",
-                  governor.peak_run_bytes(),
-                  static_cast<unsigned long long>(governor.cones_tripped()));
+                  gov->peak_run_bytes(),
+                  static_cast<unsigned long long>(gov->cones_tripped()));
     }
     std::printf("# stats: mode=%s sat_calls=%ld qbf_calls=%ld"
                 " qbf_iterations=%ld\n",
@@ -495,9 +493,8 @@ void print_synthesis_stats(std::FILE* out, const CliOptions& cli,
 
 core::CircuitResynthResult run_resynth(const CliOptions& cli,
                                        const io::Network& net,
-                                       const aig::Aig& circuit, bool verify) {
-  ResourceGovernor governor = make_governor(cli);
-  ResourceGovernor* gov = has_governor(cli) ? &governor : nullptr;
+                                       const aig::Aig& circuit, bool verify,
+                                       ResourceGovernor* gov) {
   MemTracker cache_mem(gov);
   core::DecCache cache;
   core::SynthesisOptions opts =
@@ -514,9 +511,9 @@ core::CircuitResynthResult run_resynth(const CliOptions& cli,
 
 /// `step decompose --recursive`: full per-PO decomposition trees.
 int cmd_decompose_recursive(const CliOptions& cli, const io::Network& net,
-                            const aig::Aig& circuit) {
+                            const aig::Aig& circuit, ResourceGovernor* gov) {
   const core::CircuitResynthResult r =
-      run_resynth(cli, net, circuit, cli.verify);
+      run_resynth(cli, net, circuit, cli.verify, gov);
   std::printf("%-6s %8s %6s %7s %7s %7s %9s\n", "po", "support", "gates",
               "leaves", "depth0", "depth1", "cpu(s)");
   for (const core::PoResynthOutcome& po : r.pos) {
@@ -544,9 +541,9 @@ int cmd_decompose_recursive(const CliOptions& cli, const io::Network& net,
 }
 
 int cmd_resynth(const CliOptions& cli, const io::Network& net,
-                const aig::Aig& circuit) {
+                const aig::Aig& circuit, ResourceGovernor* gov) {
   const core::CircuitResynthResult r =
-      run_resynth(cli, net, circuit, cli.verify);
+      run_resynth(cli, net, circuit, cli.verify, gov);
   std::fprintf(stderr,
                "# resynth: %d decompositions, %d leaves (%d atomic),"
                " %d cache hits; ANDs %u -> %u, depth %d -> %d\n",
@@ -659,6 +656,9 @@ int main(int argc, char** argv) try {
   // interrupted run flushes its partial report (unfinished POs typed as
   // circuit_deadline) and exits 130 instead of dying mid-write.
   std::signal(SIGINT, handle_sigint);
+  // One memory governor for the whole run, the parse included.
+  ResourceGovernor governor = make_governor(cli);
+  ResourceGovernor* const gov = has_governor(cli) ? &governor : nullptr;
 
   // Injected reader failure: with the explicit "i" fault kind enabled the
   // CLI's read deterministically fails like an unreadable file would —
@@ -678,7 +678,12 @@ int main(int argc, char** argv) try {
            cli.input.compare(cli.input.size() - n, n, suffix) == 0;
   };
   if (ends_with(".aag") || ends_with(".aig")) {
-    circuit = io::read_aiger_file(cli.input);
+    // The reader charges the run's tracker before it allocates, so a
+    // hostile header under -mem-limit ends in a bounded io error. Only the
+    // run cap applies: the parse is not a cone.
+    MemTracker read_mem(gov);
+    read_mem.set_soft_cap(0);
+    circuit = io::read_aiger_file(cli.input, &read_mem);
     const std::size_t slash = cli.input.find_last_of('/');
     net.name = slash == std::string::npos ? cli.input
                                           : cli.input.substr(slash + 1);
@@ -695,10 +700,10 @@ int main(int argc, char** argv) try {
 
   if (cli.command == "stats") return cmd_stats(net, circuit);
   if (cli.command == "decompose") {
-    return cli.recursive ? cmd_decompose_recursive(cli, net, circuit)
-                         : cmd_decompose(cli, net, circuit);
+    return cli.recursive ? cmd_decompose_recursive(cli, net, circuit, gov)
+                         : cmd_decompose(cli, net, circuit, gov);
   }
-  if (cli.command == "resynth") return cmd_resynth(cli, net, circuit);
+  if (cli.command == "resynth") return cmd_resynth(cli, net, circuit, gov);
   usage();
 } catch (const step::io::IoError& e) {
   std::fprintf(stderr, "step: io error: %s\n", e.what());
