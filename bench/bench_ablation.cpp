@@ -2,10 +2,8 @@
 // out. Not a paper table; quantifies each claim:
 //   1. symmetry breaking |XA| >= |XB| "reduces substantially the search
 //      space" (Section IV.A.2),
-//   2. the single-clause refinement fast path vs generic Tseitin,
-//   3. MG bootstrapping of the upper bound (Section IV.A.6),
-//   4. search strategy schedules (MI vs MD vs Bin vs the composite),
-//   5. the persistent incremental solver pair vs scratch rebuild per bound.
+//   2. MG bootstrapping of the upper bound (Section IV.A.6),
+//   3. search strategy schedules (MI vs MD vs Bin vs the composite).
 // Metrics: total QBF solver calls, total CEGAR refinement rounds
 // (QbfPartitionFinder::total_iterations) and wall time over a fixed set of
 // decomposable cones. Exits 1 when a configuration finds a different
@@ -82,7 +80,8 @@ int main() {
   const auto scale = benchgen::scale_from_env();
   bench::print_preamble("Ablations: QBF model engineering choices", scale);
   const Workload w = make_workload(scale);
-  std::printf("# workload: %zu OR cones, supports 6..14\n\n", w.matrices.size());
+  std::printf("# workload: %zu OR cones, supports 6..14\n\n",
+              w.matrices.size());
 
   core::QbfFinderOptions base_f;
   core::OptimumOptions base_o;
@@ -104,16 +103,6 @@ int main() {
     f.symmetry_breaking = false;
     check("- symmetry breaking", run_config(w, f, base_o, true));
   }
-  {
-    core::QbfFinderOptions f = base_f;
-    f.incremental = false;
-    check("- incremental (scratch)", run_config(w, f, base_o, true));
-  }
-  {
-    core::QbfFinderOptions f = base_f;
-    f.cegar.clause_fast_path = false;
-    check("- clause fast path", run_config(w, f, base_o, true));
-  }
   check("- MG bootstrap", run_config(w, base_f, base_o, false));
 
   std::printf("\n# strategy schedules (bootstrap on):\n");
@@ -132,7 +121,7 @@ int main() {
   }
 
   std::printf(
-      "\n# expectations: removing any of 1-3 increases refinements and/or"
+      "\n# expectations: removing 1 or 2 increases refinements and/or"
       " time;\n# every configuration finds the same number of optima"
       " (soundness is unaffected): %s\n",
       mismatches == 0 ? "yes" : "NO");

@@ -1,12 +1,13 @@
 // Reproduces Table III: "Performance data for OR bi-decomposition" —
 // #Dec (functions decomposed) and CPU seconds per circuit for
-// LJH, STEP-MG and STEP-{QD,QB,QDB} — and A/Bs the incremental optimum
-// search (persistent CEGAR solver pair, assumption-activated bounds)
-// against the scratch rebuild-per-query path on the QBF engines.
+// LJH, STEP-MG and STEP-{QD,QB,QDB} — and times the optimum-search loop
+// of the QBF engines on its own, checking its answers against the
+// brute-force oracles (core/partition_check.h) on every cone of at most
+// 10 inputs.
 //
 // `--json <path>` additionally writes the whole run machine-readably
 // (per-circuit per-engine wall/calls/iterations/conflicts plus the
-// incremental-vs-scratch comparison); CI emits BENCH_table3.json.
+// search-loop section); CI emits BENCH_table3.json.
 //
 // `--sat-json <path>` runs the SAT-configuration A/B on top: the same
 // optimum-search loop under the shipped solver ("modern": LBD tiers, Luby
@@ -91,6 +92,8 @@ int main(int argc, char** argv) {
                             Engine::kQbfBalanced, Engine::kQbfCombined};
   const Engine qbf_engines[] = {Engine::kQbfDisjoint, Engine::kQbfBalanced,
                                 Engine::kQbfCombined};
+  const core::QbfModel qbf_models[] = {core::QbfModel::kQD, core::QbfModel::kQB,
+                                       core::QbfModel::kQDB};
 
   // cells[c][e]: full run result, kept for the JSON artifact. Each cell is
   // the fastest of kTableRepeats runs (answers are deterministic, CPU time
@@ -195,9 +198,10 @@ int main(int argc, char** argv) {
                 dc_total_exact, dc_total_dc);
   }
 
-  // Shared search-loop workload of both A/Bs below: matrices and MG
-  // bootstraps are prepared once, outside every timer.
+  // Shared search-loop workload of the two sections below: matrices and
+  // MG bootstraps are prepared once, outside every timer.
   struct Workload {
+    core::Cone cone;
     core::RelaxationMatrix matrix;
     std::optional<core::Partition> bootstrap;
   };
@@ -207,6 +211,7 @@ int main(int argc, char** argv) {
       const core::Cone cone = core::extract_po_cone(circ.aig, po);
       if (cone.n() < 2) continue;
       Workload w;
+      w.cone = cone;
       w.matrix = core::build_relaxation_matrix(cone, core::GateOp::kOr);
       core::RelaxationSolver rs(w.matrix);
       core::MgDecomposer mg(rs);
@@ -219,78 +224,87 @@ int main(int argc, char** argv) {
   std::printf("# workload: %zu decomposable OR cones, MG-bootstrapped\n",
               work.size());
 
-  // ---- incremental vs scratch A/B on the optimum-search hot path --------
-  // Isolates exactly the part the two architectures implement differently;
-  // each mode runs the full bound-search schedule over every cone.
+  // ---- the optimum-search loop on its own --------------------------------
+  // Each engine runs the full bound-search schedule over every cone.
   // Counters are deterministic; wall time is the minimum of kRepeats runs.
-  // Skipped under --ab-only: only the SAT-configuration A/B feeds the CI
-  // gate, and these 18 extra search-loop passes would double its cost.
-  struct AbResult {
+  // Every cone of at most 10 inputs is then checked against the
+  // brute-force oracles, which share no code with the search: the found
+  // partition must be valid, its cost no lower than the optimum, and a
+  // proven-optimal cost equal to it. Skipped under --ab-only, which runs
+  // the SAT-configuration A/B alone.
+  struct LoopResult {
     int found = 0;
     long qbf_calls = 0;
     long iterations = 0;
     std::uint64_t abs_conflicts = 0;
     std::uint64_t ver_conflicts = 0;
     double wall_s = 0.0;
-    /// Per-cone (outcome, best_cost, proven_optimal) answers; counters are
-    /// deterministic across repeats, so the first pass's answers stand.
-    std::vector<std::array<int, 3>> answers;
+    /// Per-cone answers; deterministic across repeats, so any pass's stand.
+    std::vector<core::OptimumResult> answers;
   };
   constexpr int kRepeats = 3;
-  AbResult ab[3][2];      // [engine][0=incremental, 1=scratch]
-  long answer_mismatches = 0;  // across all engines
+  constexpr int kOracleMaxInputs = 10;  // brute_force_optimum's limit
+  LoopResult loop[3];
+  long oracle_checked = 0;
+  long oracle_mismatches = 0;  // across all engines
   if (!ab_only) {
-    std::printf("\n# optimum-search architecture A/B (OR, whole suite,"
-                " search loop only):\n");
-    std::printf("%-10s %-12s %6s %9s %10s %11s %12s\n", "Engine", "mode",
-                "found", "CPU(s)", "qbf_calls", "iterations", "conflicts");
+    std::printf("\n# optimum-search loop (OR, whole suite, search loop"
+                " only):\n");
+    std::printf("%-10s %6s %9s %10s %11s %12s\n", "Engine", "found", "CPU(s)",
+                "qbf_calls", "iterations", "conflicts");
     for (int e = 0; e < 3; ++e) {
-      const core::QbfModel model = e == 0   ? core::QbfModel::kQD
-                                   : e == 1 ? core::QbfModel::kQB
-                                            : core::QbfModel::kQDB;
-      for (int mode = 0; mode < 2; ++mode) {
-        AbResult& res = ab[e][mode];
-        for (int rep = 0; rep < kRepeats; ++rep) {
-          AbResult pass;
-          Timer t;
-          for (const Workload& w : work) {
-            core::QbfFinderOptions f;
-            f.incremental = (mode == 0);
-            core::OptimumOptions o;
-            o.call_timeout_s = budgets.qbf_call_s;
-            core::QbfPartitionFinder finder(w.matrix, f);
-            core::OptimumSearch search(finder, model, o);
-            const core::OptimumResult r = search.run(w.bootstrap);
-            if (r.outcome == core::OptimumResult::Outcome::kFound) ++pass.found;
-            pass.answers.push_back({static_cast<int>(r.outcome), r.best_cost,
-                                    r.proven_optimal ? 1 : 0});
-            pass.qbf_calls += finder.qbf_calls();
-            pass.iterations += finder.total_iterations();
-            pass.abs_conflicts += finder.abstraction_conflicts();
-            pass.ver_conflicts += finder.verification_conflicts();
-          }
-          pass.wall_s = t.elapsed_s();
-          if (rep == 0 || pass.wall_s < res.wall_s) res = std::move(pass);
+      LoopResult& res = loop[e];
+      for (int rep = 0; rep < kRepeats; ++rep) {
+        LoopResult pass;
+        Timer t;
+        for (const Workload& w : work) {
+          core::OptimumOptions o;
+          o.call_timeout_s = budgets.qbf_call_s;
+          core::QbfPartitionFinder finder(w.matrix);
+          core::OptimumSearch search(finder, qbf_models[e], o);
+          core::OptimumResult r = search.run(w.bootstrap);
+          if (r.outcome == core::OptimumResult::Outcome::kFound) ++pass.found;
+          pass.qbf_calls += finder.qbf_calls();
+          pass.iterations += finder.total_iterations();
+          pass.abs_conflicts += finder.abstraction_conflicts();
+          pass.ver_conflicts += finder.verification_conflicts();
+          pass.answers.push_back(std::move(r));
         }
-        std::printf("%-10s %-12s %6d %9.3f %10ld %11ld %12llu\n",
-                    core::to_string(qbf_engines[e]),
-                    mode == 0 ? "incremental" : "scratch", res.found,
-                    res.wall_s, res.qbf_calls, res.iterations,
-                    static_cast<unsigned long long>(res.abs_conflicts +
-                                                    res.ver_conflicts));
-        std::fflush(stdout);
+        pass.wall_s = t.elapsed_s();
+        if (rep == 0 || pass.wall_s < res.wall_s) res = std::move(pass);
       }
-      // The real equivalence check: per cone, both architectures must report
-      // the same outcome, optimum cost, and optimality proof.
-      for (std::size_t i = 0; i < work.size(); ++i) {
-        if (ab[e][0].answers[i] != ab[e][1].answers[i]) ++answer_mismatches;
+      std::printf("%-10s %6d %9.3f %10ld %11ld %12llu\n",
+                  core::to_string(qbf_engines[e]), res.found, res.wall_s,
+                  res.qbf_calls, res.iterations,
+                  static_cast<unsigned long long>(res.abs_conflicts +
+                                                  res.ver_conflicts));
+      std::fflush(stdout);
+    }
+    using Outcome = core::OptimumResult::Outcome;
+    for (std::size_t i = 0; i < work.size(); ++i) {
+      const core::Cone& cone = work[i].cone;
+      if (cone.n() > kOracleMaxInputs) continue;
+      ++oracle_checked;
+      for (int e = 0; e < 3; ++e) {
+        const core::BruteForceResult oracle = core::brute_force_optimum(
+            cone, core::GateOp::kOr, core::metric_of(qbf_models[e]));
+        const core::OptimumResult& r = loop[e].answers[i];
+        bool ok =
+            r.outcome != Outcome::kNotDecomposable || !oracle.decomposable;
+        if (r.outcome == Outcome::kFound) {
+          ok = oracle.decomposable &&
+               core::check_partition_exhaustive(cone, core::GateOp::kOr,
+                                                r.best) &&
+               r.best_cost >= oracle.best_cost &&
+               (!r.proven_optimal || r.best_cost == oracle.best_cost);
+        }
+        if (!ok) ++oracle_mismatches;
       }
     }
-    std::printf(
-        "# expectation: per engine, incremental <= scratch on CPU and on"
-        " conflicts;\n# answer mismatches (outcome/best_cost/proven_optimal,"
-        " must be 0): %ld\n",
-        answer_mismatches);
+    std::printf("# oracle: %ld cones of <= %d inputs checked against"
+                " brute_force_optimum / check_partition_exhaustive;"
+                " mismatches (must be 0): %ld\n",
+                oracle_checked, kOracleMaxInputs, oracle_mismatches);
   }  // !ab_only
 
   if (!json_path.empty()) {
@@ -364,29 +378,27 @@ int main(int argc, char** argv) {
     }
     j.end_array();
     j.end_object();
-    j.key("incremental_vs_scratch");
+    j.key("search_loop");
     j.begin_object();
     j.kv("workload_cones", static_cast<long long>(work.size()));
     j.kv("repeats", kRepeats);
-    j.kv("answer_mismatches", answer_mismatches);
+    j.kv("oracle_checked", oracle_checked);
+    j.kv("oracle_mismatches", oracle_mismatches);
     j.kv("measures", "optimum-search loop only (matrices + MG bootstrap"
-                     " prepared outside the timer); wall = min over repeats");
+                     " prepared outside the timer); wall = min over repeats;"
+                     " oracle = brute_force_optimum and"
+                     " check_partition_exhaustive on cones of <= 10 inputs");
     j.key("engines");
     j.begin_array();
     for (int e = 0; e < 3; ++e) {
       j.begin_object();
       j.kv("engine", core::to_string(qbf_engines[e]));
-      for (int mode = 0; mode < 2; ++mode) {
-        j.key(mode == 0 ? "incremental" : "scratch");
-        j.begin_object();
-        j.kv("found", ab[e][mode].found);
-        j.kv("wall_s", ab[e][mode].wall_s);
-        j.kv("qbf_calls", ab[e][mode].qbf_calls);
-        j.kv("qbf_iterations", ab[e][mode].iterations);
-        j.kv("abstraction_conflicts", ab[e][mode].abs_conflicts);
-        j.kv("verification_conflicts", ab[e][mode].ver_conflicts);
-        j.end_object();
-      }
+      j.kv("found", loop[e].found);
+      j.kv("wall_s", loop[e].wall_s);
+      j.kv("qbf_calls", loop[e].qbf_calls);
+      j.kv("qbf_iterations", loop[e].iterations);
+      j.kv("abstraction_conflicts", loop[e].abs_conflicts);
+      j.kv("verification_conflicts", loop[e].ver_conflicts);
       j.end_object();
     }
     j.end_array();
@@ -398,8 +410,8 @@ int main(int argc, char** argv) {
   }
 
   // ---- SAT-configuration A/B: modern defaults vs LBD tiers off ----------
-  // Same prepared search-loop workload, incremental mode on both sides;
-  // only the sat::SolverOptions differ. This is the committed
+  // Same prepared search-loop workload and finder on both sides; only the
+  // sat::SolverOptions differ. This is the committed
   // BENCH_sat.json evidence of what the LBD-tiered database is worth on
   // the workload the engines actually run.
   if (!sat_json_path.empty()) {
@@ -412,7 +424,7 @@ int main(int argc, char** argv) {
       std::vector<std::array<int, 3>> answers;
     };
     constexpr int kConfigs = 2;
-    // More repeats than the architecture A/B: the configs are closer in
+    // More repeats than the search-loop section: the configs are close in
     // wall time, so the min-statistic needs more samples to stabilize.
     constexpr int kSatRepeats = 5;
     // "modern" is the shipping default, "legacy" the same solver with LBD
@@ -421,7 +433,7 @@ int main(int argc, char** argv) {
                                                bench::legacy_sat_config()};
     const char* cfg_names[kConfigs] = {"modern", "legacy"};
     SatAb sab[kConfigs];
-    std::printf("\n# SAT-configuration A/B (incremental optimum search,"
+    std::printf("\n# SAT-configuration A/B (optimum search,"
                 " whole suite, all QBF engines):\n");
     std::printf("%-10s %6s %9s %10s %11s %12s %10s\n", "config", "found",
                 "CPU(s)", "qbf_calls", "iterations", "conflicts", "restarts");
@@ -435,12 +447,8 @@ int main(int argc, char** argv) {
         SatAb pass;
         Timer t;
         for (const Workload& w : work) {
-          for (int e = 0; e < 3; ++e) {
-            const core::QbfModel model = e == 0   ? core::QbfModel::kQD
-                                         : e == 1 ? core::QbfModel::kQB
-                                                  : core::QbfModel::kQDB;
+          for (const core::QbfModel model : qbf_models) {
             core::QbfFinderOptions f;
-            f.incremental = true;
             f.cegar.sat = cfgs[cfg];
             core::OptimumOptions o;
             o.call_timeout_s = budgets.qbf_call_s;
@@ -517,7 +525,7 @@ int main(int argc, char** argv) {
     j.kv("timing_explainable_diffs", sat_ab_timing_diffs);
     j.kv("measures",
          "optimum-search loop only (matrices + MG bootstrap prepared"
-         " outside the timer), QD+QB+QDB, incremental mode on both sides;"
+         " outside the timer), QD+QB+QDB, same finder on both sides;"
          " wall = min over repeats");
     j.key("configs");
     j.begin_object();

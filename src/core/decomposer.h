@@ -107,8 +107,8 @@ struct DecomposeResult {
   int qbf_calls = 0;
   /// QBF engines only: total CEGAR refinement rounds across all bound
   /// queries, and conflicts spent in the abstraction / verification SAT
-  /// solvers of the (persistent or scratch) CEGAR loop; the verification
-  /// count is 0 on the table ∀-side (OR/AND, ≤ 16 inputs).
+  /// solvers of the persistent CEGAR loop; the verification count is 0 on
+  /// the table ∀-side (OR/AND, ≤ 16 inputs).
   int qbf_iterations = 0;
   std::uint64_t qbf_abstraction_conflicts = 0;
   std::uint64_t qbf_verification_conflicts = 0;

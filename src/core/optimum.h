@@ -61,8 +61,8 @@ struct OptimumResult {
 /// and walks k according to the staged schedule. Results are never worse
 /// than the bootstrap partition (the paper bootstraps with STEP-MG).
 ///
-/// With the finder's default incremental mode, the whole MD/Bin/MI walk
-/// drives a single persistent CEGAR solver: each query only changes
+/// The whole MD/Bin/MI walk drives the finder's single persistent CEGAR
+/// solver for the model: each query only changes
 /// the assumption set activating the bound, and a refuted query's UNSAT
 /// core (QbfFindResult::refuted_below) may raise `lo` past k+1, skipping
 /// queries outright.

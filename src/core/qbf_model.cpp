@@ -49,54 +49,13 @@ QbfPartitionFinder::QbfPartitionFinder(const RelaxationMatrix& m,
   inner_.insert(inner_.end(), m_.xppp.begin(), m_.xppp.end());
 
   // The abstraction allocates one variable per outer input, in order, into
-  // a fresh solver: α occupies [0, n) and β occupies [n, 2n) in every
-  // instance, so the side-constraint clauses can be cached as templates.
+  // a fresh solver: α occupies [0, n) and β occupies [n, 2n).
   alpha_.resize(n);
   beta_.resize(n);
   for (int i = 0; i < n; ++i) {
     alpha_[i] = sat::mk_lit(static_cast<sat::Var>(i));
     beta_[i] = sat::mk_lit(static_cast<sat::Var>(n + i));
   }
-
-  // fN: non-trivial partition, one class per variable.
-  cnf::VecSink fn_sink(static_cast<sat::Var>(2 * n));
-  cnf::at_least_one(fn_sink, alpha_);
-  cnf::at_least_one(fn_sink, beta_);
-  for (int i = 0; i < n; ++i) fn_sink.add_binary(~alpha_[i], ~beta_[i]);
-  STEP_CHECK(fn_sink.num_vars() == 2 * n);  // fN allocates no aux vars
-  fn_clauses_ = fn_sink.clauses();
-
-  // Shared-variable indicators t_i ⇔ (¬α_i ∧ ¬β_i), used by QD and by the
-  // scratch path's eq. (8) QDB; the t vars land at [2n, 3n) when replayed
-  // right after fN.
-  cnf::VecSink t_sink(static_cast<sat::Var>(2 * n));
-  shared_lits_.resize(n);
-  for (int i = 0; i < n; ++i) {
-    const sat::Lit t = sat::mk_lit(t_sink.new_var());
-    shared_lits_[i] = t;
-    t_sink.add_ternary(t, alpha_[i], beta_[i]);
-    t_sink.add_binary(~t, ~alpha_[i]);
-    t_sink.add_binary(~t, ~beta_[i]);
-  }
-  shared_clauses_ = t_sink.clauses();
-}
-
-sat::LitVec QbfPartitionFinder::install_side_constraints(
-    qbf::ExistsForallSolver& solver, bool want_shared) const {
-  const int n = m_.n;
-  for (int i = 0; i < n; ++i) {
-    STEP_CHECK(solver.outer_var(i) == sat::var(alpha_[i]));
-    STEP_CHECK(solver.outer_var(n + i) == sat::var(beta_[i]));
-  }
-  cnf::SolverSink sink(solver.abstraction());
-  for (const sat::LitVec& c : fn_clauses_) sink.add_clause(c);
-  if (!want_shared) return {};
-  for (const sat::Lit l : shared_lits_) {
-    const sat::Var v = sink.new_var();
-    STEP_CHECK(v == sat::var(l));
-  }
-  for (const sat::LitVec& c : shared_clauses_) sink.add_clause(c);
-  return shared_lits_;
 }
 
 Partition QbfPartitionFinder::decode_partition(
@@ -125,26 +84,39 @@ std::unique_ptr<qbf::ExistsForallSolver> QbfPartitionFinder::make_solver() {
       outer_.size(), table_forall_side(*table_), opts_.cegar);
 }
 
-QbfPartitionFinder::IncState& QbfPartitionFinder::state_for(QbfModel model) {
-  auto& slot = inc_[static_cast<std::size_t>(model)];
+QbfPartitionFinder::ModelState& QbfPartitionFinder::state_for(QbfModel model) {
+  auto& slot = states_[static_cast<std::size_t>(model)];
   if (slot) return *slot;
 
-  slot = std::make_unique<IncState>();
-  IncState& st = *slot;
+  slot = std::make_unique<ModelState>();
+  ModelState& st = *slot;
   st.solver = make_solver();
-
+  const int n = m_.n;
   const bool sym = opts_.symmetry_breaking;
-  const sat::LitVec t =
-      install_side_constraints(*st.solver, model == QbfModel::kQD);
   cnf::SolverSink sink(st.solver->abstraction());
+
+  // fN: non-trivial partition, one class per variable.
+  cnf::at_least_one(sink, alpha_);
+  cnf::at_least_one(sink, beta_);
+  for (int i = 0; i < n; ++i) sink.add_binary(~alpha_[i], ~beta_[i]);
+
+  // QD's shared-variable indicators t_i ⇔ (¬α_i ∧ ¬β_i), at [2n, 3n).
+  sat::LitVec t;
+  if (model == QbfModel::kQD) {
+    for (int i = 0; i < n; ++i) t.push_back(sat::mk_lit(sink.new_var()));
+    for (int i = 0; i < n; ++i) {
+      sink.add_ternary(t[i], alpha_[i], beta_[i]);
+      sink.add_binary(~t[i], ~alpha_[i]);
+      sink.add_binary(~t[i], ~beta_[i]);
+    }
+  }
 
   // fT is *not* encoded per bound. Each inequality of the target becomes
   // one counter over its mixed-polarity literal list; a concrete bound k
   // is later enforced by assuming the counter's output suffix above
   // BoundCounter::counter_bound(k) (offset = the |neg| shift of the
   // difference form). The bound-independent |XA| >= |XB| symmetry break
-  // goes in as hard clauses, in the same position of the scratch path's
-  // clause order.
+  // goes in as hard clauses.
   auto add_bound = [&](const sat::LitVec& pos, const sat::LitVec& neg,
                        bool halved = false) {
     sat::LitVec lits(pos);
@@ -177,9 +149,10 @@ QbfPartitionFinder::IncState& QbfPartitionFinder::state_for(QbfModel model) {
   return st;
 }
 
-QbfFindResult QbfPartitionFinder::find_incremental(QbfModel model, int k,
-                                                   const Deadline* deadline) {
-  IncState& st = state_for(model);
+QbfFindResult QbfPartitionFinder::find_with_bound(QbfModel model, int k,
+                                                  const Deadline* deadline) {
+  ++qbf_calls_;
+  ModelState& st = state_for(model);
   qbf::ExistsForallSolver& solver = *st.solver;
   const std::uint64_t abs0 = solver.abstraction_stats().conflicts;
   const std::uint64_t ver0 = solver.verification_stats().conflicts;
@@ -189,14 +162,11 @@ QbfFindResult QbfPartitionFinder::find_incremental(QbfModel model, int k,
     bt.counter->assume_at_most(bt.counter_bound(k), assumps);
   }
   // Candidate steering, re-applied per query because phase saving and
-  // VSIDS decay drift the persistent solver away from the fresh-solver
-  // behaviour the scratch path gets for free: prefer false phases on α/β
-  // (maximally-shared candidates survive verification most often), and
-  // for the balancedness-driven models put the partition variables ahead
-  // of the encoder auxiliaries in the decision order. Measured on the
-  // table-III suite this collapses the QB bound sweeps (~4x fewer CEGAR
-  // rounds than scratch) and trims QDB, while QD does best with plain
-  // VSIDS order (see BENCH_table3.json).
+  // VSIDS decay carry the previous query's phases and activities into this
+  // one: prefer false phases on α/β (maximally-shared candidates survive
+  // verification most often), and for the balancedness-driven models put
+  // the partition variables ahead of the counter auxiliaries in the
+  // decision order. QD does best with plain VSIDS order.
   for (int i = 0; i < 2 * m_.n; ++i) {
     solver.abstraction().set_polarity_hint(solver.outer_var(i), false);
   }
@@ -239,87 +209,19 @@ QbfFindResult QbfPartitionFinder::find_incremental(QbfModel model, int k,
     }
     result.refuted_below = std::max(k + 1, refuted);
   }
-  return result;
-}
-
-QbfFindResult QbfPartitionFinder::find_scratch(QbfModel model, int k,
-                                               const Deadline* deadline) {
-  const std::unique_ptr<qbf::ExistsForallSolver> owned = make_solver();
-  qbf::ExistsForallSolver& solver = *owned;
-  const bool sym = opts_.symmetry_breaking;
-  const sat::LitVec t =
-      install_side_constraints(solver, model != QbfModel::kQB);
-  cnf::SolverSink sink(solver.abstraction());
-
-  // fT: the target constraint for the requested model and bound.
-  switch (model) {
-    case QbfModel::kQD: {
-      cnf::at_most_k(sink, t, k);
-      // Symmetry breaking |XA| >= |XB| (Section IV.A.2).
-      if (sym) cnf::diff_non_negative(sink, alpha_, beta_);
-      break;
-    }
-    case QbfModel::kQB: {
-      // 0 <= #XA − #XB <= k (eq. (6); symmetry removed by construction).
-      // Without the symmetry break, bound |#XA − #XB| <= k instead.
-      if (sym) cnf::diff_non_negative(sink, alpha_, beta_);
-      cnf::diff_at_most_k(sink, alpha_, beta_, k);
-      if (!sym) cnf::diff_at_most_k(sink, beta_, alpha_, k);
-      break;
-    }
-    case QbfModel::kQDB: {
-      // 0 <= #XC + #XA − #XB <= k with |XA| >= |XB| (eq. (8)); the
-      // unbroken variant bounds #XC + |#XA − #XB| <= k. Kept literal, over
-      // the t indicators, as the reference for the incremental path's
-      // smaller-block counter.
-      if (sym) cnf::diff_non_negative(sink, alpha_, beta_);
-      sat::LitVec pos_a(t);
-      pos_a.insert(pos_a.end(), alpha_.begin(), alpha_.end());
-      cnf::diff_at_most_k(sink, pos_a, beta_, k);
-      if (!sym) {
-        sat::LitVec pos_b(t);
-        pos_b.insert(pos_b.end(), beta_.begin(), beta_.end());
-        cnf::diff_at_most_k(sink, pos_b, alpha_, k);
-      }
-      break;
-    }
-  }
-
-  const qbf::Qbf2Result r = solver.solve(deadline);
-  abs_conflicts_ += solver.abstraction_stats().conflicts;
-  ver_conflicts_ += solver.verification_stats().conflicts;
-  scratch_stats_ += solver.abstraction_stats();
-  scratch_stats_ += solver.verification_stats();
-
-  QbfFindResult result;
-  result.status = r.status;
-  result.iterations = r.iterations;
-  if (r.status == qbf::Qbf2Status::kTrue) {
-    result.partition = decode_partition(r.outer_model);
-  } else if (r.status == qbf::Qbf2Status::kFalse) {
-    result.refuted_below = k + 1;
-  }
+  total_iterations_ += result.iterations;
   return result;
 }
 
 sat::Solver::Stats QbfPartitionFinder::solver_stats() const {
-  sat::Solver::Stats s = scratch_stats_;
-  for (const auto& slot : inc_) {
+  sat::Solver::Stats s;
+  for (const auto& slot : states_) {
     if (slot != nullptr && slot->solver != nullptr) {
       s += slot->solver->abstraction_stats();
       s += slot->solver->verification_stats();
     }
   }
   return s;
-}
-
-QbfFindResult QbfPartitionFinder::find_with_bound(QbfModel model, int k,
-                                                  const Deadline* deadline) {
-  ++qbf_calls_;
-  QbfFindResult r = opts_.incremental ? find_incremental(model, k, deadline)
-                                      : find_scratch(model, k, deadline);
-  total_iterations_ += r.iterations;
-  return r;
 }
 
 }  // namespace step::core

@@ -46,7 +46,7 @@ struct QbfFindResult {
   Partition partition;
   int iterations = 0;
   /// Valid when status == kFalse: every bound < refuted_below is refuted.
-  /// Always >= k+1 for the queried k; the incremental path can report more
+  /// Always >= k+1 for the queried k; more
   /// when the UNSAT core over the cardinality-counter outputs proves the
   /// cost is forced even higher, letting the optimum search raise its
   /// lower bound past k+1 without extra queries.
@@ -75,25 +75,17 @@ qbf::ForallSide table_forall_side(const RelaxationTable& table);
 /// (table_forall_side): no verification solver, no Tseitin encoding. XOR
 /// and wider cones keep the SAT ∀-side over ¬Φ's cone copies.
 ///
-/// Two execution modes share this interface:
-///  - *incremental* (default): one persistent CEGAR solver per model
-///    carries fN, every refinement, all learned clauses and heuristic
-///    state (and, on the SAT ∀-side, the matrix CNF) across every bound
-///    query; fT bounds are activated purely through assumptions on an
-///    incremental cardinality counter, so tightening k never re-encodes
-///    anything.
-///  - *scratch*: the original rebuild-per-query path, kept behind
-///    `incremental = false` for A/B regression of answers and cost. Each
-///    query builds a fresh CEGAR solver and carries nothing from the last.
+/// One persistent CEGAR solver per model carries fN, every refinement,
+/// all learned clauses and heuristic state (and, on the SAT ∀-side, the
+/// matrix CNF) across every bound query. fT bounds are activated purely
+/// through assumptions on an incremental cardinality counter, so
+/// tightening k never re-encodes anything.
 struct QbfFinderOptions {
   /// Break the XA/XB symmetry with |XA| >= |XB| (Section IV.A.2: "reduces
   /// substantially the search space"). When off, the QB and QDB targets
   /// bound the *absolute* size difference instead, which is equivalent on
   /// partitions but doubles the witness space.
   bool symmetry_breaking = true;
-  /// Keep one CEGAR solver alive across all bound queries of a model and
-  /// drive the bounds with counter-output assumptions. Off = rebuild per query.
-  bool incremental = true;
   /// Forwarded to the CEGAR solver.
   qbf::CegarOptions cegar;
 };
@@ -109,15 +101,15 @@ class QbfPartitionFinder {
   const RelaxationMatrix& matrix() const { return m_; }
   int qbf_calls() const { return qbf_calls_; }
 
-  /// Aggregated cost counters across all calls (both modes): CEGAR
-  /// refinement rounds and conflicts on the two sides of the loop (the
-  /// verification side's stay 0 on the table ∀-side).
+  /// Aggregated cost counters across all calls: CEGAR refinement rounds
+  /// and conflicts on the two sides of the loop (the verification side's
+  /// stay 0 on the table ∀-side).
   int total_iterations() const { return total_iterations_; }
   std::uint64_t abstraction_conflicts() const { return abs_conflicts_; }
   std::uint64_t verification_conflicts() const { return ver_conflicts_; }
 
-  /// Full low-level SAT statistics across every solver this finder built:
-  /// retired scratch pairs plus the live persistent pairs.
+  /// Full low-level SAT statistics across every solver this finder built
+  /// (one per model queried).
   sat::Solver::Stats solver_stats() const;
 
  private:
@@ -146,49 +138,33 @@ class QbfPartitionFinder {
   /// A CEGAR solver over α ++ β with the ∀-side the matrix selects.
   std::unique_ptr<qbf::ExistsForallSolver> make_solver();
 
-  /// Persistent incremental solver state for one QBF model.
-  struct IncState {
+  /// Persistent solver state for one QBF model.
+  struct ModelState {
     std::unique_ptr<qbf::ExistsForallSolver> solver;
     std::vector<BoundCounter> bounds;
   };
 
-  IncState& state_for(QbfModel model);
-  QbfFindResult find_incremental(QbfModel model, int k,
-                                 const Deadline* deadline);
-  QbfFindResult find_scratch(QbfModel model, int k, const Deadline* deadline);
-
-  /// Replays the cached fN clauses (and, when `want_shared`, the shared-
-  /// variable indicator clauses) into a freshly constructed solver's
-  /// abstraction; returns the t literals (empty unless `want_shared`).
-  sat::LitVec install_side_constraints(qbf::ExistsForallSolver& solver,
-                                       bool want_shared) const;
+  ModelState& state_for(QbfModel model);
 
   Partition decode_partition(const std::vector<sat::Lbool>& outer_model) const;
 
   const RelaxationMatrix& m_;  ///< not owned; must outlive the finder
   QbfFinderOptions opts_;
 
-  // Hoisted per-matrix construction (identical for every call): quantifier
-  // prefix vectors, the α/β literal layout of the abstraction (outer vars
-  // occupy [0, 2n) in construction order), and the clause templates for fN
-  // and the shared-variable indicators t_i ⇔ (¬α_i ∧ ¬β_i) (QD, and the
-  // scratch path's literal QDB).
+  // Quantifier prefix vectors and the α/β literal layout of the
+  // abstraction (outer vars occupy [0, 2n) in construction order).
   std::vector<std::uint32_t> outer_, inner_;
   sat::LitVec alpha_, beta_;
-  std::vector<sat::LitVec> fn_clauses_;
-  std::vector<sat::LitVec> shared_clauses_;
-  sat::LitVec shared_lits_;
 
   /// The table ∀-side's table; null until the first query, and for XOR
   /// and wide matrices. Declared before the solvers that read it.
   std::unique_ptr<RelaxationTable> table_;
-  std::array<std::unique_ptr<IncState>, 3> inc_;  ///< per QbfModel
+  std::array<std::unique_ptr<ModelState>, 3> states_;  ///< per QbfModel
 
   int qbf_calls_ = 0;
   int total_iterations_ = 0;
   std::uint64_t abs_conflicts_ = 0;
   std::uint64_t ver_conflicts_ = 0;
-  sat::Solver::Stats scratch_stats_;  ///< accumulated from retired solvers
 };
 
 }  // namespace step::core

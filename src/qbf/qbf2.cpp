@@ -56,7 +56,6 @@ struct ExistsForallSolver::SatForall {
   aig::Lit root;
   std::vector<std::uint32_t> outer_inputs;
   std::vector<std::uint32_t> inner_inputs;
-  bool clause_fast_path;
   sat::Solver verification;
   std::vector<sat::Var> ver_input_vars;  ///< verification var per matrix input
   /// Tseitin encodings of general (non-clause) refinements go straight
@@ -73,7 +72,6 @@ ExistsForallSolver::SatForall::SatForall(const aig::Aig& m, aig::Lit r,
       root(r),
       outer_inputs(std::move(outer)),
       inner_inputs(std::move(inner)),
-      clause_fast_path(opts.clause_fast_path),
       verification(opts.sat),
       abstraction(abs) {
   // Every matrix input the cone reaches must be quantified.
@@ -149,10 +147,10 @@ void ExistsForallSolver::SatForall::refine(
   STEP_CHECK(cof != aig::kLitTrue);
   if (cof == aig::kLitFalse) return;
 
-  // Fast path: the cofactor is a plain clause over outer inputs (always the
-  // case for the relaxation matrices of Section IV).
+  // A cofactor that is a plain clause over outer inputs (always, for the
+  // relaxation matrices of Section IV) goes in as that clause.
   std::vector<aig::Lit> leaves;
-  if (clause_fast_path && collect_or_of_inputs(dst, cof, leaves)) {
+  if (collect_or_of_inputs(dst, cof, leaves)) {
     for (aig::Lit l : leaves) {
       const int dst_idx = dst.input_index(aig::node_of(l));
       refinement.push_back(
@@ -161,8 +159,8 @@ void ExistsForallSolver::SatForall::refine(
     return;
   }
 
-  // General path: Tseitin-encode the cofactored cone into the abstraction
-  // and assert its root.
+  // Any other cofactor: Tseitin-encode it into the abstraction and assert
+  // its root.
   std::vector<sat::Lit> input_sat(dst.num_inputs(), sat::kLitUndef);
   for (std::uint32_t i = 0; i < dst.num_inputs(); ++i) {
     input_sat[i] = sat::mk_lit(dst_input_to_outer[i]);

@@ -60,7 +60,9 @@ using ForallSide = std::function<ForallVerdict(
 /// The loop is one for every ∀-side. The AIG constructor builds the
 /// classic one: a *verification* SAT solver over ¬matrix takes the
 /// candidate as assumptions, and a countermodel's refinement is the matrix
-/// cofactored on it. The ForallSide constructor takes any other check;
+/// cofactored on it: that cofactor as one clause when it is a disjunction
+/// of outer literals (always, for the Section IV matrices), else its
+/// Tseitin encoding. The ForallSide constructor takes any other check;
 /// the relaxation matrices of ≤ aig::kTtMaxSupport inputs (OR/AND) use a
 /// truth-table one (core::table_forall_side) that builds no verification
 /// solver and Tseitin-encodes nothing.
@@ -75,11 +77,6 @@ using ForallSide = std::function<ForallVerdict(
 /// ∃α,β ∀X. ¬Φ ∧ fN ∧ fT; a kTrue answer hands back the counterexample
 /// (α,β) — which *is* the computed variable partition.
 struct CegarOptions {
-  /// Emit a refinement as a single clause when the cofactored matrix is a
-  /// disjunction of outer literals (always true for the Section IV
-  /// matrices). Off = always Tseitin-encode; ablation knob of the AIG
-  /// form only.
-  bool clause_fast_path = true;
   /// SAT configuration applied to the CEGAR-side solvers (LBD tiers,
   /// conflict budget — see sat::SolverOptions / docs/SOLVER.md).
   sat::SolverOptions sat;

@@ -1,7 +1,7 @@
-// A/B regression of the optimum-search architectures: the incremental
-// path (one persistent CEGAR solver pair, assumption-activated bounds,
-// core-driven lower-bound raises) must return exactly the answers of the
-// scratch rebuild-per-query path, for every model, on the benchgen suite.
+// The persistent optimum search (one CEGAR solver per model,
+// assumption-activated bounds, core-driven lower-bound raises) against
+// oracles that share none of its code: brute_force_optimum for the optimum
+// and check_partition_exhaustive for every partition a query returns.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,13 @@
 namespace step::core {
 namespace {
 
-TEST(IncrementalEquivalence, MatchesScratchOnBenchgenSuite) {
+TEST(IncrementalEquivalence, MatchesBruteForceOnBenchgenSuite) {
+  // Every optimum must be the brute-force one, proven; then a sweep of
+  // every bound on the same (warmed) finder checks each answer: a kTrue
+  // partition is valid and within the bound, a kFalse bound is below the
+  // optimum and so is its certified refuted_below. Symmetry breaking on
+  // and off covers both counters of unbroken QB/QDB, and the sweep both
+  // parities of the halved QDB bound.
   const auto suite = benchgen::standard_suite(benchgen::SuiteScale::kTiny);
   int compared = 0;
   for (const benchgen::BenchCircuit& c : suite) {
@@ -24,33 +30,46 @@ TEST(IncrementalEquivalence, MatchesScratchOnBenchgenSuite) {
       if (cone.n() < 2 || cone.n() > 10) continue;
       const RelaxationMatrix m = build_relaxation_matrix(cone, GateOp::kOr);
       for (QbfModel model : {QbfModel::kQD, QbfModel::kQB, QbfModel::kQDB}) {
-        OptimumOptions o;
-        o.call_timeout_s = 30.0;  // generous: no timeout-induced divergence
-        QbfFinderOptions inc_opts, scratch_opts;
-        inc_opts.incremental = true;
-        scratch_opts.incremental = false;
-        QbfPartitionFinder inc_finder(m, inc_opts);
-        QbfPartitionFinder scratch_finder(m, scratch_opts);
-        const OptimumResult inc =
-            OptimumSearch(inc_finder, model, o).run(std::nullopt);
-        const OptimumResult scratch =
-            OptimumSearch(scratch_finder, model, o).run(std::nullopt);
+        const MetricKind kind = metric_of(model);
+        const BruteForceResult oracle =
+            brute_force_optimum(cone, GateOp::kOr, kind);
+        for (const bool sym : {true, false}) {
+          const std::string where = c.name + " po " + std::to_string(po) + " " +
+                                    to_string(model) + (sym ? " sym" : " nosym");
+          QbfFinderOptions f;
+          f.symmetry_breaking = sym;
+          OptimumOptions o;
+          o.call_timeout_s = 30.0;  // generous: every optimum gets proven
+          QbfPartitionFinder finder(m, f);
+          const OptimumResult r =
+              OptimumSearch(finder, model, o).run(std::nullopt);
+          if (!oracle.decomposable) {
+            EXPECT_EQ(r.outcome, OptimumResult::Outcome::kNotDecomposable)
+                << where;
+            continue;
+          }
+          ASSERT_EQ(r.outcome, OptimumResult::Outcome::kFound) << where;
+          EXPECT_EQ(r.best_cost, oracle.best_cost) << where;
+          EXPECT_TRUE(r.proven_optimal) << where;
+          EXPECT_TRUE(check_partition_exhaustive(cone, GateOp::kOr, r.best))
+              << where;
 
-        ASSERT_EQ(static_cast<int>(inc.outcome),
-                  static_cast<int>(scratch.outcome))
-            << c.name << " po " << po << " " << to_string(model);
-        if (inc.outcome == OptimumResult::Outcome::kFound) {
-          EXPECT_EQ(inc.best_cost, scratch.best_cost)
-              << c.name << " po " << po << " " << to_string(model);
-          EXPECT_EQ(inc.proven_optimal, scratch.proven_optimal)
-              << c.name << " po " << po << " " << to_string(model);
-          EXPECT_TRUE(check_partition_exhaustive(cone, GateOp::kOr, inc.best));
+          for (int k = cone.n() - 2; k >= 0; --k) {
+            const QbfFindResult q = finder.find_with_bound(model, k);
+            const std::string at = where + " k=" + std::to_string(k);
+            ASSERT_NE(q.status, qbf::Qbf2Status::kUnknown) << at;
+            if (q.status == qbf::Qbf2Status::kTrue) {
+              EXPECT_LE(metric_cost(Metrics::of(q.partition), kind), k) << at;
+              EXPECT_TRUE(
+                  check_partition_exhaustive(cone, GateOp::kOr, q.partition))
+                  << at;
+            } else {
+              EXPECT_LT(k, oracle.best_cost) << at;
+              EXPECT_LE(q.refuted_below, oracle.best_cost) << at;
+            }
+          }
         }
         ++compared;
-      }
-      if (compared >= 45) {
-        EXPECT_GT(compared, 0);
-        return;  // runtime guard; the sweep below covers more shapes
       }
     }
   }
@@ -86,8 +105,9 @@ TEST(IncrementalEquivalence, RefutedBelowIsSoundAgainstBruteForce) {
 
 TEST(IncrementalEquivalence, CoreRaisesLowerBoundOnSharedSelect) {
   // A mux tree needs both selects shared: every QD bound below 2 is
-  // refuted. The incremental finder's refutation of k=0 should already
-  // certify that (refuted_below == 2), which the scratch path cannot.
+  // refuted. The finder's refutation of k=0 reads its UNSAT core over the
+  // counter outputs, so it may certify more than k+1 (up to
+  // refuted_below == 2) but never more than the true optimum.
   Cone cone;
   const aig::Lit s0 = cone.aig.add_input();
   const aig::Lit s1 = cone.aig.add_input();
@@ -115,54 +135,46 @@ TEST(IncrementalEquivalence, CoreRaisesLowerBoundOnSharedSelect) {
 }
 
 TEST(IncrementalEquivalence, OneFinderAnswersEveryModelLikeFreshFinders) {
-  // One finder asked about QD, QB and QDB in turn keeps one solver pair
-  // per model (or none, in scratch mode) and shares nothing between them:
-  // its optima must be those of a fresh finder per model, and the true
-  // ones.
+  // One finder asked about QD, QB and QDB in turn keeps one solver per
+  // model and shares nothing between them: its optima must be those of a
+  // fresh finder per model, and the true ones.
   Rng rng(13579);
   int found = 0;
   for (int iter = 0; iter < 6; ++iter) {
     const int n = rng.next_int(4, 6);
     const Cone cone = testutil::random_cone(n, rng.next_int(8, 20), rng.next());
     const RelaxationMatrix m = build_relaxation_matrix(cone, GateOp::kOr);
-    for (const bool incremental : {true, false}) {
-      QbfFinderOptions f;
-      f.incremental = incremental;
-      OptimumOptions o;
-      o.call_timeout_s = 30.0;  // generous: every optimum gets proven
-      QbfPartitionFinder shared(m, f);
-      int shared_calls = 0;
-      for (QbfModel model : {QbfModel::kQD, QbfModel::kQB, QbfModel::kQDB}) {
-        const BruteForceResult oracle =
-            brute_force_optimum(cone, GateOp::kOr, metric_of(model));
-        QbfPartitionFinder fresh(m, f);
-        const OptimumResult a =
-            OptimumSearch(shared, model, o).run(std::nullopt);
-        const OptimumResult b =
-            OptimumSearch(fresh, model, o).run(std::nullopt);
-        shared_calls += a.qbf_calls;
-        EXPECT_EQ(fresh.qbf_calls(), b.qbf_calls);
-        EXPECT_EQ(shared.qbf_calls(), shared_calls);
+    OptimumOptions o;
+    o.call_timeout_s = 30.0;  // generous: every optimum gets proven
+    QbfPartitionFinder shared(m);
+    int shared_calls = 0;
+    for (QbfModel model : {QbfModel::kQD, QbfModel::kQB, QbfModel::kQDB}) {
+      const BruteForceResult oracle =
+          brute_force_optimum(cone, GateOp::kOr, metric_of(model));
+      QbfPartitionFinder fresh(m);
+      const OptimumResult a = OptimumSearch(shared, model, o).run(std::nullopt);
+      const OptimumResult b = OptimumSearch(fresh, model, o).run(std::nullopt);
+      shared_calls += a.qbf_calls;
+      EXPECT_EQ(fresh.qbf_calls(), b.qbf_calls);
+      EXPECT_EQ(shared.qbf_calls(), shared_calls);
 
-        const std::string where = std::string(to_string(model)) +
-                                  (incremental ? " incremental" : " scratch") +
-                                  " iter " + std::to_string(iter);
-        ASSERT_EQ(static_cast<int>(a.outcome), static_cast<int>(b.outcome))
+      const std::string where =
+          std::string(to_string(model)) + " iter " + std::to_string(iter);
+      ASSERT_EQ(static_cast<int>(a.outcome), static_cast<int>(b.outcome))
+          << where;
+      if (!oracle.decomposable) {
+        EXPECT_EQ(a.outcome, OptimumResult::Outcome::kNotDecomposable)
             << where;
-        if (!oracle.decomposable) {
-          EXPECT_EQ(a.outcome, OptimumResult::Outcome::kNotDecomposable)
-              << where;
-          continue;
-        }
-        ASSERT_EQ(a.outcome, OptimumResult::Outcome::kFound) << where;
-        EXPECT_TRUE(a.proven_optimal) << where;
-        EXPECT_TRUE(b.proven_optimal) << where;
-        EXPECT_EQ(a.best_cost, oracle.best_cost) << where;
-        EXPECT_EQ(b.best_cost, oracle.best_cost) << where;
-        EXPECT_TRUE(check_partition_exhaustive(cone, GateOp::kOr, a.best))
-            << where;
-        if (a.qbf_calls > 0) ++found;
+        continue;
       }
+      ASSERT_EQ(a.outcome, OptimumResult::Outcome::kFound) << where;
+      EXPECT_TRUE(a.proven_optimal) << where;
+      EXPECT_TRUE(b.proven_optimal) << where;
+      EXPECT_EQ(a.best_cost, oracle.best_cost) << where;
+      EXPECT_EQ(b.best_cost, oracle.best_cost) << where;
+      EXPECT_TRUE(check_partition_exhaustive(cone, GateOp::kOr, a.best))
+          << where;
+      if (a.qbf_calls > 0) ++found;
     }
   }
   EXPECT_GT(found, 0);  // some optimum took real queries to prove

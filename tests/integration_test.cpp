@@ -149,22 +149,19 @@ TEST(Integration, EmbeddedC17AgainstBruteForceAllOps) {
 }
 
 TEST(Integration, AblationConfigurationsAgreeOnOptima) {
-  // Symmetry breaking / clause fast path / incremental solving are
-  // engineering, not semantics: all eight on/off combinations find the
+  // Symmetry breaking is engineering, not semantics: on and off find the
   // same optimum.
   Rng rng(24680);
   for (int iter = 0; iter < 4; ++iter) {
-    const core::Cone cone =
-        testutil::random_cone(rng.next_int(3, 6), rng.next_int(6, 20), rng.next());
+    const core::Cone cone = testutil::random_cone(
+        rng.next_int(3, 6), rng.next_int(6, 20), rng.next());
     const core::RelaxationMatrix m =
         core::build_relaxation_matrix(cone, core::GateOp::kOr);
 
     int reference_cost = -2;
-    for (int mask = 0; mask < 8; ++mask) {
+    for (const bool sym : {true, false}) {
       core::QbfFinderOptions f;
-      f.symmetry_breaking = (mask & 1) != 0;
-      f.cegar.clause_fast_path = (mask & 2) != 0;
-      f.incremental = (mask & 4) != 0;
+      f.symmetry_breaking = sym;
       core::QbfPartitionFinder finder(m, f);
       core::OptimumSearch search(finder, core::QbfModel::kQD);
       const core::OptimumResult r = search.run(std::nullopt);
@@ -173,7 +170,7 @@ TEST(Integration, AblationConfigurationsAgreeOnOptima) {
       if (reference_cost == -2) {
         reference_cost = cost;
       } else {
-        EXPECT_EQ(cost, reference_cost) << "mask " << mask;
+        EXPECT_EQ(cost, reference_cost) << "symmetry breaking off";
       }
     }
   }

@@ -51,32 +51,6 @@ TEST(QbfEdge, ConstantMatrix) {
   }
 }
 
-TEST(QbfEdge, GenericTseitinPathAgreesWithFastPath) {
-  // Matrices whose cofactors are NOT plain clauses exercise the generic
-  // refinement; both configurations must agree.
-  Rng rng(246);
-  for (int iter = 0; iter < 20; ++iter) {
-    aig::Aig m;
-    std::vector<aig::Lit> pool;
-    for (int i = 0; i < 4; ++i) pool.push_back(m.add_input());
-    for (int g = 0; g < rng.next_int(6, 18); ++g) {
-      const aig::Lit f0 =
-          pool[rng.next_below(pool.size())] ^ (rng.next_bool() ? 1u : 0u);
-      const aig::Lit f1 =
-          pool[rng.next_below(pool.size())] ^ (rng.next_bool() ? 1u : 0u);
-      pool.push_back(m.land(f0, f1));
-    }
-    const aig::Lit root = pool.back() ^ (rng.next_bool() ? 1u : 0u);
-
-    ExistsForallSolver fast(m, root, {0, 1}, {2, 3});
-    CegarOptions no_fast;
-    no_fast.clause_fast_path = false;
-    ExistsForallSolver slow(m, root, {0, 1}, {2, 3}, no_fast);
-    EXPECT_EQ(static_cast<int>(fast.solve().status),
-              static_cast<int>(slow.solve().status));
-  }
-}
-
 }  // namespace
 }  // namespace step::qbf
 
@@ -135,14 +109,16 @@ TEST(QbfFinderEdge, UnbrokenSymmetryEncodingsMatchBruteForce) {
     f.symmetry_breaking = false;
     for (QbfModel model : {QbfModel::kQD, QbfModel::kQB, QbfModel::kQDB}) {
       const MetricKind kind = metric_of(model);
-      const BruteForceResult oracle = brute_force_optimum(cone, GateOp::kOr, kind);
+      const BruteForceResult oracle =
+          brute_force_optimum(cone, GateOp::kOr, kind);
       QbfPartitionFinder finder(m, f);
       for (int k = 0; k <= n - 2; ++k) {
         const QbfFindResult r = finder.find_with_bound(model, k);
         const bool possible = oracle.decomposable && oracle.best_cost <= k;
         if (r.status == qbf::Qbf2Status::kTrue) {
           EXPECT_TRUE(possible);
-          EXPECT_TRUE(check_partition_exhaustive(cone, GateOp::kOr, r.partition));
+          EXPECT_TRUE(
+              check_partition_exhaustive(cone, GateOp::kOr, r.partition));
           EXPECT_LE(metric_cost(Metrics::of(r.partition), kind), k);
         } else {
           ASSERT_EQ(r.status, qbf::Qbf2Status::kFalse);

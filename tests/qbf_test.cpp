@@ -4,6 +4,7 @@
 
 #include "aig/simulate.h"
 #include "common/rng.h"
+#include "test_util.h"
 
 namespace step::qbf {
 namespace {
@@ -114,6 +115,34 @@ class Qbf2Random : public ::testing::TestWithParam<int> {};
 
 TEST_P(Qbf2Random, AgreesWithBruteForce) {
   Rng rng(GetParam() * 131071 + 19);
+  // Returns whether the solve Tseitin-encoded a refinement (a cofactor
+  // that is not a clause): the only source of abstraction variables past
+  // the outer ones.
+  auto check = [&](const Aig& m, aig::Lit root,
+                   const std::vector<std::uint32_t>& outer,
+                   const std::vector<std::uint32_t>& inner, int iter) {
+    const bool expect = brute_force_exists_forall(m, root, outer, inner);
+    ExistsForallSolver s(m, root, outer, inner);
+    const Qbf2Result r = s.solve();
+    EXPECT_EQ(r.status, expect ? Qbf2Status::kTrue : Qbf2Status::kFalse)
+        << "seed=" << GetParam() << " iter=" << iter;
+
+    if (r.status == Qbf2Status::kTrue) {
+      // The returned witness must make the matrix a tautology over inner.
+      std::vector<std::uint64_t> stim(m.num_inputs(), 0);
+      for (std::size_t j = 0; j < outer.size(); ++j) {
+        stim[outer[j]] = r.outer_model[j] == sat::Lbool::kTrue ? ~0ULL : 0;
+      }
+      for (std::size_t mi = 0; mi < (std::size_t{1} << inner.size()); ++mi) {
+        for (std::size_t j = 0; j < inner.size(); ++j) {
+          stim[inner[j]] = ((mi >> j) & 1U) ? ~0ULL : 0;
+        }
+        EXPECT_NE(aig::simulate_cone(m, root, stim) & 1ULL, 0ULL);
+      }
+    }
+    return s.abstraction().num_vars() > static_cast<int>(outer.size());
+  };
+
   for (int iter = 0; iter < 30; ++iter) {
     const int no = rng.next_int(1, 3);
     const int ni = rng.next_int(1, 3);
@@ -135,28 +164,19 @@ TEST_P(Qbf2Random, AgreesWithBruteForce) {
           pool[rng.next_below(pool.size())] ^ (rng.next_bool() ? 1u : 0u);
       pool.push_back(m.land(f0, f1));
     }
-    const aig::Lit root = pool.back() ^ (rng.next_bool() ? 1u : 0u);
-
-    const bool expect = brute_force_exists_forall(m, root, outer, inner);
-    ExistsForallSolver s(m, root, outer, inner);
-    const Qbf2Result r = s.solve();
-    ASSERT_EQ(r.status, expect ? Qbf2Status::kTrue : Qbf2Status::kFalse)
-        << "seed=" << GetParam() << " iter=" << iter;
-
-    if (r.status == Qbf2Status::kTrue) {
-      // The returned witness must make the matrix a tautology over inner.
-      std::vector<std::uint64_t> stim(m.num_inputs(), 0);
-      for (std::size_t j = 0; j < outer.size(); ++j) {
-        stim[outer[j]] = r.outer_model[j] == sat::Lbool::kTrue ? ~0ULL : 0;
-      }
-      for (std::size_t mi = 0; mi < (std::size_t{1} << ni); ++mi) {
-        for (int j = 0; j < ni; ++j) {
-          stim[inner[j]] = ((mi >> j) & 1U) ? ~0ULL : 0;
-        }
-        EXPECT_NE(aig::simulate_cone(m, root, stim) & 1ULL, 0ULL);
-      }
-    }
+    check(m, pool.back() ^ (rng.next_bool() ? 1u : 0u), outer, inner, iter);
   }
+
+  // On these seeds every cofactor of the shapes above is a clause. Four
+  // inputs split 2/2 over 6–18 gates also cofactor to other functions, so
+  // the refinement's Tseitin branch gets the same brute-force check.
+  int tseitin = 0;
+  for (int iter = 30; iter < 70; ++iter) {
+    const core::Cone c =
+        testutil::random_cone(4, rng.next_int(6, 18), rng.next());
+    if (check(c.aig, c.root, {0, 1}, {2, 3}, iter)) ++tseitin;
+  }
+  EXPECT_GT(tseitin, 0) << "seed=" << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Qbf2Random, ::testing::Range(0, 10));

@@ -57,7 +57,6 @@ struct CliOptions {
   double timeout_s = 60.0;
   double qbf_timeout_s = 1.0;
   int num_threads = 1;
-  bool incremental = true;
   bool print_stats = false;
   bool recursive = false;
   bool use_cache = true;
@@ -93,8 +92,6 @@ constexpr const char kHelpText[] =
     "  -engine <ljh|mg|qd|qb|qdb>  partition engine (default qd)\n"
     "  -timeout <s>              per-circuit wall budget (default 60)\n"
     "  -qbf-timeout <s>          per-QBF-call budget (default 1.0)\n"
-    "  -scratch                  rebuild the QBF solver per bound query (A/B\n"
-    "                            reference for the default incremental mode)\n"
     "  --recursive               decompose: recurse per PO into a full tree\n"
     "                            and report tree area/depth per PO\n"
     "  --verify                  resynth/recursive: SAT-prove every PO tree\n"
@@ -258,8 +255,6 @@ CliOptions parse_args(int argc, char** argv) {
       cli.timeout_s = parse_number<double>(flag, value());
     } else if (flag == "-qbf-timeout") {
       cli.qbf_timeout_s = parse_number<double>(flag, value());
-    } else if (flag == "-scratch") {
-      cli.incremental = false;
     } else if (flag == "--stats" || flag == "-stats") {
       cli.print_stats = true;
     } else if (flag == "--recursive" || flag == "-recursive") {
@@ -371,7 +366,6 @@ int cmd_decompose(const CliOptions& cli, const io::Network& net,
   opts.op = cli.op;
   opts.engine = cli.engine;
   opts.optimum.call_timeout_s = cli.qbf_timeout_s;
-  opts.qbf.incremental = cli.incremental;
   opts.sat = cli.sat;
   opts.use_dont_cares = cli.use_dc;
   opts.window = cli.window;
@@ -429,9 +423,7 @@ int cmd_decompose(const CliOptions& cli, const io::Network& net,
                   gov->peak_run_bytes(),
                   static_cast<unsigned long long>(gov->cones_tripped()));
     }
-    std::printf("# stats: mode=%s sat_calls=%ld qbf_calls=%ld"
-                " qbf_iterations=%ld\n",
-                cli.incremental ? "incremental" : "scratch",
+    std::printf("# stats: sat_calls=%ld qbf_calls=%ld qbf_iterations=%ld\n",
                 run.total_sat_calls(), run.total_qbf_calls(),
                 run.total_qbf_iterations());
     std::printf("# stats: abstraction_conflicts=%llu"
