@@ -168,6 +168,29 @@ void bm_mus_equivalence_groups(benchmark::State& state) {
 }
 BENCHMARK(bm_mus_equivalence_groups)->Arg(9)->Arg(12);
 
+/// MG on a 20-input cone, above aig::kTtMaxSupport, so on SAT: the
+/// comparator(10) cone under OR (arg 0) has no bi-decomposition, under
+/// AND (arg 1) it has one. Arg 0 is the seed scan alone: its simulation
+/// filter refutes the pairs, with one SAT call whose model refutes the
+/// rest; arg 1 adds the group MUS.
+void bm_wide_cone_mg(benchmark::State& state) {
+  const core::GateOp op =
+      state.range(0) == 0 ? core::GateOp::kOr : core::GateOp::kAnd;
+  const core::Cone cone =
+      core::extract_po_cone(benchgen::comparator(10), 0);
+  const core::RelaxationMatrix m = core::build_relaxation_matrix(cone, op);
+  bool found = false;
+  for (auto _ : state) {
+    core::RelaxationSolver rs(m);
+    const core::PartitionSearchResult r = core::MgDecomposer(rs).find_partition();
+    found = r.found;
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["inputs"] = cone.n();
+  state.counters["found"] = found ? 1 : 0;
+}
+BENCHMARK(bm_wide_cone_mg)->Arg(0)->Arg(1);
+
 /// One STEP-MG decomposition whose fA/fB come from interpolation: the
 /// cone has 18 inputs, above aig::kTtMaxSupport, where extraction stays
 /// on SAT.

@@ -9,14 +9,6 @@ void at_least_one(ClauseSink& sink, std::span<const sat::Lit> lits) {
   sink.add_clause(lits);
 }
 
-void at_most_one_pairwise(ClauseSink& sink, std::span<const sat::Lit> lits) {
-  for (std::size_t i = 0; i < lits.size(); ++i) {
-    for (std::size_t j = i + 1; j < lits.size(); ++j) {
-      sink.add_binary(~lits[i], ~lits[j]);
-    }
-  }
-}
-
 void at_most_k(ClauseSink& sink, std::span<const sat::Lit> lits, int k) {
   const int n = static_cast<int>(lits.size());
   if (k < 0) {
@@ -55,14 +47,6 @@ void at_most_k(ClauseSink& sink, std::span<const sat::Lit> lits, int k) {
     sink.add_binary(~lits[i], ~s[i - 1][k - 1]);
   }
   if (n >= 2) sink.add_binary(~lits[n - 1], ~s[n - 2][k - 1]);
-}
-
-void at_least_k(ClauseSink& sink, std::span<const sat::Lit> lits, int k) {
-  if (k <= 0) return;
-  const int n = static_cast<int>(lits.size());
-  sat::LitVec neg(lits.size());
-  for (std::size_t i = 0; i < lits.size(); ++i) neg[i] = ~lits[i];
-  at_most_k(sink, neg, n - k);
 }
 
 void diff_at_most_k(ClauseSink& sink, std::span<const sat::Lit> pos,

@@ -11,7 +11,8 @@ namespace step::cnf {
 /// Cardinality constraints over SAT literals.
 ///
 /// The QBF models constrain the universal partition variables:
-///   fN: AtLeast1(alpha) ∧ AtLeast1(beta) ∧ per-pair AtMostOne
+///   fN: AtLeast1(alpha) ∧ AtLeast1(beta) ∧ per-input ¬αi ∨ ¬βi (binary
+///       clauses, emitted directly)
 ///   fT(QD), eq. (5):  #{x : x ∈ XC} <= k
 ///   fT(QB), eq. (6):  0 <= #XA − #XB <= k
 ///   fT(QDB), eq. (8): 0 <= #XC + #XA − #XB <= k
@@ -21,15 +22,9 @@ namespace step::cnf {
 /// At least one literal true (a single clause).
 void at_least_one(ClauseSink& sink, std::span<const sat::Lit> lits);
 
-/// At most one literal true (pairwise encoding; fine for per-pair use).
-void at_most_one_pairwise(ClauseSink& sink, std::span<const sat::Lit> lits);
-
 /// Sequential-counter AtMost-k: at most k of `lits` are true.
 /// k >= lits.size() emits nothing; k == 0 emits unit clauses.
 void at_most_k(ClauseSink& sink, std::span<const sat::Lit> lits, int k);
-
-/// At least k of `lits` are true (dual of at_most_k on negations).
-void at_least_k(ClauseSink& sink, std::span<const sat::Lit> lits, int k);
 
 /// Difference bound: sum(a in pos) − sum(b in neg) <= k
 /// (k may be negative). Encoded as AtMost(k + |neg|) over pos ∪ ¬neg.

@@ -1,6 +1,10 @@
 #include "core/mg.h"
 
+#include <algorithm>
+#include <optional>
+
 #include "aig/simulate.h"
+#include "common/rng.h"
 #include "mus/group_mus.h"
 
 namespace step::core {
@@ -112,6 +116,226 @@ void drop_groups_xor(const RelaxationTable& t, const Deadline* deadline,
   }
 }
 
+/// Words of fixed-seed random X patterns the seed-pair filter simulates
+/// (64 patterns each).
+constexpr std::size_t kFilterWords = 4;
+constexpr std::uint64_t kFilterSeed = 0x5eedf11e75eedULL;
+
+/// One function over the matrix's first copy X (f(X) or care(X)),
+/// simulated on patterns laid out by X position: word w of input i is
+/// in[i * words + w].
+class XSimulator {
+ public:
+  XSimulator(const RelaxationMatrix& m, aig::Lit root, MemTracker* mem,
+             std::size_t block_words)
+      : sim_(m.aig, root, mem, block_words) {
+    std::vector<int> pos_of(m.aig.num_inputs(), -1);
+    for (int i = 0; i < m.n; ++i) pos_of[m.x[i]] = i;
+    for (const std::uint32_t in : sim_.support()) {
+      STEP_CHECK(pos_of[in] >= 0);
+      pos_.push_back(static_cast<std::size_t>(pos_of[in]));
+    }
+  }
+
+  void run(const std::uint64_t* in, std::size_t words, std::uint64_t* out) {
+    for (std::size_t p = 0; p < pos_.size(); ++p) {
+      std::copy_n(in + pos_[p] * words, words, sim_.block_input(p, words));
+    }
+    sim_.run_block(words, out);
+  }
+
+ private:
+  aig::ConeSimulator sim_;
+  std::vector<std::size_t> pos_;
+};
+
+bool test_bit(const std::vector<std::uint64_t>& bits, int i) {
+  return ((bits[static_cast<std::size_t>(i) >> 6] >> (i & 63)) & 1U) != 0;
+}
+
+/// Refutes seed pairs of MG's SAT scan without a SAT call. The pair
+/// ({j},{l}) is invalid iff Φ has a model under it, and each rule names
+/// the rows of one, so a refuted pair is one the SAT check calls invalid:
+///   OR : some on-row x has x ⊕ e_j and x ⊕ e_l in the off-set
+///        (on = f ∧ care, off = ¬f ∧ care: every row is a care row);
+///   AND: the same on ¬f;
+///   XOR: f(x) ⊕ f(x^j) ⊕ f(x^l) ⊕ f(x^jl) = 1 (XOR matrices carry no
+///        care set).
+/// The rows tried are kFilterWords words of fixed-seed random patterns,
+/// simulated with one or two inputs flipped as the scan reaches them, and
+/// (OR/AND) the on-rows of the models that proved earlier pairs invalid:
+/// every pair inside such a row's sensitive set {i : x ⊕ e_i is off} is
+/// refuted. All buffers are charged to `mem`.
+class SeedPairFilter {
+ public:
+  SeedPairFilter(const RelaxationMatrix& m, MemTracker* mem)
+      : n_(m.n),
+        op_(m.op),
+        mem_(mem),
+        block_(std::max(kFilterWords,
+                        (static_cast<std::size_t>(m.n) + 64) / 64)),
+        f_(m, m.fx, mem, block_) {
+    if (m.care_x != aig::kLitTrue) care_.emplace(m, m.care_x, mem, block_);
+    const std::size_t n = static_cast<std::size_t>(n_);
+    Rng rng(kFilterSeed);
+    pat_.resize(n * kFilterWords);
+    for (std::uint64_t& w : pat_) w = rng.next();
+    on0_.resize(kFilterWords);
+    flip_.resize(n * kFilterWords);
+    have_flip_.assign(n, 0);
+    row_mask_.resize(kFilterWords);
+    row_refuted_.resize((n + 63) / 64);
+    scratch_.resize(block_);
+    off_.resize(block_);
+    care_buf_.resize(care_ ? block_ : 0);
+    charge((pat_.size() + on0_.size() + flip_.size() + row_mask_.size() +
+            row_refuted_.size() + scratch_.size() + off_.size() +
+            care_buf_.size()) *
+               sizeof(std::uint64_t) +
+           have_flip_.size());
+    eval(pat_.data(), kFilterWords, on0_.data(), off_.data());
+  }
+  ~SeedPairFilter() {
+    if (mem_ != nullptr) mem_->release(charged_);
+  }
+  SeedPairFilter(const SeedPairFilter&) = delete;
+  SeedPairFilter& operator=(const SeedPairFilter&) = delete;
+
+  /// Moves the scan to row j: the pairs (j, l), l > j.
+  void start_row(int j) {
+    row_ = j;
+    std::fill(row_refuted_.begin(), row_refuted_.end(), 0);
+    for (const std::vector<std::uint64_t>& s : witnesses_) {
+      if (!test_bit(s, j)) continue;
+      for (std::size_t w = 0; w < s.size(); ++w) row_refuted_[w] |= s[w];
+    }
+    // OR/AND: the on-rows whose j-neighbour is off; XOR: f ⊕ f^j.
+    const std::uint64_t* fj = flipped(j);
+    for (std::size_t w = 0; w < kFilterWords; ++w) {
+      row_mask_[w] = op_ == GateOp::kXor ? on0_[w] ^ fj[w] : on0_[w] & fj[w];
+    }
+  }
+
+  /// True iff the pair (j, l) of the current row j is refuted.
+  bool refuted(int l) {
+    if (test_bit(row_refuted_, l)) return true;
+    const std::uint64_t* fl = flipped(l);
+    if (op_ != GateOp::kXor) {
+      for (std::size_t w = 0; w < kFilterWords; ++w) {
+        if ((row_mask_[w] & fl[w]) != 0) return true;
+      }
+      return false;
+    }
+    complement(row_);
+    complement(l);
+    eval(pat_.data(), kFilterWords, scratch_.data(), off_.data());
+    complement(row_);
+    complement(l);
+    for (std::size_t w = 0; w < kFilterWords; ++w) {
+      if ((row_mask_[w] ^ fl[w] ^ scratch_[w]) != 0) return true;
+    }
+    return false;
+  }
+
+  /// OR/AND: refutes every pair inside the sensitive set of x, the X row
+  /// of a model that proved a pair invalid. Simulates x (pattern 0) and
+  /// x ⊕ e_i (pattern i + 1) in one block; x must be an on-row.
+  void add_witness(const std::vector<char>& x) {
+    if (op_ == GateOp::kXor) return;
+    const std::size_t n = static_cast<std::size_t>(n_);
+    const std::size_t words = (n + 64) / 64;
+    if (witness_in_.empty()) {
+      witness_in_.resize(n * words);
+      charge(witness_in_.size() * sizeof(std::uint64_t));
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint64_t* row = witness_in_.data() + i * words;
+      std::fill(row, row + words, x[i] != 0 ? ~0ULL : 0ULL);
+      row[(i + 1) >> 6] ^= 1ULL << ((i + 1) & 63);
+    }
+    eval(witness_in_.data(), words, scratch_.data(), off_.data());
+    if ((scratch_[0] & 1U) == 0) return;
+    std::vector<std::uint64_t> s((n + 63) / 64, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (((off_[(i + 1) >> 6] >> ((i + 1) & 63)) & 1U) != 0) {
+        s[i >> 6] |= 1ULL << (i & 63);
+      }
+    }
+    if (test_bit(s, row_)) {
+      for (std::size_t w = 0; w < s.size(); ++w) row_refuted_[w] |= s[w];
+    }
+    charge(s.size() * sizeof(std::uint64_t));
+    witnesses_.push_back(std::move(s));
+  }
+
+ private:
+  /// OR/AND: on and off (OR form) at the patterns; XOR: on = f, and `off`
+  /// is left as it is.
+  void eval(const std::uint64_t* in, std::size_t words, std::uint64_t* on,
+            std::uint64_t* off) {
+    f_.run(in, words, on);
+    if (op_ == GateOp::kXor) return;
+    if (care_) care_->run(in, words, care_buf_.data());
+    const std::uint64_t negate = op_ == GateOp::kAnd ? ~0ULL : 0ULL;
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::uint64_t care = care_ ? care_buf_[w] : ~0ULL;
+      const std::uint64_t f = on[w] ^ negate;
+      on[w] = f & care;
+      off[w] = ~f & care;
+    }
+  }
+
+  void complement(int i) {
+    std::uint64_t* row = pat_.data() + static_cast<std::size_t>(i) * kFilterWords;
+    for (std::size_t w = 0; w < kFilterWords; ++w) row[w] = ~row[w];
+  }
+
+  /// The patterns with input i flipped, cached: OR/AND their off bits,
+  /// XOR their f.
+  const std::uint64_t* flipped(int i) {
+    std::uint64_t* out =
+        flip_.data() + static_cast<std::size_t>(i) * kFilterWords;
+    if (have_flip_[static_cast<std::size_t>(i)] == 0) {
+      have_flip_[static_cast<std::size_t>(i)] = 1;
+      complement(i);
+      if (op_ == GateOp::kXor) {
+        eval(pat_.data(), kFilterWords, out, off_.data());
+      } else {
+        eval(pat_.data(), kFilterWords, scratch_.data(), out);
+      }
+      complement(i);
+    }
+    return out;
+  }
+
+  void charge(std::size_t bytes) {
+    if (mem_ == nullptr) return;
+    mem_->charge(bytes);
+    charged_ += bytes;
+  }
+
+  int n_;
+  GateOp op_;
+  MemTracker* mem_;
+  std::size_t charged_ = 0;
+  /// Words per simulator run: the random patterns, or x and its n flips.
+  std::size_t block_;
+  XSimulator f_;
+  std::optional<XSimulator> care_;
+  std::vector<std::uint64_t> pat_;   ///< n × kFilterWords random patterns
+  std::vector<std::uint64_t> on0_;   ///< on at the patterns (XOR: f)
+  std::vector<std::uint64_t> flip_;  ///< n × kFilterWords, see flipped()
+  std::vector<char> have_flip_;
+  int row_ = -1;
+  std::vector<std::uint64_t> row_mask_;
+  /// Bit l: the pair (row_, l) is refuted by a witness.
+  std::vector<std::uint64_t> row_refuted_;
+  std::vector<std::uint64_t> scratch_, off_, care_buf_;  ///< block_ words
+  std::vector<std::uint64_t> witness_in_;
+  /// The sensitive sets of the witnesses, one bit per input.
+  std::vector<std::vector<std::uint64_t>> witnesses_;
+};
+
 }  // namespace
 
 bool mg_on_table_eligible(int n, const MgOptions& opts) {
@@ -188,6 +412,61 @@ PartitionSearchResult mg_on_table(const RelaxationTable& t,
   return result;
 }
 
+MgSeed MgDecomposer::seed_scan(const Deadline* deadline,
+                               std::vector<std::pair<int, int>>* refuted) {
+  const int n = rs_.matrix().n;
+  auto out_of_time = [&] { return deadline != nullptr && deadline->expired(); };
+  // Pairs in (j, l) order, each one attempt. A pair the filter refutes
+  // costs no SAT call; the model of a pair SAT proves invalid witnesses
+  // the refutation of further pairs.
+  SeedPairFilter filter(rs_.matrix(), rs_.mem());
+  MgSeed seed;
+  Partition p;
+  std::vector<char> witness(n);
+  int attempts = 0;
+  bool all_pairs_tried = true;
+  for (int j = 0; j < n && seed.j < 0; ++j) {
+    filter.start_row(j);
+    for (int l = j + 1; l < n; ++l) {
+      if (attempts >= opts_.max_seed_attempts || out_of_time()) {
+        all_pairs_tried = false;
+        seed.timed_out = out_of_time();
+        j = n;
+        break;
+      }
+      ++attempts;
+      if (filter.refuted(l)) {
+        if (refuted != nullptr) refuted->emplace_back(j, l);
+        continue;
+      }
+      p.cls.assign(n, VarClass::kC);
+      p.cls[j] = VarClass::kA;
+      p.cls[l] = VarClass::kB;
+      sat::Result status;
+      if (rs_.is_valid(p, deadline, &status)) {
+        seed.j = j;
+        seed.l = l;
+        break;
+      }
+      // Deadline-expired check: stop scanning instead of burning one
+      // no-op SAT call per remaining pair (same contract as LJH).
+      if (status == sat::Result::kUnknown) {
+        all_pairs_tried = false;
+        seed.timed_out = true;
+        j = n;
+        break;
+      }
+      for (int i = 0; i < n; ++i) {
+        witness[i] =
+            rs_.solver().model_value(rs_.x_var(i)) == sat::Lbool::kTrue;
+      }
+      filter.add_witness(witness);
+    }
+  }
+  seed.exhausted = seed.j < 0 && all_pairs_tried;
+  return seed;
+}
+
 PartitionSearchResult MgDecomposer::find_partition(const Deadline* deadline) {
   const int n = rs_.matrix().n;
   if (mg_on_table_eligible(n, opts_)) {
@@ -199,7 +478,14 @@ PartitionSearchResult MgDecomposer::find_partition(const Deadline* deadline) {
     return result;
   }
   const int start_calls = rs_.sat_calls();
-  auto out_of_time = [&] { return deadline != nullptr && deadline->expired(); };
+  const MgSeed seed = seed_scan(deadline);
+  if (seed.j < 0) {
+    result.exhausted = seed.exhausted;
+    result.timed_out = seed.timed_out;
+    if (result.timed_out) result.reason = reason_of_unknown(deadline);
+    result.sat_calls = rs_.sat_calls() - start_calls;
+    return result;
+  }
 
   // Group layout: group i in [0,n) is the α-equivalence of variable i
   // (enforces xi ≡ xi'), group n+i the β-equivalence (xi ≡ xi'').
@@ -209,50 +495,11 @@ PartitionSearchResult MgDecomposer::find_partition(const Deadline* deadline) {
   for (int i = 0; i < n; ++i) enable.push_back(~sat::mk_lit(rs_.alpha_var(i)));
   for (int i = 0; i < n; ++i) enable.push_back(~sat::mk_lit(rs_.beta_var(i)));
 
-  Partition seed;
-  int attempts = 0;
-  bool all_pairs_tried = true;
-  int seed_j = -1, seed_l = -1;
-  for (int j = 0; j < n && seed_j < 0; ++j) {
-    for (int l = j + 1; l < n; ++l) {
-      if (attempts >= opts_.max_seed_attempts || out_of_time()) {
-        all_pairs_tried = false;
-        result.timed_out = out_of_time();
-        j = n;
-        break;
-      }
-      ++attempts;
-      seed.cls.assign(n, VarClass::kC);
-      seed.cls[j] = VarClass::kA;
-      seed.cls[l] = VarClass::kB;
-      sat::Result status;
-      if (rs_.is_valid(seed, deadline, &status)) {
-        seed_j = j;
-        seed_l = l;
-        break;
-      }
-      // Deadline-expired check: stop scanning instead of burning one
-      // no-op SAT call per remaining pair (same contract as LJH).
-      if (status == sat::Result::kUnknown) {
-        all_pairs_tried = false;
-        result.timed_out = true;
-        j = n;
-        break;
-      }
-    }
-  }
-  if (seed_j < 0) {
-    result.exhausted = all_pairs_tried;
-    if (result.timed_out) result.reason = reason_of_unknown(deadline);
-    result.sat_calls = rs_.sat_calls() - start_calls;
-    return result;
-  }
-
   // MUS over the equivalence groups, with the seed's groups pre-removed
   // (xj pinned towards XA, xl towards XB).
   std::vector<char> removed(2 * n, 0);
-  removed[seed_j] = 1;      // α-group of j dropped -> j ∈ XA
-  removed[n + seed_l] = 1;  // β-group of l dropped -> l ∈ XB
+  removed[seed.j] = 1;      // α-group of j dropped -> j ∈ XA
+  removed[n + seed.l] = 1;  // β-group of l dropped -> l ∈ XB
   mus::GroupMusOptions mopts;
   mopts.conflict_budget = opts_.conflict_budget;
   mus::GroupMusExtractor extractor(rs_.solver(), enable, mopts);

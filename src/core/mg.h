@@ -1,5 +1,8 @@
 #pragma once
 
+#include <utility>
+#include <vector>
+
 #include "common/timer.h"
 #include "core/relaxation.h"
 
@@ -24,6 +27,20 @@ namespace step::core {
 /// order, then one deletion pass over the groups β0..βn−1, α0..αn−1. On
 /// an XOR table both are mask tests (RelaxationTable::xor_interacting).
 /// Other cones run the seed scan and the group MUS on SAT.
+///
+/// The SAT seed scan is filtered by simulation: before a pair costs a SAT
+/// call, the matrix's first copy f(X) (with its care set) is simulated on
+/// a fixed number of words of fixed-seed random patterns, each also with
+/// the pair's inputs flipped. A pattern that names a model of Φ under the
+/// pair refutes it — OR: an on-row x with x ⊕ e_j and x ⊕ e_l off (AND:
+/// the same on ¬f); XOR: f(x) ⊕ f(x^j) ⊕ f(x^l) ⊕ f(x^jl) = 1. When SAT
+/// proves an OR/AND pair invalid, its model's on-row x refutes every pair
+/// inside x's sensitive set {i : x ⊕ e_i off}. Each skip rests on such a
+/// witness, so the seed pair and every verdict are those of the plain
+/// per-pair scan; attempts still count pairs. A cone none of whose pairs
+/// survives is proven undecomposable with no SAT call. The group MUS then
+/// runs on a solver that has seen fewer calls, so above
+/// aig::kTtMaxSupport it may return a different minimal partition.
 struct MgOptions {
   /// Seed pairs tested before giving up (covers all pairs by default).
   int max_seed_attempts = 4096;
@@ -52,6 +69,16 @@ PartitionSearchResult mg_on_table(const RelaxationTable& t,
                                   const Deadline* deadline = nullptr,
                                   MgGroupState* state = nullptr);
 
+/// The outcome of the SAT path's seed scan: the first pair (j, l), j < l,
+/// whose partition ({j},{l}) is valid, or j = l = -1.
+struct MgSeed {
+  int j = -1, l = -1;
+  /// No seed, and every pair was tried: the cone has no bi-decomposition.
+  bool exhausted = false;
+  /// A deadline or conflict cap stopped the scan.
+  bool timed_out = false;
+};
+
 class MgDecomposer {
  public:
   MgDecomposer(RelaxationSolver& rs, MgOptions opts = {})
@@ -59,6 +86,12 @@ class MgDecomposer {
 
   /// Runs mg_on_table on the matrix's table when eligible, SAT otherwise.
   PartitionSearchResult find_partition(const Deadline* deadline = nullptr);
+
+  /// The SAT path's filtered seed scan (see above), on the solver.
+  /// `refuted`, when given (a test seam), receives the pairs the filter
+  /// refuted without a SAT call, in scan order.
+  MgSeed seed_scan(const Deadline* deadline = nullptr,
+                   std::vector<std::pair<int, int>>* refuted = nullptr);
 
  private:
   RelaxationSolver& rs_;

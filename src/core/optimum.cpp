@@ -96,6 +96,9 @@ OptimumResult OptimumSearch::run(const std::optional<Partition>& bootstrap,
       const QbfFindResult r = query(k);
       switch (r.status) {
         case qbf::Qbf2Status::kTrue:
+          // A finder that answers kTrue above the bound would make the
+          // uncapped stage re-query the same k forever: fail instead.
+          STEP_CHECK(metric_cost(Metrics::of(r.partition), kind) <= k);
           record_best(r.partition);
           hi = std::min(hi, res.best_cost - 1);
           break;

@@ -295,7 +295,7 @@ std::uint32_t RelaxationTable::nearest_off(std::uint32_t x,
 
 RelaxationSolver::RelaxationSolver(const RelaxationMatrix& m,
                                    const sat::SolverOptions& sat_opts)
-    : m_(m), solver_(sat_opts) {
+    : m_(m), solver_(sat_opts), mem_(sat_opts.mem) {
   // One variable per input and per AND of Φ (plus a constant).
   solver_.reserve_vars(
       static_cast<int>(m_.aig.num_inputs() + m_.aig.num_ands()) + 1);
@@ -308,7 +308,7 @@ RelaxationSolver::RelaxationSolver(const RelaxationMatrix& m,
       if (save != nullptr) save->push_back(v);
     }
   };
-  mk(m_.x, nullptr);
+  mk(m_.x, &x_vars_);
   mk(m_.xp, nullptr);
   mk(m_.xpp, nullptr);
   mk(m_.xppp, nullptr);

@@ -155,6 +155,10 @@ class RelaxationSolver {
 
   sat::Var alpha_var(int i) const { return alpha_vars_[i]; }
   sat::Var beta_var(int i) const { return beta_vars_[i]; }
+  /// The variable of input i of the first copy X (a model's on-row).
+  sat::Var x_var(int i) const { return x_vars_[i]; }
+  /// The memory account the solver charges (SolverOptions::mem).
+  MemTracker* mem() const { return mem_; }
 
   /// Assumption literals encoding a full partition.
   sat::LitVec assumptions_for(const Partition& p) const;
@@ -170,7 +174,8 @@ class RelaxationSolver {
  private:
   const RelaxationMatrix& m_;  ///< not owned; must outlive the solver
   sat::Solver solver_;
-  std::vector<sat::Var> alpha_vars_, beta_vars_;
+  MemTracker* mem_;
+  std::vector<sat::Var> x_vars_, alpha_vars_, beta_vars_;
   int sat_calls_ = 0;
 };
 

@@ -74,33 +74,6 @@ TEST(AigEdge, StrashDeterminism) {
 
 // ---------- cardinality boundaries ---------------------------------------------
 
-TEST(CardinalityEdge, AtLeastKBoundaries) {
-  using sat::mk_lit;
-  {
-    sat::Solver s;
-    sat::LitVec lits{mk_lit(s.new_var()), mk_lit(s.new_var())};
-    cnf::SolverSink sink(s);
-    cnf::at_least_k(sink, lits, 0);  // no-op
-    EXPECT_EQ(s.solve(), sat::Result::kSat);
-  }
-  {
-    sat::Solver s;
-    sat::LitVec lits{mk_lit(s.new_var()), mk_lit(s.new_var())};
-    cnf::SolverSink sink(s);
-    cnf::at_least_k(sink, lits, 2);  // both forced
-    ASSERT_EQ(s.solve(), sat::Result::kSat);
-    EXPECT_EQ(s.model_value(lits[0]), sat::Lbool::kTrue);
-    EXPECT_EQ(s.model_value(lits[1]), sat::Lbool::kTrue);
-  }
-  {
-    sat::Solver s;
-    sat::LitVec lits{mk_lit(s.new_var())};
-    cnf::SolverSink sink(s);
-    cnf::at_least_k(sink, lits, 2);  // impossible
-    EXPECT_EQ(s.solve(), sat::Result::kUnsat);
-  }
-}
-
 TEST(CardinalityEdge, DiffAtMostNegativeK) {
   // sum(a) - sum(b) <= -1 over 2+2 vars: needs strictly more b than a.
   using sat::mk_lit;

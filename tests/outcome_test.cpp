@@ -217,10 +217,12 @@ TEST(OutcomeReach, CircuitDeadlineViaCancelFlag) {
 
 TEST(OutcomeReach, ConflictBudgetOnCappedSolver) {
   core::DecomposeOptions opts =
-      base_opts(core::Engine::kMg, core::GateOp::kOr);
+      base_opts(core::Engine::kMg, core::GateOp::kXor);
   opts.sat.conflict_budget = 1;  // every solve stops almost immediately
   // 18 inputs: past aig::kTtMaxSupport, so the seed scan cannot be settled
-  // from a truth table and must go through the capped solver.
+  // from a truth table. Parity is linear: no two inputs interact, so the
+  // seed filter refutes no pair and the first one goes to the capped
+  // solver, whose UNSAT proof needs more than one conflict.
   const auto r =
       core::run_circuit(benchgen::parity_tree(18), "par18", opts, 600.0);
   ASSERT_EQ(r.pos.size(), 1u);

@@ -162,16 +162,18 @@ TEST(ParallelDriver, BudgetExpiryMidLastJobStillRaisesTheFlag) {
   // — the common case: the budget expires while the last worker is inside
   // its cone — the flag stayed false. It must now be aggregated from the
   // shared deadline, identically across thread counts.
-  const aig::Aig circ =
-      benchgen::merge({benchgen::parity_tree(18), benchgen::parity_tree(17)});
+  // Two OR-decomposable SOP cones of 20 and 21 inputs that share a group
+  // of inputs: MG finds a bootstrap partition that is not free, so the
+  // QDB optimum search runs its SAT CEGAR loop (unbudgeted, ~0.3 s).
+  const aig::Aig circ = benchgen::random_sop(10, 10, 4, 2, 16, 0x5eed);
   core::DecomposeOptions opts =
       generous_opts(core::Engine::kQbfCombined, core::GateOp::kOr);
   opts.extract = false;  // the budget dies inside the partition search
-  // Small enough that these 17/18-input OR searches cannot finish inside
-  // it (both are past aig::kTtMaxSupport, so no truth table settles them),
-  // yet the jobs themselves launch within microseconds — and if a worker
-  // does start late, it observes the expiry directly, so the flag must be
-  // true on every schedule.
+  // Small enough that these optimum searches cannot finish inside it
+  // (both cones are past aig::kTtMaxSupport, so no truth table settles
+  // them), yet the jobs themselves launch within microseconds — and if a
+  // worker does start late, it observes the expiry directly, so the flag
+  // must be true on every schedule.
   const double budget_s = 0.002;
   for (int threads : {1, 4}) {
     SCOPED_TRACE(threads);

@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "aig/ops.h"
 #include "benchgen/generators.h"
 #include "benchgen/suite.h"
 #include "cnf/tseitin.h"
 #include "core/circuit_driver.h"
+#include "core/mg.h"
 #include "core/partition_check.h"
 #include "sat/solver.h"
 #include "test_util.h"
@@ -274,6 +277,109 @@ TEST(ResynthSuite, EveryBundledCircuitVerifiesForAllEngines) {
       EXPECT_TRUE(circuits_equivalent(c.aig, r.network))
           << c.name << " under " << to_string(engine);
     }
+  }
+}
+
+// ---------- MG's simulation-filtered seed scan on wide cones -----------------
+
+// The unfiltered scan: one SAT check per pair in (j, l) order.
+MgSeed plain_seed_scan(RelaxationSolver& rs) {
+  const int n = rs.matrix().n;
+  MgSeed seed;
+  for (int j = 0; j < n && seed.j < 0; ++j) {
+    for (int l = j + 1; l < n; ++l) {
+      Partition p;
+      p.cls.assign(n, VarClass::kC);
+      p.cls[j] = VarClass::kA;
+      p.cls[l] = VarClass::kB;
+      if (rs.is_valid(p)) {
+        seed.j = j;
+        seed.l = l;
+        break;
+      }
+    }
+  }
+  seed.exhausted = seed.j < 0;
+  return seed;
+}
+
+TEST(MgSeedFilter, RefutesOnlyInvalidPairsAndKeepsTheSeed) {
+  Rng rng(0xf117);
+  int refuted_total = 0, exhausted = 0, found = 0;
+  for (int iter = 0; iter < 24; ++iter) {
+    const int n = rng.next_int(aig::kTtMaxSupport + 1, aig::kTtMaxSupport + 6);
+    const GateOp op = static_cast<GateOp>(iter % 3);
+    // Hamming thresholds (every sixth cone, under OR) have no OR
+    // bi-decomposition; the other cones mostly do.
+    const Cone cone =
+        iter % 6 == 3
+            ? extract_po_cone(benchgen::hamming_ge(n / 2, n / 4), 0)
+        : iter % 2 == 0 ? testutil::decomposable_cone(n, op, rng).cone
+                        : testutil::random_cone(n, 3 * n, rng.next());
+    // Every fourth OR/AND cone is care-constrained: every row the filter
+    // uses must then be a care row.
+    std::optional<CareSet> care;
+    if (iter % 4 == 1 && op != GateOp::kXor) {
+      const Cone c = testutil::random_cone(cone.n(), 2 * n, rng.next());
+      care.emplace();
+      care->aig = c.aig;
+      care->root = c.root;
+    }
+    const RelaxationMatrix m =
+        build_relaxation_matrix(cone, op, care ? &*care : nullptr);
+    RelaxationSolver filtered(m);
+    std::vector<std::pair<int, int>> refuted;
+    const MgSeed seed = MgDecomposer(filtered).seed_scan(nullptr, &refuted);
+    RelaxationSolver plain(m);
+    const MgSeed want = plain_seed_scan(plain);
+    SCOPED_TRACE(::testing::Message() << to_string(op) << " n " << cone.n()
+                                      << " iter " << iter);
+    EXPECT_EQ(seed.j, want.j);
+    EXPECT_EQ(seed.l, want.l);
+    EXPECT_EQ(seed.exhausted, want.exhausted);
+    EXPECT_FALSE(seed.timed_out);
+    for (const auto& [j, l] : refuted) {
+      Partition p;
+      p.cls.assign(cone.n(), VarClass::kC);
+      p.cls[j] = VarClass::kA;
+      p.cls[l] = VarClass::kB;
+      EXPECT_FALSE(plain.is_valid(p)) << "refuted pair " << j << "," << l;
+    }
+    refuted_total += static_cast<int>(refuted.size());
+    exhausted += seed.exhausted ? 1 : 0;
+    found += seed.j >= 0 ? 1 : 0;
+  }
+  // The sample exercises both verdicts and the filter itself.
+  EXPECT_GT(refuted_total, 0);
+  EXPECT_GT(exhausted, 0);
+  EXPECT_GT(found, 0);
+}
+
+TEST(MgSeedFilter, WideConeAnswersAreThreadCountInvariant) {
+  const aig::Aig circ = benchgen::merge(
+      {benchgen::comparator(10), benchgen::majority(21),
+       benchgen::random_sop(10, 10, 4, 3, 16, 0x5eed),
+       benchgen::random_dag(24, 300, 4, 0xdac)});
+  for (const GateOp op : {GateOp::kOr, GateOp::kAnd, GateOp::kXor}) {
+    SCOPED_TRACE(to_string(op));
+    DecomposeOptions opts;
+    opts.engine = Engine::kMg;
+    opts.op = op;
+    opts.po_budget_s = 60.0;
+    const CircuitRunResult seq = run_circuit(circ, "wide", opts, 600.0, {1});
+    const CircuitRunResult par = run_circuit(circ, "wide", opts, 600.0, {4});
+    ASSERT_EQ(seq.pos.size(), par.pos.size());
+    int wide = 0;
+    for (std::size_t i = 0; i < seq.pos.size(); ++i) {
+      EXPECT_EQ(seq.pos[i].status, par.pos[i].status) << "po " << i;
+      EXPECT_EQ(seq.pos[i].sat_calls, par.pos[i].sat_calls) << "po " << i;
+      EXPECT_EQ(seq.pos[i].metrics.shared, par.pos[i].metrics.shared)
+          << "po " << i;
+      EXPECT_EQ(seq.pos[i].metrics.imbalance, par.pos[i].metrics.imbalance)
+          << "po " << i;
+      if (seq.pos[i].support > aig::kTtMaxSupport) ++wide;
+    }
+    EXPECT_GT(wide, 0);
   }
 }
 
