@@ -6,34 +6,18 @@
 
 namespace step {
 
-namespace {
-
-/// Index of the pool-local worker running on this thread, or -1 when the
-/// calling thread is external. Keyed per pool via the pointer check in
-/// submit(); a thread belongs to at most one pool.
-thread_local const ThreadPool* tls_pool = nullptr;
-thread_local int tls_worker_id = -1;
-
-}  // namespace
-
 ThreadPool::ThreadPool(int num_threads) {
   const int n = std::max(1, num_threads);
-  queues_.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
   workers_.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { worker_main(i); });
-  }
+  for (int i = 0; i < n; ++i) workers_.emplace_back([this] { worker_main(); });
 }
 
 ThreadPool::~ThreadPool() {
   {
-    MutexLock lock(wake_mu_);
+    MutexLock lock(mu_);
     stop_ = true;
   }
-  wake_cv_.notify_all();
+  work_cv_.notify_all();
   for (std::thread& w : workers_) w.join();
 }
 
@@ -45,88 +29,51 @@ int ThreadPool::resolve_num_threads(int requested) {
 
 void ThreadPool::submit(std::function<void()> job) {
   STEP_CHECK(job != nullptr);
-  // A worker submitting nested work pushes to its own deque (LIFO pop keeps
-  // it cache-warm); external threads round-robin across workers.
-  const int home = (tls_pool == this) ? tls_worker_id : -1;
-  const std::size_t q =
-      home >= 0 ? static_cast<std::size_t>(home)
-                : next_queue_.fetch_add(1, std::memory_order_relaxed) %
-                      queues_.size();
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
   {
-    MutexLock lock(queues_[q]->mu);
-    queues_[q]->jobs.push_back(std::move(job));
+    MutexLock lock(mu_);
+    jobs_.push_back(std::move(job));
+    ++in_flight_;
   }
-  {
-    // queued_ must change under wake_mu_: a worker that just evaluated the
-    // wait predicate false still holds the mutex, so without this lock the
-    // notify below could fire before it blocks and be lost for good.
-    MutexLock lock(wake_mu_);
-    queued_.fetch_add(1, std::memory_order_release);
-  }
-  wake_cv_.notify_one();
+  work_cv_.notify_one();
 }
 
-bool ThreadPool::try_acquire(int id, std::function<void()>& out) {
-  // Own queue first, newest job (LIFO)...
-  {
-    WorkerQueue& own = *queues_[id];
-    MutexLock lock(own.mu);
-    if (!own.jobs.empty()) {
-      out = std::move(own.jobs.back());
-      own.jobs.pop_back();
-      queued_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  // ...then steal the oldest job from a victim.
-  const int n = static_cast<int>(queues_.size());
-  for (int k = 1; k < n; ++k) {
-    WorkerQueue& victim = *queues_[(id + k) % n];
-    MutexLock lock(victim.mu);
-    if (!victim.jobs.empty()) {
-      out = std::move(victim.jobs.front());
-      victim.jobs.pop_front();
-      queued_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::run_job(std::function<void()>& job) {
-  job();
-  job = nullptr;  // release captures before signalling completion
-  if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    MutexLock lock(wake_mu_);
-    idle_cv_.notify_all();
-  }
-}
-
-void ThreadPool::worker_main(int id) {
-  tls_pool = this;
-  tls_worker_id = id;
-  std::function<void()> job;
+void ThreadPool::worker_main() {
+  bool finished = false;  // a job ran since this worker last held mu_
   for (;;) {
-    if (try_acquire(id, job)) {
-      run_job(job);
-      continue;
+    // Declared per iteration: the finished job's captures are released
+    // before its completion is counted.
+    std::function<void()> job;
+    {
+      MutexLock lock(mu_);
+      if (finished && --in_flight_ == 0) idle_cv_.notify_all();
+      // Hand-rolled predicate loop (see CondVar): sleep until a job is
+      // queued or shutdown begins; return only once stopped *and* drained.
+      while (!stop_ && jobs_.empty()) work_cv_.wait(mu_);
+      if (jobs_.empty()) return;
+      job = std::move(jobs_.front());
+      jobs_.pop_front();
     }
-    MutexLock lock(wake_mu_);
-    // Hand-rolled predicate loop (see CondVar): sleep until a job is
-    // queued or shutdown begins; return only once stopped *and* drained.
-    while (!stop_ && queued_.load(std::memory_order_acquire) == 0) {
-      wake_cv_.wait(wake_mu_);
-    }
-    if (stop_ && queued_.load(std::memory_order_acquire) == 0) return;
+    job();
+    finished = true;
   }
 }
 
 void ThreadPool::wait_idle() {
-  MutexLock lock(wake_mu_);
-  while (in_flight_.load(std::memory_order_acquire) != 0) {
-    idle_cv_.wait(wake_mu_);
+  MutexLock lock(mu_);
+  while (in_flight_ != 0) idle_cv_.wait(mu_);
+}
+
+void parallel_for(std::size_t n, int requested_threads,
+                  const std::function<void(std::size_t)>& fn) {
+  const auto threads = std::min<std::size_t>(
+      ThreadPool::resolve_num_threads(requested_threads), n);
+  if (threads <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
   }
+  ThreadPool pool(static_cast<int>(threads));
+  for (std::size_t i = 0; i < n; ++i) pool.submit([&fn, i] { fn(i); });
+  pool.wait_idle();
 }
 
 }  // namespace step

@@ -1,9 +1,8 @@
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -11,15 +10,13 @@
 
 namespace step {
 
-/// Small work-stealing thread pool for fanning out independent solver jobs
-/// (one per PO cone in the circuit driver; see core/circuit_driver.h).
+/// Small thread pool for fanning out independent solver jobs (one per PO
+/// cone in the circuit driver; see core/circuit_driver.h).
 ///
-/// Each worker owns a deque: it pops its own jobs LIFO (cache-warm) and
-/// steals from other workers FIFO (oldest first), so a worker that drew a
-/// hard QBF cone does not serialize the rest of the circuit behind it.
-/// Jobs must not share mutable state unless they synchronize themselves —
-/// the decomposition engines qualify because every BiDecomposer call owns
-/// its private Solver/CEGAR contexts.
+/// One FIFO queue under one mutex: jobs start in submission order on any
+/// worker count. Jobs must not share mutable state unless they synchronize
+/// themselves — the decomposition engines qualify because every
+/// BiDecomposer call owns its private Solver/CEGAR contexts.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least 1).
@@ -31,8 +28,8 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a job. Safe from any thread; a job submitted from inside a
-  /// worker lands on that worker's own deque.
+  /// Enqueues a job at the back of the queue. Safe from any thread,
+  /// including a worker running a job.
   void submit(std::function<void()> job);
 
   /// Blocks until every submitted job (including ones submitted while
@@ -46,30 +43,23 @@ class ThreadPool {
   static int resolve_num_threads(int requested);
 
  private:
-  struct WorkerQueue {
-    Mutex mu;
-    std::deque<std::function<void()>> jobs STEP_GUARDED_BY(mu);
-  };
+  void worker_main();
 
-  void worker_main(int id);
-  bool try_acquire(int id, std::function<void()>& out);
-  void run_job(std::function<void()>& job);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> workers_;
 
-  Mutex wake_mu_;
-  CondVar wake_cv_;  ///< signals workers: job queued / stop
+  Mutex mu_;
+  CondVar work_cv_;  ///< signals workers: job queued / stop
   CondVar idle_cv_;  ///< signals wait_idle(): all jobs done
-
-  // queued_/in_flight_ stay atomics (not GUARDED_BY): they are read
-  // outside wake_mu_ on the fast acquire path; the wake protocol only
-  // requires that *changes* to queued_ happen under wake_mu_ (see
-  // submit()).
-  std::atomic<int> queued_{0};    ///< jobs sitting in some deque
-  std::atomic<int> in_flight_{0};  ///< submitted, not yet completed
-  std::atomic<unsigned> next_queue_{0};
-  bool stop_ STEP_GUARDED_BY(wake_mu_) = false;
+  std::deque<std::function<void()>> jobs_ STEP_GUARDED_BY(mu_);
+  int in_flight_ STEP_GUARDED_BY(mu_) = 0;  ///< submitted, not yet completed
+  bool stop_ STEP_GUARDED_BY(mu_) = false;
 };
+
+/// Calls fn(i) for every i in [0, n) and returns once all calls are done.
+/// The `-j` request is resolved (see ThreadPool::resolve_num_threads) and
+/// clamped to n: at one thread the calls run inline in index order,
+/// otherwise on a pool, one job per index submitted in index order.
+void parallel_for(std::size_t n, int requested_threads,
+                  const std::function<void(std::size_t)>& fn);
 
 }  // namespace step

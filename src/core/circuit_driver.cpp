@@ -355,18 +355,7 @@ CircuitRunResult run_circuit(const aig::Aig& circuit, const std::string& name,
     outcome.cpu_s = po_timer.elapsed_s();
   };
 
-  const int threads =
-      std::min(ThreadPool::resolve_num_threads(par.num_threads),
-               std::max<int>(1, static_cast<int>(jobs.size())));
-  if (threads <= 1) {
-    for (std::size_t j = 0; j < jobs.size(); ++j) run_one(j);
-  } else {
-    ThreadPool pool(threads);
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      pool.submit([&run_one, j] { run_one(j); });
-    }
-    pool.wait_idle();
-  }
+  parallel_for(jobs.size(), par.num_threads, run_one);
 
   // The per-job flag only catches expiry observed *before* a job starts;
   // when the budget dies while the last worker is mid-cone, no later job
@@ -540,18 +529,7 @@ CircuitResynthResult run_circuit_resynth(const aig::Aig& circuit,
     out.cpu_s = po_timer.elapsed_s();
   };
 
-  const int threads =
-      std::min(ThreadPool::resolve_num_threads(par.num_threads),
-               std::max<int>(1, static_cast<int>(n_pos)));
-  if (threads <= 1) {
-    for (std::uint32_t po = 0; po < n_pos; ++po) run_one(po);
-  } else {
-    ThreadPool pool(threads);
-    for (std::uint32_t po = 0; po < n_pos; ++po) {
-      pool.submit([&run_one, po] { run_one(po); });
-    }
-    pool.wait_idle();
-  }
+  parallel_for(n_pos, par.num_threads, run_one);
 
   // Deterministic assembly in PO order (emission is cheap and serial).
   aig::Aig& dst = result.network;

@@ -81,9 +81,10 @@ struct CircuitRunResult {
 
 /// Fan-out policy of run_circuit. Per-PO decomposition jobs are
 /// independent (each BiDecomposer call owns its private Solver/CEGAR
-/// contexts), so they are distributed over a work-stealing pool; results
-/// are merged back in PO order, making the parallel run's per-PO outcomes
-/// identical to the sequential run's whenever no budget expires mid-run.
+/// contexts), so parallel_for (common/thread_pool.h) starts them in PO
+/// order on one FIFO queue; results are merged back by PO slot, making the
+/// parallel run's per-PO outcomes identical to the sequential run's
+/// whenever no budget expires mid-run.
 struct ParallelDriverOptions {
   /// Worker threads decomposing POs concurrently. 1 = run inline in the
   /// calling thread (the reference sequential path); 0 or negative = one
@@ -211,7 +212,7 @@ struct CircuitResynthResult {
 };
 
 /// Runs recursive bi-decomposition over all POs of `circuit`, fanning the
-/// per-PO tree construction over the work-stealing pool. `opts.cache`,
+/// per-PO tree construction over parallel_for's FIFO pool. `opts.cache`,
 /// when set, is shared by all workers, so identical or NPN-equivalent
 /// cones decompose once per run. The circuit budget is cooperative: after
 /// it expires, remaining sub-cones are emitted as verbatim leaves, so the

@@ -1,27 +1,11 @@
 #include "core/decomposer.h"
 
 #include "aig/simulate.h"
+#include "core/ljh.h"
 
 namespace step::core {
 
 namespace {
-
-/// Result of one engine's pure partition-search strand: a partition (or a
-/// proof there is none, or a typed give-up) plus the strand's own cost
-/// counters. No extraction, no verification — BiDecomposer::decompose
-/// does both.
-struct SearchStrand {
-  DecomposeStatus status = DecomposeStatus::kUnknown;
-  OutcomeReason reason = OutcomeReason::kOk;
-  Partition partition;  ///< valid when status == kDecomposed
-  bool proven_optimal = false;
-  int sat_calls = 0;
-  int qbf_calls = 0;
-  int qbf_iterations = 0;
-  std::uint64_t qbf_abstraction_conflicts = 0;
-  std::uint64_t qbf_verification_conflicts = 0;
-  sat::Solver::Stats solver_stats;
-};
 
 /// True iff the engine runs STEP-MG: engine MG, or a QBF engine's
 /// bootstrap.
@@ -38,12 +22,13 @@ bool runs_mg(const DecomposeOptions& opts) {
 /// solver the strand builds (relaxation, LJH, CEGAR pair) is private to
 /// the call and dies with it. `opts` supplies the engine, its sub-options
 /// and the SAT configuration (including the memory account via
-/// opts.sat.mem).
-SearchStrand run_search_strand(const Cone& cone, const CareSet* care,
-                               const RelaxationTable* table,
-                               const DecomposeOptions& opts,
-                               const Deadline* deadline) {
-  SearchStrand res;
+/// opts.sat.mem). Fills `res`'s status, reason, partition, proven flag
+/// and cost counters; extraction and verification are left to
+/// BiDecomposer::decompose.
+void run_search_strand(const Cone& cone, const CareSet* care,
+                       const RelaxationTable* table,
+                       const DecomposeOptions& opts, const Deadline* deadline,
+                       DecomposeResult& res) {
   const Engine engine = opts.engine;
   const QbfModel model = engine == Engine::kQbfDisjoint   ? QbfModel::kQD
                          : engine == Engine::kQbfBalanced ? QbfModel::kQB
@@ -66,7 +51,7 @@ SearchStrand run_search_strand(const Cone& cone, const CareSet* care,
   switch (engine) {
     case Engine::kLjh: {
       matrix.emplace(build_relaxation_matrix(cone, opts.op, care));
-      LjhDecomposer ljh(*matrix, opts.ljh, opts.sat);
+      LjhDecomposer ljh(*matrix, opts.sat);
       const PartitionSearchResult r = ljh.find_partition(deadline);
       res.solver_stats += ljh.solver_stats();
       if (r.found) {
@@ -163,7 +148,6 @@ SearchStrand run_search_strand(const Cone& cone, const CareSet* care,
   } else {
     res.reason = OutcomeReason::kOk;
   }
-  return res;
 }
 
 /// Extracts fA/fB for `res.partition` and, when `verify`, checks them.
@@ -224,25 +208,13 @@ DecomposeResult BiDecomposer::decompose(const Cone& cone,
 
   // The search strand does everything up to (but excluding) extraction
   // and verification; it also classifies its own kUnknown reasons.
-  const SearchStrand s = run_search_strand(cone, care, tp, opts_, &deadline);
-  res.sat_calls = s.sat_calls;
-  res.qbf_calls = s.qbf_calls;
-  res.qbf_iterations = s.qbf_iterations;
-  res.qbf_abstraction_conflicts = s.qbf_abstraction_conflicts;
-  res.qbf_verification_conflicts = s.qbf_verification_conflicts;
-  res.solver_stats += s.solver_stats;
-  if (s.status == DecomposeStatus::kDecomposed) {
-    res.status = DecomposeStatus::kDecomposed;
-    res.metrics = Metrics::of(s.partition);
-    res.proven_optimal = s.proven_optimal;
-    res.partition = s.partition;
+  run_search_strand(cone, care, tp, opts_, &deadline, res);
+  if (res.status == DecomposeStatus::kDecomposed) {
+    res.metrics = Metrics::of(res.partition);
     if (opts_.extract) {
       extract_and_verify(cone, opts_.op, care, tp, opts_.verify, opts_.faults,
                          res);
     }
-  } else {
-    res.status = s.status;
-    res.reason = s.reason;
   }
 
   res.cpu_s = timer.elapsed_s();

@@ -6,7 +6,6 @@
 #include "common/resource.h"
 #include "common/timer.h"
 #include "core/extract.h"
-#include "core/ljh.h"
 #include "core/mg.h"
 #include "core/optimum.h"
 #include "core/qbf_model.h"
@@ -51,7 +50,6 @@ struct DecomposeOptions {
   /// Verify f ≡ fA <OP> fB after extraction (verify_decomposition: a table
   /// compare up to aig::kTtMaxSupport inputs, a SAT miter above).
   bool verify = true;
-  LjhOptions ljh;
   MgOptions mg;
   OptimumOptions optimum;
   QbfFinderOptions qbf;

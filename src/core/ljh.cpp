@@ -6,6 +6,18 @@
 
 namespace step::core {
 
+namespace {
+
+/// Seed pairs tested for validity (covers all pairs when n is small).
+constexpr int kMaxSeedAttempts = 4096;
+/// Valid seeds that are fully grown (each growth costs up to 2(n−2) SAT
+/// calls). The value mirrors Bi-dec's best-quality mode (`or 0 1`), which
+/// explores many seeds — and pays for it in CPU time, visibly so in the
+/// paper's Table III.
+constexpr int kMaxGrownSeeds = 24;
+
+}  // namespace
+
 bool LjhDecomposer::check(const Partition& p, const Deadline* deadline,
                           sat::Result* status) {
   ++sat_calls_;
@@ -35,9 +47,9 @@ PartitionSearchResult LjhDecomposer::find_partition(const Deadline* deadline) {
   Partition best;
   std::pair<int, int> best_cost{0, 0};  // (shared, imbalance) lexicographic
 
-  for (int j = 0; j < n && grown < opts_.max_grown_seeds && !timed_out; ++j) {
-    for (int l = j + 1; l < n && grown < opts_.max_grown_seeds; ++l) {
-      if (attempts >= opts_.max_seed_attempts) {
+  for (int j = 0; j < n && grown < kMaxGrownSeeds && !timed_out; ++j) {
+    for (int l = j + 1; l < n && grown < kMaxGrownSeeds; ++l) {
+      if (attempts >= kMaxSeedAttempts) {
         all_pairs_tried = false;
         j = n;  // abandon both loops
         break;

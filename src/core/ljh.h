@@ -15,22 +15,13 @@ namespace step::core {
 /// while validity is preserved. Several seeds are grown and the best
 /// result by (disjointness, balancedness) is kept — heuristic, with no
 /// optimality guarantee, which is exactly the gap the paper's QBF models
-/// close.
-struct LjhOptions {
-  /// Seed pairs tested for validity (covers all pairs when n is small).
-  int max_seed_attempts = 4096;
-  /// Valid seeds that are fully grown (each growth costs up to 2(n−2) SAT
-  /// calls). The default mirrors Bi-dec's best-quality mode (`or 0 1`),
-  /// which explores many seeds — and pays for it in CPU time, visibly so
-  /// in the paper's Table III.
-  int max_grown_seeds = 24;
-};
-
+/// close. Seed pairs tested and seeds grown are capped by constants in
+/// ljh.cpp that mirror Bi-dec's best-quality mode.
 class LjhDecomposer {
  public:
-  explicit LjhDecomposer(const RelaxationMatrix& m, LjhOptions opts = {},
+  explicit LjhDecomposer(const RelaxationMatrix& m,
                          sat::SolverOptions sat_opts = {})
-      : m_(m), opts_(opts), sat_opts_(sat_opts) {}
+      : m_(m), sat_opts_(sat_opts) {}
 
   PartitionSearchResult find_partition(const Deadline* deadline = nullptr);
 
@@ -45,7 +36,6 @@ class LjhDecomposer {
   bool check(const Partition& p, const Deadline* deadline, sat::Result* status);
 
   const RelaxationMatrix& m_;  ///< not owned; must outlive the decomposer
-  LjhOptions opts_;
   sat::SolverOptions sat_opts_;
   sat::Solver::Stats stats_;
   int sat_calls_ = 0;

@@ -500,9 +500,7 @@ PartitionSearchResult MgDecomposer::find_partition(const Deadline* deadline) {
   std::vector<char> removed(2 * n, 0);
   removed[seed.j] = 1;      // α-group of j dropped -> j ∈ XA
   removed[n + seed.l] = 1;  // β-group of l dropped -> l ∈ XB
-  mus::GroupMusOptions mopts;
-  mopts.conflict_budget = opts_.conflict_budget;
-  mus::GroupMusExtractor extractor(rs_.solver(), enable, mopts);
+  mus::GroupMusExtractor extractor(rs_.solver(), enable);
   const mus::GroupMusResult mus = extractor.extract(deadline, &removed);
 
   // Decode group membership into a partition.

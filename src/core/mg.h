@@ -41,11 +41,14 @@ namespace step::core {
 /// survives is proven undecomposable with no SAT call. The group MUS then
 /// runs on a solver that has seen fewer calls, so above
 /// aig::kTtMaxSupport it may return a different minimal partition.
+///
+/// MG's SAT calls are capped only by sat::SolverOptions::conflict_budget.
+/// MgOptions stays a struct with its one field because
+/// DecomposeOptions::mg carries it to every MgDecomposer, stepbench's
+/// re-drive included.
 struct MgOptions {
   /// Seed pairs tested before giving up (covers all pairs by default).
   int max_seed_attempts = 4096;
-  /// Conflict budget per MUS SAT call; -1 = unlimited.
-  std::int64_t conflict_budget = -1;
 };
 
 /// True iff MG runs on the truth table for this support and budget.

@@ -7,9 +7,8 @@
 namespace step::mus {
 
 GroupMusExtractor::GroupMusExtractor(sat::Solver& solver,
-                                     std::vector<sat::Lit> enable,
-                                     GroupMusOptions opts)
-    : solver_(solver), enable_(std::move(enable)), opts_(opts) {
+                                     std::vector<sat::Lit> enable)
+    : solver_(solver), enable_(std::move(enable)) {
   const int n = static_cast<int>(enable_.size());
   group_next_.assign(n, -1);
   // Push groups in reverse so each chain lists its groups in index order.
@@ -44,7 +43,7 @@ GroupMusResult GroupMusExtractor::extract(
       assumptions.push_back(active ? enable_[g] : ~enable_[g]);
     }
     ++result.sat_calls;
-    return solver_.solve_limited(assumptions, opts_.conflict_budget, deadline);
+    return solver_.solve_limited(assumptions, -1, deadline);
   };
 
   std::vector<char> in_core(n, 0);

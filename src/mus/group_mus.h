@@ -7,6 +7,15 @@
 
 namespace step::mus {
 
+struct GroupMusResult {
+  /// Indices (into the selector vector) of the extracted MUS.
+  std::vector<int> mus;
+  /// True when every group was actually tested; false when the deadline
+  /// truncated the process (result is then an UNSAT subset, not minimal).
+  bool minimal = true;
+  int sat_calls = 0;
+};
+
 /// Deletion-based group-MUS extraction over selector literals, the
 /// algorithmic core of MUSer's group-oriented mode that STEP-MG relies on.
 ///
@@ -19,26 +28,13 @@ namespace step::mus {
 ///
 /// Every UNSAT answer is refined with the solver's final-conflict core
 /// (clause-set refinement): a large speedup that never hurts minimality.
-struct GroupMusOptions {
-  /// Conflict budget per SAT call; -1 = unlimited.
-  std::int64_t conflict_budget = -1;
-};
-
-struct GroupMusResult {
-  /// Indices (into the selector vector) of the extracted MUS.
-  std::vector<int> mus;
-  /// True when every group was actually tested; false when the deadline
-  /// truncated the process (result is then an UNSAT subset, not minimal).
-  bool minimal = true;
-  int sat_calls = 0;
-};
-
+/// Each SAT call is capped only by the solver's own
+/// sat::SolverOptions::conflict_budget; a capped call keeps its group.
 class GroupMusExtractor {
  public:
   /// `enable` holds one enable literal per group. The solver must contain
   /// the instrumented clauses already.
-  GroupMusExtractor(sat::Solver& solver, std::vector<sat::Lit> enable,
-                    GroupMusOptions opts = {});
+  GroupMusExtractor(sat::Solver& solver, std::vector<sat::Lit> enable);
 
   /// Requires: formula UNSAT with all groups enabled — minus the ones
   /// pre-removed through `initially_removed` (indexed per group; non-zero
@@ -50,7 +46,6 @@ class GroupMusExtractor {
  private:
   sat::Solver& solver_;
   std::vector<sat::Lit> enable_;
-  GroupMusOptions opts_;
   /// Groups by enable literal, built once: group_head_[index(l)] is the
   /// first group whose enable literal is l (-1 if none), group_next_[g]
   /// the next group sharing g's literal. Core refinement maps each core

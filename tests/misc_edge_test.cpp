@@ -1,5 +1,5 @@
 // Remaining edge coverage: AIG naming/identity corners, cardinality
-// boundaries, MUS option paths, relaxation matrix structure, benchgen
+// boundaries, MUS edge cases, relaxation matrix structure, benchgen
 // input validation.
 
 #include <gtest/gtest.h>
@@ -92,7 +92,7 @@ TEST(CardinalityEdge, DiffAtMostNegativeK) {
   EXPECT_EQ(s.solve(assume), sat::Result::kUnsat);
 }
 
-// ---------- MUS option paths ----------------------------------------------------
+// ---------- MUS edge cases ------------------------------------------------------
 
 TEST(MusEdge, InterchangeableGroupsStillMinimal) {
   sat::Solver s;
@@ -115,9 +115,10 @@ TEST(MusEdge, InterchangeableGroupsStillMinimal) {
 }
 
 TEST(MusEdge, ConflictBudgetTruncates) {
-  sat::Solver s;
-  // Build a moderately hard UNSAT core so a 0-conflict budget cannot prove
-  // anything: pigeonhole guarded by one selector per pigeon clause.
+  // The solver-level cap bounds every MUS call. Build a moderately hard
+  // UNSAT core so a 0-conflict budget cannot prove anything: pigeonhole
+  // guarded by one selector per pigeon clause.
+  sat::Solver s(sat::SolverOptions{.conflict_budget = 0});
   sat::Var p[4][3];
   for (auto& row : p) {
     for (sat::Var& v : row) v = s.new_var();
@@ -136,9 +137,7 @@ TEST(MusEdge, ConflictBudgetTruncates) {
       }
     }
   }
-  mus::GroupMusOptions opts;
-  opts.conflict_budget = 0;
-  mus::GroupMusExtractor ex(s, enable, opts);
+  mus::GroupMusExtractor ex(s, enable);
   const mus::GroupMusResult r = ex.extract();
   EXPECT_FALSE(r.minimal);           // budget prevented the baseline proof
   EXPECT_EQ(r.mus.size(), enable.size());  // conservative: keeps everything

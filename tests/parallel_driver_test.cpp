@@ -69,9 +69,43 @@ TEST(ThreadPool, DestructorDrainsQueuedJobs) {
     for (int i = 0; i < 100; ++i) {
       pool.submit([&count] { count.fetch_add(1); });
     }
-    // No wait_idle(): the destructor must drain the deques before joining.
+    // No wait_idle(): the destructor must drain the queue before joining.
   }
   EXPECT_EQ(count.load(), 100);
+}
+
+TEST(ThreadPool, SingleWorkerRunsJobsInSubmissionOrder) {
+  constexpr int kJobs = 5;
+  std::vector<int> order;  // written by the single worker only
+  Mutex mu;
+  CondVar cv;
+  bool started = false;
+  bool released = false;
+  {
+    ThreadPool pool(1);
+    // Job 0 holds the only worker until jobs 1..k are all queued.
+    pool.submit([&] {
+      MutexLock lock(mu);
+      started = true;
+      cv.notify_all();
+      while (!released) cv.wait(mu);
+      order.push_back(0);
+    });
+    {
+      MutexLock lock(mu);
+      while (!started) cv.wait(mu);
+    }
+    for (int i = 1; i <= kJobs; ++i) {
+      pool.submit([&order, i] { order.push_back(i); });
+    }
+    {
+      MutexLock lock(mu);
+      released = true;
+    }
+    cv.notify_all();
+    pool.wait_idle();
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(ThreadPool, ResolveNumThreads) {
