@@ -294,7 +294,8 @@ BENCHMARK(bm_fresh_cone_solvers)->DenseRange(0, 4);
 /// the same cone: its RelaxationTable (the interaction masks) plus
 /// mg_on_table; arg 4 is one check of the CEGAR search's table ∀-side on
 /// the OR table: the candidate XA = x0..x7, XB = x8..x15 is refuted and
-/// its refinement clause built.
+/// its refinement clause built; arg 5 NPN-canonicalizes 6-input parity,
+/// where every transform reaches the minimum.
 void bm_small_cone_kernels(benchmark::State& state) {
   const int kernel = static_cast<int>(state.range(0));
   const aig::Aig par = benchgen::parity_tree(16);
@@ -302,6 +303,7 @@ void bm_small_cone_kernels(benchmark::State& state) {
   const core::RelaxationMatrix m =
       core::build_relaxation_matrix(cone, core::GateOp::kOr);
   const core::TruthTable tt6{0x6996e81717e86996ULL};
+  const core::TruthTable parity6{0x6996966996696996ULL};
   const core::RelaxationTable or_table(m);
   qbf::ForallSide forall = core::table_forall_side(or_table);
   std::vector<sat::Lbool> cand(32, sat::Lbool::kFalse);
@@ -325,19 +327,22 @@ void bm_small_cone_kernels(benchmark::State& state) {
         benchmark::DoNotOptimize(core::mg_on_table(
             core::RelaxationTable(cone, core::GateOp::kXor, nullptr)));
         break;
-      default:
+      case 4:
         refinement.clear();
         benchmark::DoNotOptimize(forall(cand, refinement, nullptr));
+        break;
+      default:
+        benchmark::DoNotOptimize(core::npn_canonicalize(parity6, 6));
         break;
     }
   }
   static const char* const kLabels[] = {
       "npn_canonicalize n=6", "functional_support n=16",
       "or_mg_on_table parity16", "xor_mg_on_table parity16",
-      "table_forall_check parity16 OR"};
+      "table_forall_check parity16 OR", "npn_canonicalize parity6"};
   state.SetLabel(kLabels[kernel]);
 }
-BENCHMARK(bm_small_cone_kernels)->DenseRange(0, 4);
+BENCHMARK(bm_small_cone_kernels)->DenseRange(0, 5);
 
 }  // namespace
 

@@ -24,7 +24,7 @@ bool runs_mg(const DecomposeOptions& opts) {
 /// and the SAT configuration (including the memory account via
 /// opts.sat.mem). Fills `res`'s status, reason, partition, proven flag
 /// and cost counters; extraction and verification are left to
-/// BiDecomposer::decompose.
+/// run_extraction.
 void run_search_strand(const Cone& cone, const CareSet* care,
                        const RelaxationTable* table,
                        const DecomposeOptions& opts, const Deadline* deadline,
@@ -155,11 +155,13 @@ void run_search_strand(const Cone& cone, const CareSet* care,
 /// is discarded wholesale and reported as a classified failure, not
 /// trusted because the search found it. An injected verification flip
 /// takes the same path as a real mismatch, which is why injecting it is
-/// sound.
-void extract_and_verify(const Cone& cone, GateOp op, const CareSet* care,
-                        const RelaxationTable* table, bool verify,
-                        FaultStream* faults, DecomposeResult& res) {
-  res.functions = extract_functions(cone, op, res.partition, care, table);
+/// sound. With no `table`, the table extract_functions builds for an
+/// OR/AND cone is charged to `mem`.
+void run_extraction(const Cone& cone, GateOp op, const CareSet* care,
+                    const RelaxationTable* table, MemTracker* mem, bool verify,
+                    FaultStream* faults, DecomposeResult& res) {
+  res.functions =
+      extract_functions(cone, op, res.partition, care, table, mem);
   if (!verify) return;
   bool ok = verify_decomposition(cone, *res.functions, care);
   if (ok && faults != nullptr && faults->fire_verification()) ok = false;
@@ -212,13 +214,23 @@ DecomposeResult BiDecomposer::decompose(const Cone& cone,
   if (res.status == DecomposeStatus::kDecomposed) {
     res.metrics = Metrics::of(res.partition);
     if (opts_.extract) {
-      extract_and_verify(cone, opts_.op, care, tp, opts_.verify, opts_.faults,
-                         res);
+      run_extraction(cone, opts_.op, care, tp, opts_.mem, opts_.verify,
+                     opts_.faults, res);
     }
   }
 
   res.cpu_s = timer.elapsed_s();
   return res;
+}
+
+void BiDecomposer::extract_and_verify(const Cone& cone, DecomposeResult& res,
+                                      const CareSet* care) const {
+  STEP_CHECK(res.status == DecomposeStatus::kDecomposed && !res.functions);
+  Timer timer;
+  if (care_is_trivial(care)) care = nullptr;
+  run_extraction(cone, opts_.op, care, nullptr, opts_.mem, opts_.verify,
+                 opts_.faults, res);
+  res.cpu_s += timer.elapsed_s();
 }
 
 DecomposeResult decompose_with_partition(const Cone& cone, GateOp op,
@@ -241,7 +253,7 @@ DecomposeResult decompose_with_partition(const Cone& cone, GateOp op,
   res.metrics = Metrics::of(partition);
   res.sat_calls = 1;
   if (extract) {
-    extract_and_verify(cone, op, care, nullptr, verify, nullptr, res);
+    run_extraction(cone, op, care, nullptr, nullptr, verify, nullptr, res);
   }
   res.cpu_s = timer.elapsed_s();
   return res;

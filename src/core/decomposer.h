@@ -46,6 +46,8 @@ struct DecomposeOptions {
   /// "STEP-{QD,QB,QDB} is bootstrapped with the result of STEP-MG").
   bool bootstrap_with_mg = true;
   /// Compute fA/fB after the partition (interpolation / cofactoring).
+  /// With false, decompose() only searches; BiDecomposer::
+  /// extract_and_verify() can then extract the result it keeps.
   bool extract = true;
   /// Verify f ≡ fA <OP> fB after extraction (verify_decomposition: a table
   /// compare up to aig::kTtMaxSupport inputs, a SAT miter above).
@@ -137,6 +139,16 @@ class BiDecomposer {
   /// (OR/AND; XOR partitions stay exact — see build_relaxation_matrix).
   DecomposeResult decompose(const Cone& cone,
                             const CareSet* care = nullptr) const;
+
+  /// The second step of decompose(), for a kDecomposed result of a search
+  /// run with `extract` off (same options, cone and care): extracts fA/fB
+  /// and, when `verify` is set, checks them, adding the time to
+  /// `res.cpu_s`. A failed check turns `res` into kUnknown /
+  /// kVerificationFailed, exactly as in decompose(). Recursive synthesis
+  /// (core/synthesis.h) searches every op this way and extracts only the
+  /// op its tree keeps, so the ops it drops cost no extraction.
+  void extract_and_verify(const Cone& cone, DecomposeResult& res,
+                          const CareSet* care = nullptr) const;
 
  private:
   DecomposeOptions opts_;

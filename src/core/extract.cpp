@@ -166,11 +166,12 @@ std::optional<ExtractedFunctions> table_functions(const Cone& cone,
 
 ExtractedFunctions extract_functions(const Cone& cone, GateOp op,
                                      const Partition& p, const CareSet* care,
-                                     const RelaxationTable* table) {
+                                     const RelaxationTable* table,
+                                     MemTracker* mem) {
   STEP_CHECK(p.size() == cone.n());
   if (op != GateOp::kXor && cone.n() <= aig::kTtMaxSupport) {
     std::optional<RelaxationTable> own;
-    if (table == nullptr) table = &own.emplace(cone, op, care);
+    if (table == nullptr) table = &own.emplace(cone, op, care, mem);
     STEP_CHECK(table->op() == op && table->n() == cone.n());
     if (std::optional<ExtractedFunctions> fns =
             table_functions(cone, *table, p)) {

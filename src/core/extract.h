@@ -44,11 +44,13 @@ struct ExtractedFunctions {
 /// keeps them refutable and yields fA/fB correct *on the care set*:
 /// fa <OP> fb ≡ f on every care minterm, free elsewhere. XOR partitions
 /// are exact by construction, so cofactoring needs no care handling.
-/// A given `table` must be the cone's own, built for `op` and `care`.
+/// A given `table` must be the cone's own, built for `op` and `care`; one
+/// built here is charged to `mem` (the cone's account) while it lives.
 ExtractedFunctions extract_functions(const Cone& cone, GateOp op,
                                      const Partition& p,
                                      const CareSet* care = nullptr,
-                                     const RelaxationTable* table = nullptr);
+                                     const RelaxationTable* table = nullptr,
+                                     MemTracker* mem = nullptr);
 
 /// Check that f ≡ fa <OP> fb, restricted to the care minterms when `care`
 /// is non-trivial (roots_equivalent_on_care: tables of f, of the

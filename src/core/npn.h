@@ -14,14 +14,20 @@ namespace step::core {
 /// instantiates the other by rewiring inputs and complementing edges, so
 /// the cache stores one tree per NPN class.
 ///
-/// Exact canonicalization enumerates all n!·2^n·2 transforms and keeps the
+/// Exact canonicalization visits all n!·2^n·2 transforms and keeps the
 /// lexicographically smallest table, which is practical for the small
-/// supports where truth tables are cheap (kNpnMaxSupport). The cost is one
-/// row-by-row permuted table per permutation (n! · 2^n row lookups); each
-/// of the 2^n input negations is then a single in-word flip
-/// (aig::tt_flip_word) of a previously built candidate, so at n = 6 a call
-/// is ~46k row lookups plus ~46k word flips. Wider functions are keyed by
-/// their own truth table under the identity transform (see dec_cache).
+/// supports where truth tables are cheap (kNpnMaxSupport). Permutations
+/// are walked by plain changes, each one adjacent variable swap (a delta
+/// swap of the word), and input negations by Gray code, each one in-word
+/// flip, in eight independent lanes; output negation costs nothing (the
+/// smallest complement is that of the largest word). At n = 6 a call is
+/// 719 swaps plus ~46k flips with branchless min/max, about 4x faster
+/// than building a permuted table row by row per permutation. The
+/// transform returned is the first reaching the minimum in the order
+/// (permutation lexicographic, then input negation, then output
+/// negation), found by one more scan of 2^n negations. Wider functions
+/// are keyed by their own truth table under the identity transform (see
+/// dec_cache).
 
 /// Largest support for which exact NPN canonicalization is enumerated
 /// (6! · 2^6 · 2 = 92160 candidate transforms, one 64-bit word each).

@@ -141,31 +141,53 @@ struct TreeBuilder {
       }
     }
 
-    // Pick a gate and a partition.
-    bool have = false;
-    GateOp best_op = GateOp::kOr;
-    DecomposeResult best;
+    // Pick a gate and a partition. Each op is searched without extraction;
+    // fA/fB are extracted and verified only for the op the tree keeps: the
+    // first op found, or with pick_best_op the first in (cost, op order).
+    // A failed verification falls through to the next candidate.
+    struct Found {
+      BiDecomposer dec;
+      DecomposeResult r;
+    };
+    auto extracts = [&](Found& f) {
+      f.dec.extract_and_verify(cone, f.r, care);
+      return f.r.status == DecomposeStatus::kDecomposed;
+    };
+    std::vector<Found> found;
+    const Found* kept = nullptr;
     for (GateOp op : opts.ops) {
       if (expired()) break;
       DecomposeOptions dopts = opts.per_node;
       dopts.op = op;
       dopts.engine = opts.engine;
-      dopts.extract = true;
+      dopts.extract = false;
       if (deadline != nullptr) {
         dopts.po_budget_s =
             std::min(dopts.po_budget_s, deadline->remaining_s());
       }
-      DecomposeResult r = BiDecomposer(dopts).decompose(cone, care);
-      if (r.status != DecomposeStatus::kDecomposed) continue;
-      if (!have || metric_cost(r.metrics, MetricKind::kSum) <
-                       metric_cost(best.metrics, MetricKind::kSum)) {
-        have = true;
-        best_op = op;
-        best = std::move(r);
+      Found f{BiDecomposer(dopts), {}};
+      f.r = f.dec.decompose(cone, care);
+      if (f.r.status != DecomposeStatus::kDecomposed) continue;
+      found.push_back(std::move(f));
+      if (!opts.pick_best_op && extracts(found.back())) {
+        kept = &found.back();
+        break;
       }
-      if (!opts.pick_best_op) break;
     }
-    if (!have) {
+    if (opts.pick_best_op) {
+      std::stable_sort(found.begin(), found.end(),
+                       [](const Found& a, const Found& b) {
+                         return metric_cost(a.r.metrics, MetricKind::kSum) <
+                                metric_cost(b.r.metrics, MetricKind::kSum);
+                       });
+      for (Found& f : found) {
+        if (extracts(f)) {
+          kept = &f;
+          break;
+        }
+      }
+    }
+    if (kept == nullptr) {
       if (stats != nullptr) ++stats->undecomposable;
       return make_cone_leaf(cone);
     }
@@ -178,7 +200,8 @@ struct TreeBuilder {
     // its inputs are exactly its own (structural) support. In DC mode each
     // child inherits the parent care restricted by its sibling's
     // observability don't-cares (see child_care).
-    const ExtractedFunctions& fns = *best.functions;
+    const GateOp best_op = kept->dec.options().op;
+    const ExtractedFunctions& fns = *kept->r.functions;
     DecTree t;
     t.n = n;
     auto recurse = [&](aig::Lit f, int child) {

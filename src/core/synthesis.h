@@ -30,10 +30,14 @@ namespace step::core {
 struct SynthesisOptions {
   /// Partition engine used at every recursion node.
   Engine engine = Engine::kQbfCombined;
-  /// Gates tried at each node, in preference order.
+  /// Gates tried at each node, in preference order. Each op is searched
+  /// with extraction off; fA/fB are extracted and verified only for the
+  /// op the node keeps (BiDecomposer::extract_and_verify), and an op whose
+  /// verification fails gives way to the next candidate.
   std::vector<GateOp> ops = {GateOp::kOr, GateOp::kAnd, GateOp::kXor};
-  /// Try every op and keep the one whose partition has the smallest
-  /// combined cost (|XC| + imbalance) instead of taking the first success.
+  /// Search every op and keep the first that verifies in order of combined
+  /// cost (|XC| + imbalance), ties to the earlier op, instead of the first
+  /// op found.
   bool pick_best_op = false;
   /// Stop recursing below this support size (a 2-input function is a gate).
   int leaf_support = 2;

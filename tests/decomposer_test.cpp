@@ -107,6 +107,61 @@ TEST(Decomposer, BootstrapOffStillWorks) {
   EXPECT_EQ(r.status == DecomposeStatus::kDecomposed, oracle.decomposable);
 }
 
+// ---------- search, then extraction of the kept result ---------------------------
+
+// decompose() with `extract` off followed by extract_and_verify() gives
+// what one eager decompose() gives: the same partition and the same fA/fB.
+// The extraction's own table is charged to the cone's account and
+// refunded; a failed verification discards the result as decompose()
+// does.
+TEST(Decomposer, SearchThenExtractEqualsEagerDecompose) {
+  Rng rng(3131);
+  const std::optional<FaultPlan> fail_all = FaultPlan::parse("1:1.0:v");
+  ASSERT_TRUE(fail_all.has_value());
+  int checked = 0;
+  for (const GateOp op : {GateOp::kOr, GateOp::kAnd, GateOp::kXor}) {
+    for (int iter = 0; iter < 8; ++iter) {
+      const int n = rng.next_int(3, 10);
+      const Cone cone =
+          testutil::random_cone(n, rng.next_int(n, 3 * n), rng.next());
+      DecomposeOptions o = opts_for(Engine::kMg, op);
+      const DecomposeResult eager = BiDecomposer(o).decompose(cone);
+      MemTracker mem;
+      o.extract = false;
+      o.mem = &mem;
+      const BiDecomposer dec(o);
+      DecomposeResult lazy = dec.decompose(cone);
+      ASSERT_EQ(lazy.status, eager.status);
+      if (lazy.status != DecomposeStatus::kDecomposed) continue;
+      EXPECT_FALSE(lazy.functions.has_value());
+      EXPECT_FALSE(lazy.verified);
+      dec.extract_and_verify(cone, lazy);
+      ASSERT_EQ(lazy.status, DecomposeStatus::kDecomposed);
+      EXPECT_TRUE(lazy.verified);
+      EXPECT_EQ(lazy.partition, eager.partition);
+      const ExtractedFunctions& a = *lazy.functions;
+      const ExtractedFunctions& b = *eager.functions;
+      EXPECT_EQ(a.aig.num_nodes(), b.aig.num_nodes());
+      EXPECT_EQ(a.fa, b.fa);
+      EXPECT_EQ(a.fb, b.fb);
+      EXPECT_EQ(a.combined, b.combined);
+      EXPECT_EQ(mem.bytes(), 0U);
+
+      FaultStream faults(*fail_all, 0);
+      o.faults = &faults;
+      const BiDecomposer failing(o);
+      DecomposeResult dropped = failing.decompose(cone);
+      ASSERT_EQ(dropped.status, DecomposeStatus::kDecomposed);
+      failing.extract_and_verify(cone, dropped);
+      EXPECT_EQ(dropped.status, DecomposeStatus::kUnknown);
+      EXPECT_EQ(dropped.reason, OutcomeReason::kVerificationFailed);
+      EXPECT_FALSE(dropped.functions.has_value());
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
 // ---------- the paper's bootstrapping guarantee ----------------------------------
 
 TEST(Decomposer, QbfEnginesNeverWorseThanMg) {

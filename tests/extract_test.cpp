@@ -210,6 +210,24 @@ INSTANTIATE_TEST_SUITE_P(
                       OpSeed{GateOp::kOr, 2}, OpSeed{GateOp::kAnd, 0},
                       OpSeed{GateOp::kAnd, 1}, OpSeed{GateOp::kAnd, 2}));
 
+// The table extract_functions builds when given none is charged to the
+// cone's account while it lives (its on/off tables at 16 inputs are 2^16
+// rows each) and refunded when extraction returns.
+TEST(Extract, OwnTableIsChargedToTheConeAccount) {
+  Rng rng(1616);
+  for (const GateOp op : {GateOp::kOr, GateOp::kAnd}) {
+    const testutil::DecomposableCone d =
+        testutil::decomposable_cone(aig::kTtMaxSupport, op, rng);
+    ResourceGovernor governor;
+    MemTracker mem(&governor);
+    const ExtractedFunctions fns =
+        extract_functions(d.cone, op, d.partition, nullptr, nullptr, &mem);
+    EXPECT_TRUE(verify_decomposition(d.cone, fns));
+    EXPECT_GE(governor.peak_run_bytes(), 2 * (std::size_t{1} << 16) / 8);
+    EXPECT_EQ(mem.bytes(), 0U);
+  }
+}
+
 TEST(Extract, VerifyRejectsWrongRecombination) {
   // verify_decomposition must actually catch mistakes: feed it a bogus
   // function pair.

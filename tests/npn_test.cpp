@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 
 #include "common/rng.h"
@@ -103,6 +104,42 @@ TEST(NpnReference, BitIdenticalOnSeededFiveAndSixInputTables) {
         i % 4 < 2 ? rng.next() : rng.next() & rng.next() & rng.next();
     expect_same_as_reference(tt_of(bits, n), n);
   }
+}
+
+/// The table of a function of the input row's popcount: bit k of `spectrum`
+/// is the value on rows with k ones.
+TruthTable symmetric_table(std::uint32_t spectrum, int n) {
+  std::uint64_t bits = 0;
+  for (std::size_t r = 0; r < (std::size_t{1} << n); ++r) {
+    if ((spectrum >> std::popcount(r)) & 1U) bits |= 1ULL << r;
+  }
+  return TruthTable{bits};
+}
+
+// Tables where many transforms reach the minimum: the transform must still
+// be the first one of the enumeration order, not merely a valid one.
+TEST(NpnReference, BitIdenticalOnTieHeavyFiveAndSixInputTables) {
+  for (int n = 5; n <= 6; ++n) {
+    // Every popcount-symmetric table: constants, parity, majority, all
+    // thresholds and their complements.
+    for (std::uint32_t spectrum = 0; spectrum < (1U << (n + 1)); ++spectrum) {
+      expect_same_as_reference(symmetric_table(spectrum, n), n);
+    }
+    // AND and OR of literals with random phases over random variable sets.
+    Rng rng(0x71e5 + n);
+    for (int i = 0; i < 48; ++i) {
+      std::uint64_t bits = i % 2 == 0 ? ~0ULL : 0;
+      for (int v = 0; v < n; ++v) {
+        if (!rng.next_bool() && v > 0) continue;
+        const std::uint64_t lit =
+            rng.next_bool() ? ~aig::kTtVarMask[v] : aig::kTtVarMask[v];
+        bits = i % 2 == 0 ? bits & lit : bits | lit;
+      }
+      expect_same_as_reference(tt_of(bits, n), n);
+    }
+  }
+  // A table resynthesis canonicalizes.
+  expect_same_as_reference(TruthTable{0x6996966996696996ULL}, 6);
 }
 
 class ExhaustiveN : public ::testing::TestWithParam<int> {};

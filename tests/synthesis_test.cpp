@@ -6,6 +6,7 @@
 #include "benchgen/generators.h"
 #include "cnf/cnf.h"
 #include "core/circuit_driver.h"
+#include "core/reduce.h"
 #include "cnf/tseitin.h"
 #include "sat/solver.h"
 #include "test_util.h"
@@ -114,6 +115,98 @@ TEST_P(SynthesisRandom, RandomConesStayEquivalent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SynthesisRandom, ::testing::Range(0, 6));
+
+/// True iff some node of `tree`, or of a tree it shares, is a gate.
+bool has_gate(const DecTree& tree) {
+  for (const DecTreeNode& node : tree.nodes) {
+    if (node.kind == DecTreeNode::Kind::kGate) return true;
+    if (node.kind == DecTreeNode::Kind::kShared && has_gate(*node.shared)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// The recursion searches every op and extracts only the one it keeps; the
+// kept op must be the one an eager run (every op searched, extracted and
+// verified) ranks first by (eq. (8) kSum cost, op order).
+TEST(SynthesisOpChoice, RootOpIsTheEagerArgmin) {
+  int gates = 0, leaves = 0;
+  for (const Engine engine : {Engine::kMg, Engine::kQbfCombined}) {
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      Rng rng(seed);
+      const int n = rng.next_int(3, 8);
+      // Every third cone is a random table: mostly undecomposable.
+      const int ands = rng.next_int(n, 4 * n);
+      const Cone cone =
+          reduce_cone(seed % 3 == 0 ? testutil::random_tt_cone(n, rng)
+                                    : testutil::random_cone(n, ands, seed));
+      if (cone.n() < 3) continue;
+      SynthesisOptions o;
+      o.engine = engine;
+      o.pick_best_op = true;
+      const std::shared_ptr<const DecTree> tree = decompose_to_tree(cone, o);
+      const DecTreeNode& root = tree->nodes[tree->root];
+
+      bool have = false;
+      GateOp best_op = GateOp::kOr;
+      int best_cost = 0;
+      for (const GateOp op : o.ops) {
+        DecomposeOptions d = o.per_node;
+        d.engine = engine;
+        d.op = op;
+        const DecomposeResult r = BiDecomposer(d).decompose(cone);
+        if (r.status != DecomposeStatus::kDecomposed) continue;
+        ASSERT_TRUE(r.verified);
+        const int cost = metric_cost(r.metrics, MetricKind::kSum);
+        if (!have || cost < best_cost) {
+          have = true;
+          best_op = op;
+          best_cost = cost;
+        }
+      }
+      if (!have) {
+        EXPECT_EQ(root.kind, DecTreeNode::Kind::kCone) << "seed " << seed;
+        ++leaves;
+        continue;
+      }
+      ASSERT_EQ(root.kind, DecTreeNode::Kind::kGate) << "seed " << seed;
+      EXPECT_EQ(root.op, best_op) << "seed " << seed;
+      EXPECT_TRUE(tree_equivalent(cone, *tree)) << "seed " << seed;
+      ++gates;
+    }
+  }
+  EXPECT_GT(gates, 0);
+  EXPECT_GT(leaves, 0);
+}
+
+// Faults lose answers, never corrupt them: when every verification fails,
+// no op survives extraction, every node is a leaf, and the tree still
+// computes the cone.
+TEST(SynthesisOpChoice, FailedVerificationsLeaveOnlyLeaves) {
+  const std::optional<FaultPlan> plan = FaultPlan::parse("1:1.0:v");
+  ASSERT_TRUE(plan.has_value());
+  int decomposable = 0;
+  for (const bool pick_best : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      Rng rng(seed);
+      const int n = rng.next_int(3, 8);
+      const Cone cone = testutil::random_cone(n, rng.next_int(n, 4 * n), seed);
+      SynthesisOptions o = fast_opts();
+      o.pick_best_op = pick_best;
+      if (has_gate(*decompose_to_tree(cone, o))) ++decomposable;
+      FaultStream faults(*plan, seed);
+      o.per_node.faults = &faults;
+      SynthesisStats st;
+      const std::shared_ptr<const DecTree> tree =
+          decompose_to_tree(cone, o, &st);
+      EXPECT_FALSE(has_gate(*tree)) << "seed " << seed;
+      EXPECT_EQ(st.decompositions, 0) << "seed " << seed;
+      EXPECT_TRUE(tree_equivalent(cone, *tree)) << "seed " << seed;
+    }
+  }
+  EXPECT_GT(decomposable, 0);  // without faults, some cones split
+}
 
 TEST(ConeDepth, CountsAndLevels) {
   aig::Aig a;
